@@ -6,6 +6,9 @@ semigroup into small-jump and compound-Poisson parts, evaluates two-sided
 density envelopes, samples increments, and runs verification scans.
 """
 
+# the one version literal: packaging metadata and reports read it from here
+__version__ = "0.1.0"
+
 from .errors import (DegeneracyError, DomainError, GridError, NumericError,
                      RegimeError, TempLevyError, UnsupportedProfileError)
 from .profiles import (Constant, ExpTempered, PolyTempered, RadialProfile,
@@ -21,11 +24,7 @@ from .density import (DensityField, GridSpec, density_at, invert,
 from .decomp import (CompoundPoissonField, SplitMeasure, compound_poisson,
                      default_eps, local_density, local_moment, recompose,
                      split)
-from .envelope import (EnvelopeSpec, env_lower_large_t, env_lower_small_t,
-                       env_upper_large_t, env_upper_small_t,
-                       hypothesis_check)
+from .envelope import EnvelopeSpec, hypothesis_check
 from .montecarlo import SamplerConfig, sample_increment, sample_many
 from .harness import (VerificationReport, run_suite, verify_decomposition,
                       verify_lower, verify_upper)
-
-__version__ = "0.1.0"

@@ -15,7 +15,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -197,30 +196,24 @@ def psi_vector(q: RadialProfile, alpha: float, u: np.ndarray,
 
 
 def phi_on_points(model: LevyModel, xi: np.ndarray,
-                  method: str = "auto") -> np.ndarray:
-    """Phi on an array of frequency points, shape (..., d) or (...,) in d=1."""
+                  upper: float = math.inf) -> np.ndarray:
+    """Phi on frequency points, shape (..., d) or (...,) in d=1.
+
+    The result has one value per point.  A finite `upper` cuts the jump
+    measure at that radius, giving the exponent of the small-jump part;
+    the relativistic closed form holds only for the whole measure.
+    """
     xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 0 or xi.shape[-1] != model.d:
-        xi = xi.reshape(xi.shape + (1,)) if model.d == 1 else xi
-    if method == "auto" and model.closed_form == "relativistic":
+    if model.d == 1 and (xi.ndim < 2 or xi.shape[-1] != 1):
+        xi = xi[..., None]
+    if model.closed_form == "relativistic" and math.isinf(upper):
         r2 = np.sum(xi * xi, axis=-1)
         return (r2 + 1.0) ** (model.alpha / 2.0) - 1.0
     total = np.zeros(xi.shape[:-1])
-    if model.spectral.is_atomic:
-        for (w, q), theta in zip(model.profiles_and_weights(),
-                                 model.spectral.directions):
-            u = np.abs(xi @ theta)
-            total = total + w * psi_vector(q, model.alpha, u)
-        return total
-    # density spectral measure (d = 2): angular trapezoid rule
-    nang = 512
-    ang = np.linspace(0.0, 2 * math.pi, nang, endpoint=False)
-    g = np.asarray(model.spectral.density(ang), dtype=float)
-    thetas = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    wts = g * (2 * math.pi / nang)
-    u = np.abs(xi @ thetas.T)  # (..., nang)
-    psi = psi_vector(model.profile, model.alpha, u.ravel()).reshape(u.shape)
-    return psi @ wts
+    for w, q, theta in model.atoms():
+        u = np.abs(xi @ theta)
+        total = total + w * psi_vector(q, model.alpha, u, upper)
+    return total
 
 
 def phi(model: LevyModel, xi, method: str = "auto") -> ExponentEvaluation:
@@ -230,28 +223,21 @@ def phi(model: LevyModel, xi, method: str = "auto") -> ExponentEvaluation:
     "quadrature" forces the adaptive oscillatory integral, "closed" demands
     a closed form.
     """
+    if method not in ("auto", "quadrature", "closed"):
+        raise DomainError(f"unknown method {method!r}: "
+                          "use 'auto', 'quadrature' or 'closed'")
     x = np.asarray(xi, dtype=float).reshape(model.d)
-    closed: Optional[float] = None
-    if model.closed_form == "relativistic":
-        closed = float((x @ x + 1.0) ** (model.alpha / 2.0) - 1.0)
-    elif model.spectral.is_atomic and all(
-            isinstance(q, Constant) for _, q in model.profiles_and_weights()):
-        c = stable_constant(model.alpha)
-        closed = float(sum(w * q.c * c * abs(x @ th) ** model.alpha
-                           for (w, q), th in zip(model.profiles_and_weights(),
-                                                 model.spectral.directions)))
-    if method == "closed":
-        if closed is None:
-            raise DomainError("no closed form for this model")
-        return ExponentEvaluation(tuple(x), closed, "closed-form", 0.0)
-    if method == "auto" and closed is not None:
-        return ExponentEvaluation(tuple(x), closed, "closed-form", 0.0)
-    if model.spectral.is_atomic:
-        val = sum(w * psi_quad(q, model.alpha, float(x @ th))
-                  for (w, q), th in zip(model.profiles_and_weights(),
-                                        model.spectral.directions))
-    else:
+    # relativistic, or pure stable atoms: phi_on_points is exact
+    closed = model.closed_form == "relativistic" or (
+        model.spectral.is_atomic and all(
+            isinstance(q, Constant) for _, q in model.profiles_and_weights()))
+    if method == "closed" and not closed:
+        raise DomainError("no closed form for this model")
+    if closed and method != "quadrature":
         val = float(phi_on_points(model, x[None, :])[0])
+        return ExponentEvaluation(tuple(x), val, "closed-form", 0.0)
+    val = sum(w * psi_quad(q, model.alpha, float(x @ th))
+              for w, q, th in model.atoms())
     err = 1e-10 * (1.0 + abs(val))
     return ExponentEvaluation(tuple(x), float(val), "quadrature", err)
 
@@ -310,22 +296,13 @@ def check_two_sided(model: LevyModel, radii=None, s0: float = 0.5) -> tuple:
         raise DegeneracyError("degenerate spectral measure")
     # uniform angular nondegeneracy over s in (0, s0)
     s_grid = np.exp(np.linspace(math.log(1e-3 * s0), math.log(s0), 12))
-    etas = _direction_set(model)
+    atoms = model.atoms()
+    # (eta . theta)^2 for every probe direction eta and atom theta
+    cos2 = (_direction_set(model) @ np.array([th for *_, th in atoms]).T) ** 2
     worst = math.inf
     for s in s_grid:
-        for eta in etas:
-            acc = 0.0
-            if model.spectral.is_atomic:
-                for (w, q), th in zip(model.profiles_and_weights(),
-                                      model.spectral.directions):
-                    acc += w * float(eta @ th) ** 2 * float(q(s))
-            else:
-                ang = np.linspace(0, 2 * math.pi, 256, endpoint=False)
-                g = np.asarray(model.spectral.density(ang), dtype=float)
-                th = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-                acc = float(np.sum(g * (th @ eta) ** 2) * 2 * math.pi / 256
-                            * float(model.profile(s)))
-            worst = min(worst, acc)
+        acc = cos2 @ np.array([w * float(q(s)) for w, q, _ in atoms])
+        worst = min(worst, float(acc.min()))
     if worst <= 0:
         raise DegeneracyError("angular second moment vanishes for some direction")
     second_moment(model)  # raises if infinite

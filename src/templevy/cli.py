@@ -52,8 +52,7 @@ def _cmd_density(args) -> int:
     if args.x is not None:
         print(f"{density_at(model, args.t, args.x):.17g}")
     elif not args.out:
-        field_to_csv(fld, sys.stdout.buffer.name
-                     if hasattr(sys.stdout, "buffer") else sys.stdout)
+        field_to_csv(fld, sys.stdout)
     print(f"# mass={fld.mass:.12g} trunc={fld.trunc_error:.3g} "
           f"alias={fld.alias_error:.3g}", file=sys.stderr)
     return 0

@@ -19,11 +19,11 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.stats import poisson
 
-from .charexp import phi_on_points, psi_vector
-from .density import DensityField, GridSpec, _checked_inverse
+from .charexp import phi_on_points
+from .density import (MAX_N, DensityField, GridSpec, _checked_inverse,
+                      _cutoff, char_function_on_grid)
 from .errors import DomainError, GridError
-from .model import (LevyModel, nu_tail, radial_interval_mass,
-                    radial_tail_mass)
+from .model import LevyModel, nu_tail
 from .profiles import tail_index
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "CompoundPoissonField",
     "default_eps",
     "split",
-    "local_phi_on_grid",
     "local_auto_grid",
     "local_density",
     "local_moment",
@@ -62,8 +61,7 @@ class SplitMeasure:
         y = np.asarray(y, dtype=float)
         out = np.zeros_like(y)
         a = self.model.alpha
-        for (w, q), th in zip(self.model.profiles_and_weights(),
-                              self.model.spectral.directions):
+        for w, q, th in self.model.atoms():
             s = y * float(th[0])
             m = s >= self.eps
             if m.any():
@@ -103,41 +101,14 @@ def split(model: LevyModel, eps: float) -> SplitMeasure:
     return SplitMeasure(model=model, eps=eps, lam=nu_tail(model, eps))
 
 
-def local_phi_on_grid(sm: SplitMeasure, xi: np.ndarray) -> np.ndarray:
-    """Phi~_eps on frequency points, the exponent of the small-jump part."""
-    m = sm.model
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 0 or xi.shape[-1] != m.d:
-        xi = xi.reshape(xi.shape + (1,)) if m.d == 1 else xi
-    total = np.zeros(xi.shape[:-1])
-    if m.spectral.is_atomic:
-        for (w, q), th in zip(m.profiles_and_weights(),
-                              m.spectral.directions):
-            u = np.abs(xi @ th)
-            total = total + w * psi_vector(q, m.alpha, u, upper=sm.eps)
-        return total
-    nang = 512
-    ang = np.linspace(0.0, 2 * math.pi, nang, endpoint=False)
-    g = np.asarray(m.spectral.density(ang), dtype=float)
-    thetas = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    u = np.abs(xi @ thetas.T)
-    psi = psi_vector(m.profile, m.alpha, u.ravel(),
-                     upper=sm.eps).reshape(u.shape)
-    return psi @ (g * (2 * math.pi / nang))
-
-
 def local_auto_grid(sm: SplitMeasure, t: float,
                     extent_mult: float = 20.0) -> GridSpec:
     """Grid sized to the small-jump semigroup at scale t^(1/alpha)."""
     m = sm.model
-    a = m.alpha
-    L = max(extent_mult * t ** (1.0 / a), extent_mult * sm.eps)
-    e = np.ones(m.d) / math.sqrt(m.d)
-    u0 = max(10.0, 10.0 / sm.eps)
-    c_est = float(local_phi_on_grid(sm, (u0 * e)[None, :])[0]) / u0**a
-    cut = (45.0 / max(t * c_est, 1e-300)) ** (1.0 / a)
+    L = max(extent_mult * t ** (1.0 / m.alpha), extent_mult * sm.eps)
+    cut = _cutoff(m, t, 45.0, upper=sm.eps)
     n = 2 ** int(math.ceil(math.log2(max(2.0 * L * cut / math.pi, 64.0))))
-    return GridSpec(m.d, L, min(max(n, 512), 2 ** 22 if m.d == 1 else 2 ** 11))
+    return GridSpec(m.d, L, min(max(n, 512), MAX_N[m.d]))
 
 
 def local_density(sm: SplitMeasure, t: float,
@@ -147,15 +118,9 @@ def local_density(sm: SplitMeasure, t: float,
         raise DomainError("t must be positive")
     if grid is None:
         grid = local_auto_grid(sm, t)
-    xi = grid.xi_axis()
-    if grid.d == 1:
-        ph = local_phi_on_grid(sm, xi[:, None])
-    else:
-        g1, g2 = np.meshgrid(xi, xi, indexing="ij")
-        ph = local_phi_on_grid(sm, np.stack([g1, g2], axis=-1))
-    cut_val = float(ph.flat[0])  # corner frequency value
-    trunc = math.exp(-t * cut_val)
-    return _checked_inverse(np.exp(-t * ph), grid, t, trunc, 0.0)
+    fhat = char_function_on_grid(sm.model, t, grid, upper=sm.eps)
+    # truncation: the value at the corner frequency
+    return _checked_inverse(fhat, grid, t, float(fhat.flat[0]), 0.0)
 
 
 def local_moment(sm: SplitMeasure, t: float, n: int,
@@ -197,8 +162,7 @@ def bounded_cell_masses(sm: SplitMeasure, grid: GridSpec) -> np.ndarray:
     h = grid.h
     a = sm.model.alpha
     masses = np.zeros(grid.N)
-    for (w, q), th in zip(sm.model.profiles_and_weights(),
-                          sm.model.spectral.directions):
+    for w, q, th in sm.model.atoms():
         s = ax * float(th[0])  # signed radius along the atom direction
         lo = np.maximum(s - h / 2.0, sm.eps)
         hi = s + h / 2.0
@@ -224,8 +188,7 @@ def compound_poisson(sm: SplitMeasure, t: float, grid: GridSpec,
                      tol: float = 1e-10) -> CompoundPoissonField:
     """Pbar_t on the grid via the truncated exponential series (d = 1)."""
     if grid.d != 1:
-        raise DomainError("the explicit series path is d=1 only; "
-                          "use frequency_identity_defect in d=2")
+        raise DomainError("the compound-Poisson series is d=1 only")
     if not 0.0 < tol <= 1e-3:
         raise DomainError("tol must lie in (0, 1e-3]")
     lam = sm.lam
@@ -283,44 +246,22 @@ def recompose(local: DensityField, cp: CompoundPoissonField) -> DensityField:
 
 def frequency_identity_defect(sm: SplitMeasure, t: float,
                               grid: GridSpec) -> float:
-    """max | F(p~) F(Pbar) - exp(-t Phi) | over the dual grid.
+    """max | F(p~) F(Pbar) - exp(-t Phi) | over the dual grid (d = 1).
 
-    F(Pbar) is computed from the gridded nubar (d = 1) or as
-    exp(t integral (cos - 1) dnubar) by quadrature of the radial tail
-    (d = 2, where the a.c. series is singular on rays and never gridded).
+    F(Pbar) comes from the gridded big-jump measure, so the two sides rest
+    on independent discretizations of nu.  There is no such check in d = 2,
+    where both sides would be sums over the same psi tables.
     """
-    m = sm.model
-    xi = grid.xi_axis()
-    if grid.d == 1:
-        # the cos-transform below is a dense (n_xi, N) product; probing a
-        # subsample of frequencies keeps it linear in the grid size
-        step = max(1, grid.N // 2048)
-        xi = xi[::step]
-        pts = xi[:, None]
-        phit = local_phi_on_grid(sm, pts)
-        masses = bounded_cell_masses(sm, grid)
-        ax = grid.x_axis()
-        coshat = np.cos(np.outer(xi, ax)) @ masses
-        fbar = np.exp(t * (coshat - sm.lam))
-    else:
-        g1, g2 = np.meshgrid(xi, xi, indexing="ij")
-        pts = np.stack([g1, g2], axis=-1)
-        phit = local_phi_on_grid(sm, pts)
-        # cos-transform of nubar = Phi~ - Phi + lambda, by the split identity;
-        # evaluated through the tail-restricted psi tables (independent of
-        # the full-Phi path only through the shared radial quadrature)
-        full = np.zeros(pts.shape[:-1])
-        for (w, q), th in zip(m.profiles_and_weights(),
-                              m.spectral.directions):
-            u = np.abs(pts @ th)
-            tail_psi = (psi_vector(q, m.alpha, u)
-                        - psi_vector(q, m.alpha, u, upper=sm.eps))
-            full = full + w * tail_psi
-        fbar = np.exp(-t * full)
-        return float(np.max(np.abs(
-            np.exp(-t * phit) * fbar
-            - np.exp(-t * phi_on_points(m, pts)))))
-    direct = np.exp(-t * phi_on_points(m, pts))
+    if sm.model.d != 1 or grid.d != 1:
+        raise DomainError("the frequency identity check is d=1 only")
+    # the cos-transform below is a dense (n_xi, N) product; probing a
+    # subsample of frequencies keeps it linear in the grid size
+    xi = grid.xi_axis()[::max(1, grid.N // 2048)]
+    phit = phi_on_points(sm.model, xi, upper=sm.eps)
+    masses = bounded_cell_masses(sm, grid)
+    coshat = np.cos(np.outer(xi, grid.x_axis())) @ masses
+    fbar = np.exp(t * (coshat - sm.lam))
+    direct = np.exp(-t * phi_on_points(sm.model, xi))
     return float(np.max(np.abs(np.exp(-t * phit) * fbar - direct)))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .charexp import phi_on_points, psi_vector
+from .charexp import phi_on_points
 from .errors import DomainError, GridError, NumericError, DegeneracyError
 from .model import LevyModel, nu_tail
 from .profiles import tail_index
@@ -42,6 +42,9 @@ CACHE_VERSION = 1
 
 #: fields clip ringing below zero only up to this fraction of the peak
 RINGING_TOL = 1e-9
+
+#: largest number of grid points per axis, by dimension
+MAX_N = {1: 2 ** 22, 2: 2 ** 11}
 
 
 @dataclass(frozen=True)
@@ -137,17 +140,20 @@ class DensityField:
                      + f[0] * f[1] * v[i0[0] + 1, i0[1] + 1])
 
 
-def char_function_on_grid(model: LevyModel, t: float,
-                          grid: GridSpec) -> np.ndarray:
-    """exp(-t Phi) sampled on the dual grid of `grid`."""
+def char_function_on_grid(model: LevyModel, t: float, grid: GridSpec,
+                          upper: float = math.inf) -> np.ndarray:
+    """exp(-t Phi) sampled on the dual grid of `grid`.
+
+    A finite `upper` samples the small-jump part: jumps of radius at least
+    `upper` are left out of Phi.
+    """
     xi = grid.xi_axis()
-    if grid.d == 1:
-        ph = phi_on_points(model, xi[:, None])
-    else:
+    if grid.d == 2:
         g1, g2 = np.meshgrid(xi, xi, indexing="ij")
-        pts = np.stack([g1, g2], axis=-1)
-        ph = phi_on_points(model, pts)
-    return np.exp(-t * ph)
+        xi = np.stack([g1, g2], axis=-1)
+    fhat = phi_on_points(model, xi, upper)
+    fhat *= -t  # in place: on 2^11 x 2^11 grids every copy costs 32 MB
+    return np.exp(fhat, out=fhat)
 
 
 def _checked_inverse(fhat: np.ndarray, grid: GridSpec, t: float,
@@ -217,15 +223,14 @@ def auto_grid(model: LevyModel, t: float,
     # (capped: folded-back tail mass is reported via alias_error instead)
     while t * nu_tail(model, L) > alias_target and L < 4096.0:
         L *= 2.0
-    e = np.ones(model.d) / math.sqrt(model.d)
-    c_est = float(phi_on_points(model, (10.0 * e)[None, :])[0]) / 10.0 ** a
     target = -math.log(tail_target)
-    cut = (target / max(t * c_est, 1e-300)) ** (1.0 / a)
+    cut = _cutoff(model, t, target)
     n = 2 ** int(math.ceil(math.log2(max(2.0 * L * cut / math.pi, 64.0))))
-    n_cap = 2 ** 22 if model.d == 1 else 2 ** 11
+    n_cap = MAX_N[model.d]
     n = min(max(n, 256), n_cap)
     # the power-law inversion above misjudges the cutoff when it falls in
     # the quadratic regime of Phi; verify against the actual exponent
+    e = np.ones(model.d) / math.sqrt(model.d)
     while n < n_cap:
         g = GridSpec(model.d, L, n)
         xi_edge = (g.xi_cut * e)[None, :]
@@ -235,27 +240,17 @@ def auto_grid(model: LevyModel, t: float,
     return GridSpec(model.d, L, n)
 
 
-def _char_scalar_factory(model: LevyModel, t: float):
-    """Scalar xi -> exp(-t Phi(xi)) for d=1 quadrature paths."""
-    if model.closed_form == "relativistic":
-        a = model.alpha
-        return lambda xi: math.exp(-t * ((xi * xi + 1.0) ** (a / 2.0) - 1.0))
-    pairs = model.profiles_and_weights()
-    thetas = [float(th[0]) for th in model.spectral.directions]
+def _cutoff(model: LevyModel, t: float, target: float,
+            upper: float = math.inf) -> float:
+    """Radius |xi| where t Phi reaches `target`, taking Phi = c |xi|^alpha.
 
-    def g(xi):
-        ph = sum(w * psi_vector(q, model.alpha,
-                                np.array([abs(xi * th)]))[0]
-                 for (w, q), th in zip(pairs, thetas))
-        return math.exp(-t * ph)
-
-    return g
-
-
-def _cutoff(model: LevyModel, t: float, target: float = 40.0) -> float:
+    c is read off Phi (cut at `upper`) on the diagonal at the radius
+    u0 = max(10, 10 / upper), past the quadratic regime of a cut measure.
+    """
     a = model.alpha
+    u0 = max(10.0, 10.0 / upper)
     e = np.ones(model.d) / math.sqrt(model.d)
-    c_est = float(phi_on_points(model, (10.0 * e)[None, :])[0]) / 10.0 ** a
+    c_est = float(phi_on_points(model, (u0 * e)[None, :], upper)[0]) / u0 ** a
     return (target / max(t * c_est, 1e-300)) ** (1.0 / a)
 
 
@@ -266,8 +261,8 @@ def density_at(model: LevyModel, t: float, x: float) -> float:
     if t <= 0:
         raise DomainError("t must be positive")
     x = abs(float(np.asarray(x, dtype=float).reshape(())))
-    g = _char_scalar_factory(model, t)
-    U = _cutoff(model, t)
+    g = lambda xi: math.exp(-t * float(phi_on_points(model, xi)))
+    U = _cutoff(model, t, 40.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         if x * U > 30.0:
@@ -331,15 +326,19 @@ def load_field(path) -> DensityField:
                         trunc_error=trunc, alias_error=alias, min_raw=min_raw)
 
 
-def field_to_csv(fld: DensityField, path) -> None:
+def field_to_csv(fld: DensityField, out) -> None:
+    """Write the field as CSV to `out`, a path or an open text stream."""
+    if not hasattr(out, "write"):
+        with open(out, "w") as f:
+            field_to_csv(fld, f)
+        return
     ax = fld.grid.x_axis()
-    with open(path, "w") as f:
-        if fld.grid.d == 1:
-            f.write("x,p\n")
-            for x, p in zip(ax, fld.values):
-                f.write(f"{x:.17g},{p:.17g}\n")
-        else:
-            f.write("x1,x2,p\n")
-            for i, x1 in enumerate(ax):
-                for j, x2 in enumerate(ax):
-                    f.write(f"{x1:.17g},{x2:.17g},{fld.values[i, j]:.17g}\n")
+    if fld.grid.d == 1:
+        out.write("x,p\n")
+        for x, p in zip(ax, fld.values):
+            out.write(f"{x:.17g},{p:.17g}\n")
+    else:
+        out.write("x1,x2,p\n")
+        for i, x1 in enumerate(ax):
+            for j, x2 in enumerate(ax):
+                out.write(f"{x1:.17g},{x2:.17g},{fld.values[i, j]:.17g}\n")

@@ -16,25 +16,21 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
 
-from .charexp import check_lower_growth, check_two_sided, phi_on_points
+from .charexp import check_lower_growth, check_two_sided
 from .errors import DomainError, RegimeError
 from .model import LevyModel, gamma_estimate, nu_ball, nu_tail
 from .profiles import (ExpTempered, RadialProfile, profile_from_dict,
-                       profile_to_dict, tail_index)
+                       profile_to_dict)
 
 __all__ = [
     "EnvelopeSpec",
     "NOT_APPLICABLE",
-    "env_upper_small_t",
-    "env_lower_small_t",
-    "env_upper_large_t",
-    "env_lower_large_t",
     "evaluate",
     "product_form",
     "in_cone",
@@ -76,18 +72,6 @@ class EnvelopeSpec:
                 raise DomainError("large_t spec needs beta in [alpha, 2]")
 
 
-def _min_form(t: float, x, d: int, a: float, gamma: float, alpha_tail: float,
-              q: RadialProfile) -> float:
-    """min(t^(-d/a), t^(1+(gamma-d)/a) |x|^(-alpha-gamma) q(|x|))."""
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    diag = t ** (-d / a)
-    if r == 0.0:
-        return diag
-    off = (t ** (1.0 + (gamma - d) / a) * r ** (-alpha_tail - gamma)
-           * float(q(np.array([r]))[0]))
-    return min(diag, off)
-
-
 def in_cone(spec: EnvelopeSpec, x) -> bool:
     """Whether x lies in the cone over A0 (vacuously true for uppers)."""
     if spec.directions is None:
@@ -101,53 +85,30 @@ def in_cone(spec: EnvelopeSpec, x) -> bool:
                for th in spec.directions)
 
 
-def env_upper_small_t(spec: EnvelopeSpec, t: float, x) -> float:
-    if spec.side != "upper" or spec.regime != "small_t":
-        raise DomainError("spec is not upper/small_t")
-    if not 0.0 < t <= 1.0:
-        raise RegimeError("small-t envelope needs t in (0, 1]")
-    return _min_form(t, x, spec.d, spec.alpha, spec.gamma, spec.alpha,
-                     spec.profile)
-
-
-def env_lower_small_t(spec: EnvelopeSpec, t: float, x) -> float:
-    if spec.side != "lower" or spec.regime != "small_t":
-        raise DomainError("spec is not lower/small_t")
-    if not 0.0 < t <= 1.0:
-        raise RegimeError("small-t envelope needs t in (0, 1]")
-    if not in_cone(spec, x):
-        return NOT_APPLICABLE
-    return _min_form(t, x, spec.d, spec.alpha, spec.gamma, spec.alpha,
-                     spec.profile)
-
-
-def env_upper_large_t(spec: EnvelopeSpec, t: float, x) -> float:
-    if spec.side != "upper" or spec.regime != "large_t":
-        raise DomainError("spec is not upper/large_t")
-    if t <= 1.0:
-        raise RegimeError("large-t envelope needs t > 1")
-    return _min_form(t, x, spec.d, spec.beta, spec.gamma, spec.alpha,
-                     spec.profile)
-
-
-def env_lower_large_t(spec: EnvelopeSpec, t: float, x) -> float:
-    if spec.side != "lower" or spec.regime != "large_t":
-        raise DomainError("spec is not lower/large_t")
-    if t <= 1.0:
-        raise RegimeError("large-t envelope needs t > 1")
-    if not in_cone(spec, x):
-        return NOT_APPLICABLE
-    return _min_form(t, x, spec.d, spec.beta, spec.gamma, spec.alpha,
-                     spec.profile)
-
-
 def evaluate(spec: EnvelopeSpec, t: float, x) -> float:
-    """Dispatch on (side, regime)."""
-    fn = {("upper", "small_t"): env_upper_small_t,
-          ("lower", "small_t"): env_lower_small_t,
-          ("upper", "large_t"): env_upper_large_t,
-          ("lower", "large_t"): env_lower_large_t}[(spec.side, spec.regime)]
-    return fn(spec, t, x)
+    """min(t^(-d/a), t^(1+(gamma-d)/a) |x|^(-alpha-gamma) q(|x|)).
+
+    a is alpha for small_t (t in (0, 1]) and beta for large_t (t > 1).  A
+    lower envelope returns NOT_APPLICABLE outside the cone over A0.
+    """
+    if spec.regime == "small_t":
+        if not 0.0 < t <= 1.0:
+            raise RegimeError("small-t envelope needs t in (0, 1]")
+        a = spec.alpha
+    else:
+        if t <= 1.0:
+            raise RegimeError("large-t envelope needs t > 1")
+        a = spec.beta
+    if spec.side == "lower" and not in_cone(spec, x):
+        return NOT_APPLICABLE
+    r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+    diag = t ** (-spec.d / a)
+    if r == 0.0:
+        return diag
+    off = (t ** (1.0 + (spec.gamma - spec.d) / a)
+           * r ** (-spec.alpha - spec.gamma)
+           * float(spec.profile(np.array([r]))[0]))
+    return min(diag, off)
 
 
 def product_form(spec: EnvelopeSpec, t: float, x) -> float:

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import __version__ as TOOLKIT_VERSION
 from . import envelope as env_mod
 from .decomp import compound_poisson, default_eps, local_density, recompose, split
-from .density import DensityField, GridSpec, auto_grid, invert
-from .envelope import EnvelopeSpec, evaluate, hypothesis_check, in_cone
+from .density import MAX_N, GridSpec, auto_grid, invert
+from .envelope import EnvelopeSpec, evaluate, hypothesis_check
 from .errors import DomainError, RegimeError
 from .model import LevyModel, model_from_dict
-from .profiles import tail_index
 
 __all__ = [
     "VerificationReport",
@@ -77,9 +77,9 @@ def _scan_grid(model: LevyModel, spec: EnvelopeSpec, t_min: float,
     g = auto_grid(model, t_min)
     L = max(g.L, 2.2 * x_max)
     n = g.N
-    while n * g.h / 2 < L and n < 2 ** 22:
+    while n * g.h / 2 < L and n < MAX_N[model.d]:
         n *= 2
-    return GridSpec(model.d, L, min(n, 2 ** 22 if model.d == 1 else 2 ** 11))
+    return GridSpec(model.d, L, n)
 
 
 def _ratio_scan(model: LevyModel, spec: EnvelopeSpec, t_set, radii,
@@ -188,8 +188,6 @@ def verify_decomposition(model: LevyModel, t_set, tol: float = 1e-4,
 
 # ---------------------------------------------------------------------------
 # suite runner
-
-TOOLKIT_VERSION = "0.1.0"
 
 
 def _spec_rows_csv(report: VerificationReport, path) -> None:

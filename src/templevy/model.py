@@ -2,7 +2,10 @@
 
 A model is nu(D) = sum_i w_i * int_0^inf 1_D(s theta_i) s^(-1-alpha) q_i(s) ds
 for atomic spectral measures, or the analogous angular integral when the
-spectral measure has a bounded density on the sphere (d = 2 only).
+spectral measure has a bounded density on the sphere (d = 2 only).  A
+density is also discretized once into ANGULAR_NODES atoms, the one angular
+rule behind the exponent and the direction matrix; the ball and mass
+functionals integrate the density itself.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, DegeneracyError, NumericError
+from .errors import DomainError, NumericError
 from .profiles import (
     Constant,
     PolyTempered,
@@ -24,7 +27,6 @@ from .profiles import (
     RadialProfile,
     profile_from_dict,
     profile_to_dict,
-    relativistic_kernel,
 )
 
 __all__ = [
@@ -53,6 +55,9 @@ MODEL_SCHEMA_VERSION = 1
 
 _UNIT_TOL = 1e-12
 
+#: trapezoid nodes on the circle that discretize a spectral density
+ANGULAR_NODES = 512
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralMeasure:
@@ -63,6 +68,10 @@ class SpectralMeasure:
     weights: Optional[np.ndarray] = None  # (k,) positive
     density: Optional[Callable[[np.ndarray], np.ndarray]] = None  # g(angles)
     symmetric: bool = True
+
+    # the atom set: the atoms themselves, or the discretized density
+    atom_directions: np.ndarray = field(init=False, repr=False)
+    atom_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -88,8 +97,14 @@ class SpectralMeasure:
                 raise DomainError("density spectral measures supported in d=2 only")
             if self.symmetric and not self._density_symmetric():
                 raise DomainError("density not symmetric under theta -> -theta")
+            ang = np.linspace(0.0, 2 * math.pi, ANGULAR_NODES, endpoint=False)
+            dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+            w = np.asarray(self.density(ang), dtype=float) * (
+                2 * math.pi / ANGULAR_NODES)
         else:
             raise DomainError("spectral measure needs atoms or a density")
+        object.__setattr__(self, "atom_directions", dirs)
+        object.__setattr__(self, "atom_weights", w)
         if self.total_mass <= 0 or not math.isfinite(self.total_mass):
             raise DomainError("total spectral mass must be finite and positive")
 
@@ -120,15 +135,9 @@ class SpectralMeasure:
         return float(val)
 
     def direction_matrix(self) -> np.ndarray:
-        """Second moment matrix sum w_i theta_i theta_i^T (angular for density)."""
-        if self.is_atomic:
-            return (self.weights[:, None, None] * np.einsum(
-                "ki,kj->kij", self.directions, self.directions)).sum(axis=0)
-        ang = np.linspace(0.0, 2 * math.pi, 512, endpoint=False)
-        g = np.asarray(self.density(ang), dtype=float)
-        th = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        w = g * (2 * math.pi / len(ang))
-        return (w[:, None, None] * np.einsum("ki,kj->kij", th, th)).sum(axis=0)
+        """Second moment matrix sum w_i theta_i theta_i^T over the atom set."""
+        th = self.atom_directions
+        return (self.atom_weights[:, None] * th).T @ th
 
     @property
     def degenerate(self) -> bool:
@@ -177,6 +186,12 @@ class LevyModel:
             profs = self.atom_profiles or (self.profile,) * len(self.spectral.weights)
             return list(zip(self.spectral.weights, profs))
         return [(self.spectral.total_mass, self.profile)]
+
+    def atoms(self):
+        """Triples (weight, profile, direction) over the spectral atom set."""
+        sp = self.spectral
+        profs = self.atom_profiles or (self.profile,) * len(sp.atom_weights)
+        return list(zip(sp.atom_weights, profs, sp.atom_directions))
 
     def distinct_profiles(self):
         seen, out = set(), []
@@ -296,8 +311,7 @@ def nu_ball(model: LevyModel, x, r: float) -> float:
         raise DomainError("ball contains the origin; nu(B(x,r)) is infinite")
     if model.spectral.is_atomic:
         total = 0.0
-        for (w, q), theta in zip(model.profiles_and_weights(),
-                                 model.spectral.directions):
+        for w, q, theta in model.atoms():
             chord = _ray_chord(x, theta, r)
             if chord is None:
                 continue

@@ -9,13 +9,12 @@ densities, not for efficiency.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .model import LevyModel, nu_tail, radial_second_moment, radial_tail_mass
+from .model import LevyModel, radial_second_moment, radial_tail_mass
 
 __all__ = [
     "SamplerConfig",

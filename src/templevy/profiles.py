@@ -8,7 +8,7 @@ hard truncation, and the relativistic Bessel-type kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

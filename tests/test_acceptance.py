@@ -59,7 +59,7 @@ def test_criterion_01_cauchy_oracle(report):
     t0 = time.monotonic()
     m = cauchy_model()
     # exponent: quadrature against pi |xi|
-    err_phi = max(abs(phi(m, np.array([u]), method="quad").value
+    err_phi = max(abs(phi(m, np.array([u]), method="quadrature").value
                       - math.pi * u) / (math.pi * u)
                   for u in np.linspace(0.5, 50.0, 25))
     assert err_phi <= 1e-8

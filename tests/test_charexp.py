@@ -67,6 +67,49 @@ def test_phi_doubling_inequality():
         assert phi(m, 2 * xi).value <= 4.0 * phi(m, xi).value * (1 + 1e-9)
 
 
+def test_phi_rejects_unknown_method():
+    with pytest.raises(DomainError):
+        phi(cauchy_model(), 1.0, method="bogus")
+
+
+def test_phi_on_points_shape_d1():
+    m = poly_model(3.0, 1.0)
+    assert phi_on_points(m, 2.0).shape == ()
+    assert phi_on_points(m, np.array([2.0])).shape == (1,)
+    xi = np.linspace(0.5, 4.0, 5)
+    vals = phi_on_points(m, xi)
+    assert vals.shape == (5,)
+    np.testing.assert_array_equal(phi_on_points(m, xi[:, None]), vals)
+    assert float(phi_on_points(m, np.array([2.0]))[0]) == float(
+        phi_on_points(m, 2.0))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_phi_uniform_circle_density(alpha):
+    # g = 1 on the circle, q = 1: Phi(xi) = c_alpha |xi|^alpha
+    # * int_0^{2 pi} |cos a|^alpha da
+    sp = SpectralMeasure(d=2, density=lambda ang: np.ones_like(ang))
+    m = LevyModel(d=2, alpha=alpha, spectral=sp, profile=Constant(1.0))
+    ang_int = (2.0 * math.sqrt(math.pi) * gamma_fn((alpha + 1.0) / 2.0)
+               / gamma_fn(alpha / 2.0 + 1.0))
+    xi = np.array([[2.0, 0.0], [0.3, -0.4], [-3.0, 7.0]])
+    r = np.linalg.norm(xi, axis=1)
+    oracle = _c_alpha_gamma(alpha) * r ** alpha * ang_int
+    np.testing.assert_allclose(phi_on_points(m, xi), oracle, rtol=1e-3)
+
+
+def test_cut_exponent_below_full_relativistic():
+    # the relativistic closed form holds for the whole measure only: the
+    # cut exponent leaves out the jumps beyond eps and is strictly smaller
+    m = relativistic_model(1.0)
+    xi = np.array([0.5, 2.0, 10.0])
+    cut = phi_on_points(m, xi, upper=0.5)
+    full = phi_on_points(m, xi)
+    assert np.all(cut < full)
+    np.testing.assert_allclose(full, np.sqrt(xi ** 2 + 1.0) - 1.0,
+                               rtol=1e-12)
+
+
 def test_psi_exponential_closed_form():
     # a = 0 pure exponential tempering: psi(u) =
     # Gamma(-alpha) (c^alpha - Re (c - iu)^alpha)
@@ -113,7 +156,7 @@ def test_relativistic_closed_form():
 def test_relativistic_quadrature_vs_closed_form():
     m = relativistic_model(1.0)
     for u in (0.5, 2.0, 10.0, 50.0):
-        byq = phi(m, np.array([u]), method="quad").value
+        byq = phi(m, np.array([u]), method="quadrature").value
         closed = math.sqrt(u * u + 1.0) - 1.0
         assert abs(byq - closed) <= 1e-6 * (1.0 + abs(closed))
 

@@ -47,6 +47,17 @@ def test_density_grid_csv_and_cache(model_path, tmp_path, capsys):
     assert len(lines) == 4096 + 1
 
 
+def test_density_csv_to_stdout(model_path, tmp_path, monkeypatch, capsys):
+    # without --out or --x the CSV goes to standard output, not to a file
+    monkeypatch.chdir(tmp_path)
+    assert main(["density", "--model", model_path, "--t", "1.0",
+                 "--grid", "64,256"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "x,p"
+    assert len(lines) == 256 + 1
+    assert not (tmp_path / "<stdout>").exists()
+
+
 def test_decompose_csv(tmp_path, capsys):
     mp = tmp_path / "poly.json"
     save_model(poly_model(3.0, 1.0), mp)

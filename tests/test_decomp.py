@@ -19,6 +19,7 @@ from templevy.decomp import (
     split,
 )
 from templevy.density import GridSpec, invert
+from templevy.errors import DomainError
 from templevy.model import cauchy_model, exp_model, poly_model
 
 
@@ -85,6 +86,12 @@ def test_frequency_identity():
     sm = split(poly_model(3.0, 1.0), 1.0)
     defect = frequency_identity_defect(sm, 1.0, GridSpec(1, 1024.0, 2 ** 16))
     assert defect < 1e-5
+
+
+def test_frequency_identity_rejects_d2():
+    sm = split(poly_model(3.0, 1.5, d=2), 0.3)
+    with pytest.raises(DomainError):
+        frequency_identity_defect(sm, 1.0, GridSpec(2, 16.0, 64))
 
 
 def test_recompose_matches_direct():

@@ -6,10 +6,6 @@ import pytest
 
 from templevy.envelope import (
     EnvelopeSpec,
-    env_lower_large_t,
-    env_lower_small_t,
-    env_upper_large_t,
-    env_upper_small_t,
     evaluate,
     hypothesis_check,
     in_cone,
@@ -32,7 +28,7 @@ def _upper_small(profile, **kw):
 def test_upper_small_t_direct_value():
     # min(t^{-1}, t |x|^{-2} qbar(|x|)) at t = 0.25, x = 4, qbar = (1+s)^{-2}
     spec = _upper_small(PolyTempered(2.0))
-    val = env_upper_small_t(spec, 0.25, np.array([4.0]))
+    val = evaluate(spec, 0.25, np.array([4.0]))
     assert val == pytest.approx(min(4.0, 0.25 * 4.0 ** -2 * 5.0 ** -2),
                                 rel=1e-12)
     assert val == pytest.approx(6.25e-4, rel=1e-12)
@@ -40,7 +36,7 @@ def test_upper_small_t_direct_value():
 
 def test_upper_small_t_origin():
     spec = _upper_small(Constant(1.0), alpha=0.5)
-    assert env_upper_small_t(spec, 0.5, np.zeros(1)) == pytest.approx(
+    assert evaluate(spec, 0.5, np.zeros(1)) == pytest.approx(
         0.5 ** -2.0)
 
 
@@ -49,7 +45,7 @@ def test_lower_small_t_direct_value():
     spec = EnvelopeSpec(side="lower", regime="small_t", d=1, alpha=0.5,
                         gamma=1.0, profile=PolyTempered(3.0),
                         directions=((1.0,), (-1.0,)))
-    val = env_lower_small_t(spec, 0.5, np.array([2.0]))
+    val = evaluate(spec, 0.5, np.array([2.0]))
     assert val == pytest.approx(min(4.0, 0.5 * 2.0 ** -1.5 * 3.0 ** -3),
                                 rel=1e-12)
     assert val == pytest.approx(6.5462e-3, rel=1e-3)
@@ -60,7 +56,7 @@ def test_lower_large_t_direct_value():
     spec = EnvelopeSpec(side="lower", regime="large_t", d=1, alpha=1.0,
                         gamma=1.0, profile=ExpTempered(a=0.0, c1=2.0),
                         beta=2.0, directions=((1.0,), (-1.0,)))
-    val = env_lower_large_t(spec, 4.0, np.array([3.0]))
+    val = evaluate(spec, 4.0, np.array([3.0]))
     assert val == pytest.approx(min(0.5, 4.0 * 3.0 ** -2 * math.exp(-6.0)),
                                 rel=1e-12)
     assert val == pytest.approx(1.102e-3, rel=1e-3)
@@ -69,18 +65,18 @@ def test_lower_large_t_direct_value():
 def test_upper_large_t_origin():
     spec = EnvelopeSpec(side="upper", regime="large_t", d=1, alpha=1.0,
                         gamma=1.0, profile=PolyTempered(3.0), beta=2.0)
-    assert env_upper_large_t(spec, 9.0, np.zeros(1)) == pytest.approx(
+    assert evaluate(spec, 9.0, np.zeros(1)) == pytest.approx(
         9.0 ** -0.5)
 
 
 def test_regime_errors():
     up = _upper_small(PolyTempered(2.0))
     with pytest.raises(RegimeError):
-        env_upper_small_t(up, 2.0, np.array([1.0]))
+        evaluate(up, 2.0, np.array([1.0]))
     large = EnvelopeSpec(side="upper", regime="large_t", d=1, alpha=1.0,
                          gamma=1.0, profile=PolyTempered(3.0), beta=2.0)
     with pytest.raises(RegimeError):
-        env_upper_large_t(large, 0.5, np.array([1.0]))
+        evaluate(large, 0.5, np.array([1.0]))
 
 
 def test_spec_invariants():
@@ -98,13 +94,13 @@ def test_lower_outside_cone_not_applicable():
                         directions=((1.0, 0.0), (-1.0, 0.0)))
     assert in_cone(spec, np.array([3.0, 0.0]))
     assert not in_cone(spec, np.array([1.0, 1.0]))
-    assert math.isnan(env_lower_small_t(spec, 0.5, np.array([1.0, 1.0])))
+    assert math.isnan(evaluate(spec, 0.5, np.array([1.0, 1.0])))
 
 
 def test_envelope_monotone_in_x():
     spec = _upper_small(PolyTempered(2.0))
     radii = np.linspace(0.1, 15.0, 50)
-    vals = [env_upper_small_t(spec, 0.3, np.array([r])) for r in radii]
+    vals = [evaluate(spec, 0.3, np.array([r])) for r in radii]
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 

@@ -104,6 +104,14 @@ def test_gamma_estimate_cos_density():
     assert g == pytest.approx(2.0, abs=0.05)
 
 
+def test_uniform_circle_direction_matrix():
+    # int_0^{2 pi} theta theta^T da = pi I, exact for the trapezoid rule
+    sp = SpectralMeasure(d=2, density=lambda ang: np.ones_like(ang))
+    np.testing.assert_allclose(sp.direction_matrix(), math.pi * np.eye(2),
+                               atol=1e-12)
+    assert not sp.degenerate
+
+
 def test_spectral_unit_directions_enforced():
     with pytest.raises(DomainError):
         SpectralMeasure(d=1, directions=np.array([[2.0], [-2.0]]),
