@@ -45,13 +45,23 @@ class ExponentEvaluation:
     error: float
 
 
+def _head_weight(z: float, p: float) -> float:
+    """(1 - cos v) v^(-1-alpha) dv/dz at v = z^p, p = 2/(2 - alpha).
+
+    Exactly (sin(v/2) / (v/2))^2 p z / 2: no power of z that can
+    overflow as alpha -> 2, and the sinc factor tends to 1 as v -> 0.
+    """
+    h = 0.5 * z ** p
+    sinc = math.sin(h) / h if h > 1e-8 else 1.0
+    return 0.5 * sinc * sinc * p * z
+
+
 @lru_cache(maxsize=None)
 def stable_constant(alpha: float) -> float:
     """c_alpha = int_0^inf (1 - cos v) v^(-1-alpha) dv, by quadrature."""
     p = 2.0 / (2.0 - alpha)  # flatten the v^(1-alpha) endpoint behavior
-    head, _ = quad(lambda z: 2.0 * math.sin(0.5 * z**p) ** 2 * p
-                   * z ** (-p * alpha - 1.0),
-                   0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=256)
+    head, _ = quad(_head_weight, 0.0, 1.0, args=(p,),
+                   epsabs=1e-14, epsrel=1e-12, limit=256)
     cos_tail, _ = quad(lambda v: v ** (-1.0 - alpha), 1.0, np.inf,
                        weight="cos", wvar=1.0, epsabs=1e-13, limlst=200)
     return head + 1.0 / alpha - cos_tail
@@ -85,8 +95,7 @@ def psi_quad(q: RadialProfile, alpha: float, u: float,
     def head(z):
         if z <= 0.0:
             return 0.0
-        v = z**p
-        return _haversine(v) * float(q(v / u)) * p * z ** (-p * alpha - 1.0)
+        return _head_weight(z, p) * float(q(z**p / u))
 
     zmax = A ** (1.0 / p)
     # interior points where q changes character (q's own scale, mapped to z)

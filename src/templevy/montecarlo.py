@@ -47,6 +47,12 @@ class SamplerConfig:
             raise DomainError("mode must be 'gaussian' or 'drop'")
 
 
+def _require_atoms(model: LevyModel) -> None:
+    if not model.spectral.is_atomic:
+        raise DomainError("the sampler needs an atomic spectral measure "
+                          "(jump directions are drawn from its atoms)")
+
+
 def _atom_tail_masses(model: LevyModel, eps: float) -> np.ndarray:
     return np.array([w * radial_tail_mass(q, model.alpha, eps)
                      for w, q in model.profiles_and_weights()])
@@ -81,6 +87,7 @@ def sample_big_jump_sum(config: SamplerConfig, rng=None) -> np.ndarray:
 
 def _big_jump_sums(config: SamplerConfig, rng, count: int) -> np.ndarray:
     m = config.model
+    _require_atoms(m)
     lam_atoms = _atom_tail_masses(m, config.eps)
     lam = float(lam_atoms.sum())
     sums = np.zeros((count, m.d))
@@ -106,6 +113,7 @@ def _big_jump_sums(config: SamplerConfig, rng, count: int) -> np.ndarray:
 
 def small_jump_covariance(model: LevyModel, eps: float) -> np.ndarray:
     """int_{|y| < eps} y y^T nu(dy), a d x d matrix."""
+    _require_atoms(model)
     cov = np.zeros((model.d, model.d))
     for (w, q), th in zip(model.profiles_and_weights(),
                           model.spectral.directions):

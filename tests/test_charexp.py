@@ -37,10 +37,17 @@ def _c_alpha_gamma(alpha: float) -> float:
             / (alpha * (1.0 - alpha)))
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 1.5, 1.9])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 1.5, 1.9, 1.97, 1.98, 1.99])
 def test_stable_constant_gamma_identity(alpha):
     assert stable_constant(alpha) == pytest.approx(
         _c_alpha_gamma(alpha), rel=1e-12)
+
+
+@pytest.mark.parametrize("u", [0.5, 10.0, 1e3])
+def test_psi_quad_stable_near_two(u):
+    # q = 1 makes psi the stable exponent c_alpha u^alpha, also as alpha -> 2
+    assert psi_quad(Constant(1.0), 1.98, u) == pytest.approx(
+        stable_constant(1.98) * u ** 1.98, rel=1e-10)
 
 
 def test_phi_zero():

@@ -68,6 +68,8 @@ def test_decompose_csv(tmp_path, capsys):
     header = out_csv.read_text().splitlines()[0]
     assert header.split(",") == ["x", "p_local", "p_cp_ac", "p_recomposed",
                                  "p_direct", "abs_diff"]
+    err = capsys.readouterr().err
+    assert "order=" in err and "tail_bound=" in err and "overflow=" in err
 
 
 def test_envelope_subcommand(tmp_path, capsys):

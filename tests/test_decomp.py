@@ -20,7 +20,8 @@ from templevy.decomp import (
 )
 from templevy.density import GridSpec, invert
 from templevy.errors import DomainError
-from templevy.model import cauchy_model, exp_model, poly_model
+from templevy.model import LevyModel, cauchy_model, exp_model, poly_model
+from templevy.profiles import Truncated
 
 
 def test_split_rate_cauchy():
@@ -118,6 +119,69 @@ def test_compound_poisson_total_mass():
     # atom weight + a.c. mass sum to 1 within the reported tail bound
     total = cp.atom_weight + cp.ac_mass()
     assert abs(total - 1.0) <= cp.tail_bound + 1e-8
+
+
+def _exact_lattice_ac(masses, t, lam):
+    """e^(-t lam) sum_n t^n m^(n*) / n! on the window, by full convolutions.
+
+    No window and no wrap-around: every power keeps its whole support, and
+    the series stops once the Poisson weight falls below 1e-16.
+    """
+    mu, n2 = t * lam, len(masses) // 2
+    law = np.zeros(2 * n2)
+    conv, lo, coeff, n = np.ones(1), 0, math.exp(-mu), 0
+    while True:
+        n += 1
+        conv = np.convolve(conv, masses)
+        lo -= n2  # offset of conv[0]
+        coeff *= t / n
+        a, b = max(-n2, lo), min(n2, lo + len(conv))
+        law[a + n2:b + n2] += coeff * conv[a - lo:b - lo]
+        if n > mu and math.exp(-mu) * mu ** n / math.factorial(n) < 1e-16:
+            return law
+
+
+@pytest.mark.parametrize("case", ["poly3", "cauchy", "cauchy-truncated"])
+def test_tail_bound_is_proven(case):
+    # deficit + L1 window error against the exact lattice law <= tail_bound
+    if case == "poly3":
+        g, t, m = GridSpec(1, 16.0, 256), 1.0, poly_model(3.0, 1.0)
+    elif case == "cauchy":
+        g, t, m = GridSpec(1, 2048.0, 1024), 2.0, cauchy_model()
+    else:
+        # Cauchy jumps cut at the box edge: nothing falls outside the grid,
+        # so only the fold-back term covers the wrapped-around mass
+        g, t = GridSpec(1, 8.0, 256), 2.0
+        m = LevyModel(d=1, alpha=1.0, spectral=cauchy_model().spectral,
+                      profile=Truncated(8.0 - g.h / 2.0))
+    sm = split(m, 1.0)
+    cp = compound_poisson(sm, t, g)
+    exact = _exact_lattice_ac(bounded_cell_masses(sm, g), t, sm.lam)
+    deficit = 1.0 - cp.atom_weight - cp.ac_mass()
+    l1 = float(np.abs(cp.ac * g.h - exact).sum())
+    assert deficit + l1 <= cp.tail_bound
+    if case == "cauchy-truncated":
+        # without the fold-back term the bound would be the deficit plus
+        # t * overflow - (1 - e^(-t overflow)): the window error exceeds that
+        ov = max(cp.overflow, 0.0)
+        assert l1 > 1e-5 > t * ov + math.expm1(-t * ov)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.002])
+def test_compound_poisson_large_rate(eps):
+    # t lambda = 177 and 968: the law stays finite and recomposes the
+    # direct density (968 > 700 takes the exp branch, not expm1)
+    m, t = poly_model(3.0, 1.0), 1.0
+    g = GridSpec(1, 64.0, 2 ** 16)
+    sm = split(m, eps)
+    cp = compound_poisson(sm, t, g)
+    assert np.all(np.isfinite(cp.ac))
+    assert abs(cp.atom_weight + cp.ac_mass() - 1.0) <= cp.tail_bound
+    together = recompose(local_density(sm, t, g), cp)
+    direct = invert(m, t, g)
+    err = (np.max(np.abs(together.values - direct.values))
+           / np.max(direct.values))
+    assert err < 1e-4
 
 
 def test_convolution_ball_oracle_n2():

@@ -6,7 +6,9 @@ import pytest
 
 from templevy.density import GridSpec, invert
 from templevy.errors import DomainError
-from templevy.model import cauchy_model, nu_tail, poly_model
+from templevy.model import (LevyModel, SpectralMeasure, cauchy_model,
+                            nu_tail, poly_model)
+from templevy.profiles import PolyTempered
 from templevy.montecarlo import (
     SamplerConfig,
     jump_counts,
@@ -75,6 +77,23 @@ def test_small_jump_covariance_value():
     cov = small_jump_covariance(cauchy_model(), 0.25)
     assert cov.shape == (1, 1)
     assert cov[0, 0] == pytest.approx(0.5, rel=1e-10)
+
+
+def _density_model():
+    return LevyModel(d=2, alpha=1.2, profile=PolyTempered(3.0),
+                     spectral=SpectralMeasure(
+                         d=2, density=lambda a: np.ones_like(a)))
+
+
+def test_small_jump_covariance_rejects_density_measure():
+    with pytest.raises(DomainError, match="atomic spectral measure"):
+        small_jump_covariance(_density_model(), 0.1)
+
+
+def test_sample_many_rejects_density_measure():
+    cfg = SamplerConfig(_density_model(), t=0.5, eps=0.1, count=10)
+    with pytest.raises(DomainError, match="atomic spectral measure"):
+        sample_many(cfg)
 
 
 def test_drop_mode_pure_jumps():
