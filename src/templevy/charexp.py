@@ -7,7 +7,11 @@ atoms of the one-dimensional oscillatory integral
 
 evaluated here by adaptive quadrature: the singular head with a smoothing
 substitution, the oscillatory tail with weighted (Fourier) quadrature.
-Grid fills go through a cached log-log spline of psi.
+Grid fills go through a log-log cubic spline of psi, one per (profile,
+alpha, upper) for the whole process, on 48 log nodes per tenfold of u from
+u = 1e-6.  A table starts at u = 10 and grows tenfold at a time when a
+larger |u| is asked for, computing only the new nodes; below 1e-6 it
+follows the power law of its first node.
 """
 from __future__ import annotations
 
@@ -149,48 +153,52 @@ def psi_quad(q: RadialProfile, alpha: float, u: float,
     return val
 
 
+#: psi table nodes: U_LO * 10^(k / PER_TEN), k = 0, 1, ...
+U_LO, PER_TEN = 1e-6, 48
+
+
 class PsiTable:
-    """Log-log cubic spline of psi_q over [u_lo, u_hi] for grid fills."""
+    """Log-log cubic spline of psi_q on the nodes from U_LO up to u_hi."""
 
     def __init__(self, q: RadialProfile, alpha: float,
-                 u_lo: float = 1e-6, u_hi: float = 1e4,
-                 points_per_decade: int = 48, upper: float = math.inf):
+                 upper: float = math.inf):
         self.q, self.alpha, self.upper = q, alpha, upper
-        self.u_lo, self.u_hi = u_lo, u_hi
-        n = max(8, int(points_per_decade * math.log10(u_hi / u_lo)))
-        lg = np.linspace(math.log(u_lo), math.log(u_hi), n)
-        vals = np.array([psi_quad(q, alpha, math.exp(t), upper) for t in lg])
+        self.log_u, self.log_psi, self.u_hi = np.empty(0), np.empty(0), 1.0
+        self._extend(10.0)
+
+    def _extend(self, umax: float) -> None:
+        """Grow u_hi tenfold until it covers umax, computing only new nodes."""
+        while self.u_hi < umax:
+            self.u_hi *= 10.0
+        n = PER_TEN * round(math.log10(self.u_hi / U_LO)) + 1
+        lg = math.log(U_LO) + math.log(10.0) / PER_TEN * np.arange(
+            len(self.log_u), n)
+        vals = np.array([psi_quad(self.q, self.alpha, math.exp(t), self.upper)
+                         for t in lg])
         if np.any(vals <= 0):
             raise NumericError("psi not positive on table range")
-        self._spline = CubicSpline(lg, np.log(vals))
-        self._slope_lo = float(self._spline(lg[0], 1))
-        self._val_lo = vals[0]
-        self._slope_hi = float(self._spline(lg[-1], 1))
-        self._val_hi = vals[-1]
+        self.log_u = np.concatenate((self.log_u, lg))
+        self.log_psi = np.concatenate((self.log_psi, np.log(vals)))
+        self._spline = CubicSpline(self.log_u, self.log_psi)
+        self._slope = float(self._spline(self.log_u[0], 1))
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
+        if u.size and u.max() > self.u_hi:
+            self._extend(float(u.max()))
         out = np.zeros_like(u)
         pos = u > 0
-        up = np.clip(u[pos], None, None)
-        lo = up < self.u_lo
-        hi = up > self.u_hi
-        mid = ~(lo | hi)
-        res = np.empty_like(up)
-        if mid.any():
-            res[mid] = np.exp(self._spline(np.log(up[mid])))
+        lu = np.log(u[pos])
+        res = self._spline(lu)
+        lo = lu < self.log_u[0]
         if lo.any():
-            res[lo] = self._val_lo * (up[lo] / self.u_lo) ** self._slope_lo
-        if hi.any():
-            res[hi] = self._val_hi * (up[hi] / self.u_hi) ** self._slope_hi
-        out[pos] = res
+            res[lo] = self.log_psi[0] + self._slope * (lu[lo] - self.log_u[0])
+        out[pos] = np.exp(res)
         return out
 
 
-@lru_cache(maxsize=256)
-def _psi_table(q: RadialProfile, alpha: float, decade_hi: int,
-               upper: float = math.inf) -> PsiTable:
-    return PsiTable(q, alpha, u_hi=10.0 ** decade_hi, upper=upper)
+#: one table per (q, alpha, upper) for the whole process
+_psi_table = lru_cache(maxsize=256)(PsiTable)
 
 
 def psi_vector(q: RadialProfile, alpha: float, u: np.ndarray,
@@ -199,9 +207,7 @@ def psi_vector(q: RadialProfile, alpha: float, u: np.ndarray,
     u = np.abs(np.asarray(u, dtype=float))
     if isinstance(q, Constant) and math.isinf(upper):
         return q.c * stable_constant(alpha) * u**alpha
-    umax = float(u.max()) if u.size else 1.0
-    decade = max(1, int(math.ceil(math.log10(max(umax, 1e-5)))))
-    return _psi_table(q, alpha, decade, upper)(u)
+    return _psi_table(q, alpha, upper)(u)
 
 
 def phi_on_points(model: LevyModel, xi: np.ndarray,
@@ -215,6 +221,10 @@ def phi_on_points(model: LevyModel, xi: np.ndarray,
     xi = np.asarray(xi, dtype=float)
     if model.d == 1 and (xi.ndim < 2 or xi.shape[-1] != 1):
         xi = xi[..., None]
+    # min and max see any nan or inf without a grid-sized temporary
+    if xi.size and not (math.isfinite(xi.min()) and math.isfinite(xi.max())):
+        bad = xi[~np.isfinite(xi).all(axis=-1)][0]
+        raise DomainError(f"frequency xi = {bad.tolist()} is not finite")
     if model.closed_form == "relativistic" and math.isinf(upper):
         r2 = np.sum(xi * xi, axis=-1)
         return (r2 + 1.0) ** (model.alpha / 2.0) - 1.0

@@ -28,7 +28,7 @@ from .charexp import phi_on_points
 from .density import (MAX_N, DensityField, GridSpec, _checked_inverse,
                       _cutoff, char_function_on_grid)
 from .errors import DomainError, GridError
-from .model import LevyModel, nu_tail
+from .model import LevyModel, nu_tail, radial_interval_mass
 from .profiles import tail_index
 
 __all__ = [
@@ -47,7 +47,7 @@ __all__ = [
     "local_lower_check",
 ]
 
-# Gauss-Legendre rule reused for all per-cell integrals of the jump density
+# Gauss-Legendre rule for the per-cell integrals of the jump density
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
 
@@ -58,20 +58,6 @@ class SplitMeasure:
     model: LevyModel
     eps: float
     lam: float
-
-    def bounded_density(self, y: np.ndarray) -> np.ndarray:
-        """Big-jump density fbar(y) on the line (d = 1 only)."""
-        if self.model.d != 1:
-            raise DomainError("pointwise big-jump density is d=1 only")
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        a = self.model.alpha
-        for w, q, th in self.model.atoms():
-            s = y * float(th[0])
-            m = s >= self.eps
-            if m.any():
-                out[m] += w * s[m] ** (-1.0 - a) * np.asarray(q(s[m]))
-        return out
 
 
 @dataclass(frozen=True)
@@ -159,25 +145,24 @@ def bounded_cell_masses(sm: SplitMeasure, grid: GridSpec) -> np.ndarray:
 
     Each cell [x - h/2, x + h/2] gets its exact nubar mass by a fixed
     Gauss-Legendre rule (the integrand is smooth inside a cell); the cell
-    containing the cut radius eps is split there.
+    containing the cut radius eps is cut there and integrated adaptively,
+    since s^(-1-alpha) may vary by orders of magnitude across it.
     """
     if grid.d != 1:
         raise DomainError("gridded big-jump measure is d=1 only")
     ax = grid.x_axis()
-    h = grid.h
+    half = grid.h / 2.0
     a = sm.model.alpha
     masses = np.zeros(grid.N)
     for w, q, th in sm.model.atoms():
         s = ax * float(th[0])  # signed radius along the atom direction
-        lo = np.maximum(s - h / 2.0, sm.eps)
-        hi = s + h / 2.0
-        ok = hi > lo
-        mid = 0.5 * (lo[ok] + hi[ok])
-        half = 0.5 * (hi[ok] - lo[ok])
-        nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
+        ok = s - half >= sm.eps
+        nodes = s[ok, None] + half * _GL_X[None, :]
         dens = nodes ** (-1.0 - a) * np.asarray(q(nodes.ravel())).reshape(
             nodes.shape)
         masses[ok] += w * half * (dens @ _GL_W)
+        for i in np.flatnonzero((s - half < sm.eps) & (s + half > sm.eps)):
+            masses[i] += w * radial_interval_mass(q, a, sm.eps, s[i] + half)
     return masses
 
 

@@ -193,14 +193,6 @@ class LevyModel:
         profs = self.atom_profiles or (self.profile,) * len(sp.atom_weights)
         return list(zip(sp.atom_weights, profs, sp.atom_directions))
 
-    def distinct_profiles(self):
-        seen, out = set(), []
-        for _, q in self.profiles_and_weights():
-            if id(q) not in seen:
-                seen.add(id(q))
-                out.append(q)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # radial quadrature helpers

@@ -24,7 +24,6 @@ __all__ = [
     "Truncated",
     "Relativistic",
     "Custom",
-    "profile_eval",
     "doubling_constant",
     "tail_index",
     "relativistic_kernel",
@@ -146,17 +145,6 @@ class Custom(RadialProfile):
         return np.asarray(self.func(s), dtype=float)
 
 
-def profile_eval(q: RadialProfile, s):
-    """Evaluate q(s) for s > 0; raises DomainError outside the domain."""
-    arr = np.asarray(s, dtype=float)
-    if np.any(arr <= 0):
-        raise DomainError("profile argument must be positive")
-    out = q(arr)
-    if np.isscalar(s) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
 def doubling_constant(q: RadialProfile, s_min: float, s_max: float, n: int = 400):
     """Measure the doubling constant K = sup q(s)/q(2s) on a log grid.
 
@@ -200,15 +188,6 @@ def tail_index(q: RadialProfile, alpha: float) -> float:
         return 2.0
     slope = np.polyfit(np.log(s[pos]), np.log(v[pos]), 1)[0]
     return min(2.0, max(alpha, alpha - slope - guard))
-
-
-_KINDS = {
-    "constant": Constant,
-    "poly": PolyTempered,
-    "exp": ExpTempered,
-    "truncated": Truncated,
-    "relativistic": Relativistic,
-}
 
 
 def profile_to_dict(q: RadialProfile) -> dict:

@@ -1,11 +1,13 @@
 """Characteristic exponent: closed forms, quadrature, growth checks."""
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
+from templevy import charexp
 from templevy.charexp import (
     check_lower_growth,
     check_two_sided,
@@ -16,6 +18,7 @@ from templevy.charexp import (
     second_moment,
     stable_constant,
 )
+from templevy.density import invert
 from templevy.errors import DegeneracyError, DomainError
 from templevy.model import (
     LevyModel,
@@ -145,12 +148,54 @@ def test_psi_finite_cutoff_per_period_oracle():
             oracle, rel=1e-8)
 
 
-def test_psi_vector_matches_scalar():
-    q = PolyTempered(3.0)
-    u = np.logspace(-2, 2, 9)
-    vec = psi_vector(q, 1.0, u)
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """An empty psi-table cache for one test (the process cache is kept)."""
+    cache = lru_cache(maxsize=None)(charexp.PsiTable)
+    monkeypatch.setattr(charexp, "_psi_table", cache)
+    return cache
+
+
+@pytest.mark.parametrize("q, alpha, upper", [
+    (PolyTempered(3.0), 1.0, math.inf),
+    (ExpTempered(c1=1.0), 1.5, math.inf),
+    (PolyTempered(3.0), 1.0, 0.5),
+], ids=["poly3", "exp1", "poly3-cut"])
+def test_psi_vector_matches_scalar(fresh_tables, q, alpha, upper):
+    psi_vector(q, alpha, np.logspace(-2, 1, 4), upper)
+    table = fresh_tables(q, alpha, upper)
+    assert table.u_hi == 10.0
+    # the same table grows to cover u = 1e5
+    u = np.logspace(-2, 5, 15)
+    vec = psi_vector(q, alpha, u, upper)
+    assert fresh_tables.cache_info().misses == 1
+    assert table.u_hi == 1e5
+    assert len(table.log_u) == 11 * 48 + 1
     for ui, vi in zip(u, vec):
-        assert vi == pytest.approx(psi_quad(q, 1.0, float(ui)), rel=1e-6)
+        assert vi == pytest.approx(psi_quad(q, alpha, float(ui), upper),
+                                   rel=1e-6)
+
+
+def test_one_table_per_model_across_times(fresh_tables, monkeypatch):
+    calls = []
+    quad = charexp.psi_quad
+    monkeypatch.setattr(charexp, "psi_quad",
+                        lambda *a: calls.append(a) or quad(*a))
+    m = poly_model(3.0, 1.0)
+    for t in (0.1, 1.0, 10.0):
+        invert(m, t)
+    assert fresh_tables.cache_info().misses == 1
+    # every psi node is computed once, however often the table grows
+    table = fresh_tables(m.profile, m.alpha, math.inf)
+    assert len(calls) == len(table.log_u)
+
+
+@pytest.mark.parametrize("xi", [[math.inf], [math.nan]], ids=["inf", "nan"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_phi_on_points_rejects_non_finite(xi, d):
+    pts = np.array([[0.5] * (d - 1) + xi])
+    with pytest.raises(DomainError, match="not finite"):
+        phi_on_points(poly_model(3.0, 1.0, d=d), pts)
 
 
 def test_relativistic_closed_form():

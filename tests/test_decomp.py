@@ -63,6 +63,15 @@ def test_bounded_cell_masses_total():
     assert masses.sum() < sm.lam
 
 
+def test_eps_cell_keeps_its_mass():
+    # h = 16 >> eps = 1: the cell [eps, h/2] is integrated exactly, so the
+    # only mass missing from the window is the Cauchy mass beyond it
+    g = GridSpec(1, 2048.0, 256)
+    cp = compound_poisson(split(cauchy_model(), 1.0), 1.0, g)
+    exact = 1.0 / (g.L - g.h / 2.0) + 1.0 / (g.L + g.h / 2.0)
+    assert cp.overflow == pytest.approx(exact, abs=1e-6)
+
+
 def test_local_density_mass_and_symmetry():
     sm = split(poly_model(3.0, 1.0), 0.5)
     fld = local_density(sm, 0.5)

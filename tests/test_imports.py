@@ -1,4 +1,7 @@
-"""Every module-level import in the package is used (stdlib ast, no linter)."""
+"""Every module-level import and private name in the package is used.
+
+Checked with the stdlib ast module, no linter.
+"""
 import ast
 import pathlib
 
@@ -40,3 +43,53 @@ def test_no_unused_module_imports(path):
 def test_detector_flags_an_unused_import():
     tree = ast.parse("import math\nimport os\nx = math.pi\n")
     assert _unused_imports(tree) == ["os (line 2)"]
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Module-level private functions, classes and constants -> line."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def _references(tree: ast.Module) -> set:
+    """Names read, attributes taken and names imported anywhere in tree."""
+    refs = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            refs.update(a.name for a in n.names)
+    return refs
+
+
+def _unused_private_names(trees: dict) -> list:
+    refs = set().union(*map(_references, trees.values()))
+    return sorted(f"{mod}: {name} (line {line})"
+                  for mod, tree in trees.items()
+                  for name, line in _private_definitions(tree).items()
+                  if name not in refs)
+
+
+def test_no_unused_private_names():
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    assert _unused_private_names(trees) == []
+
+
+def test_detector_flags_an_unused_private_name():
+    trees = {"a.py": ast.parse("_K = 1\n_J = 2\ndef _f():\n    return _J\n"),
+             "b.py": ast.parse("from a import _f\n")}
+    assert _unused_private_names(trees) == ["a.py: _K (line 1)"]
