@@ -204,7 +204,11 @@ _psi_table = lru_cache(maxsize=256)(PsiTable)
 def psi_vector(q: RadialProfile, alpha: float, u: np.ndarray,
                upper: float = math.inf) -> np.ndarray:
     """Vectorized psi_q(u) via cached spline (closed form for constant q)."""
-    u = np.abs(np.asarray(u, dtype=float))
+    u = np.asarray(u, dtype=float)
+    # min and max see any nan or inf without a grid-sized temporary
+    if u.size and not (math.isfinite(u.min()) and math.isfinite(u.max())):
+        raise DomainError(f"u = {u[~np.isfinite(u)].flat[0]} is not finite")
+    u = np.abs(u)
     if isinstance(q, Constant) and math.isinf(upper):
         return q.c * stable_constant(alpha) * u**alpha
     return _psi_table(q, alpha, upper)(u)

@@ -28,7 +28,7 @@ from .charexp import phi_on_points
 from .density import (MAX_N, DensityField, GridSpec, _checked_inverse,
                       _cutoff, char_function_on_grid)
 from .errors import DomainError, GridError
-from .model import LevyModel, nu_tail, radial_interval_mass
+from .model import LevyModel, _tail_table, nu_tail
 from .profiles import tail_index
 
 __all__ = [
@@ -46,10 +46,6 @@ __all__ = [
     "convolution_ball_check",
     "local_lower_check",
 ]
-
-# Gauss-Legendre rule for the per-cell integrals of the jump density
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-
 
 @dataclass(frozen=True)
 class SplitMeasure:
@@ -141,28 +137,21 @@ def local_moment(sm: SplitMeasure, t: float, n: int,
 
 
 def bounded_cell_masses(sm: SplitMeasure, grid: GridSpec) -> np.ndarray:
-    """Cell-averaged big-jump measure nubar on the grid (d = 1).
+    """Big-jump measure nubar per grid cell (d = 1).
 
-    Each cell [x - h/2, x + h/2] gets its exact nubar mass by a fixed
-    Gauss-Legendre rule (the integrand is smooth inside a cell); the cell
-    containing the cut radius eps is cut there and integrated adaptively,
-    since s^(-1-alpha) may vary by orders of magnitude across it.
+    Along each atom the cell [x - h/2, x + h/2] holds w (W(a) - W(b)) with
+    its edges a < b taken as radii and clipped below at eps, W being the
+    model's tail table: the N + 1 edges cost one table lookup per atom,
+    and the masses telescope to w W(eps) less the mass beyond the window.
     """
     if grid.d != 1:
         raise DomainError("gridded big-jump measure is d=1 only")
-    ax = grid.x_axis()
-    half = grid.h / 2.0
-    a = sm.model.alpha
+    edges = np.append(grid.x_axis(), grid.L) - grid.h / 2.0
     masses = np.zeros(grid.N)
     for w, q, th in sm.model.atoms():
-        s = ax * float(th[0])  # signed radius along the atom direction
-        ok = s - half >= sm.eps
-        nodes = s[ok, None] + half * _GL_X[None, :]
-        dens = nodes ** (-1.0 - a) * np.asarray(q(nodes.ravel())).reshape(
-            nodes.shape)
-        masses[ok] += w * half * (dens @ _GL_W)
-        for i in np.flatnonzero((s - half < sm.eps) & (s + half > sm.eps)):
-            masses[i] += w * radial_interval_mass(q, a, sm.eps, s[i] + half)
+        sign = float(th[0])  # +-1: the radii run up or down the grid
+        tail = _tail_table(q, sm.model.alpha)(np.maximum(sign * edges, sm.eps))
+        masses -= w * sign * np.diff(tail)
     return masses
 
 

@@ -5,13 +5,17 @@ for atomic spectral measures, or the analogous angular integral when the
 spectral measure has a bounded density on the sphere (d = 2 only).  A
 density is also discretized once into ANGULAR_NODES atoms, the one angular
 rule behind the exponent and the direction matrix; the ball and mass
-functionals integrate the density itself.
+functionals integrate the density itself.  Every radial mass, from the
+tails nu(B(0,r)^c) and ball masses to the big-jump cells of decomp and the
+sampler's radii, reads one cached TailTable of
+W(r) = int_r^inf s^(-1-alpha) q(s) ds per (profile, alpha).
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,7 +41,6 @@ __all__ = [
     "nu_ball",
     "gamma_estimate",
     "radial_tail_mass",
-    "radial_interval_mass",
     "radial_second_moment",
     "cauchy_model",
     "stable_model",
@@ -208,36 +211,26 @@ def _knees(q: RadialProfile, alpha: float) -> list:
 
 
 def radial_tail_mass(q: RadialProfile, alpha: float, r: float) -> float:
-    """int_r^inf s^(-1-alpha) q(s) ds."""
+    """int_r^inf s^(-1-alpha) q(s) ds, adaptive: the scalar reference for W."""
     if r <= 0:
         raise DomainError("r must be positive")
-    w = lambda s: s ** (-1.0 - alpha) * float(q(s))
-    pts = sorted({p for p in _knees(q, alpha) if p > r})
-    total, lo = 0.0, r
-    for p in pts:
-        v, _ = quad(w, lo, p, epsabs=1e-12, epsrel=1e-9, limit=256)
-        total += v
-        lo = p
+    # in y = log s, one decade per call below 1e-2 (where s^(-1-alpha)
+    # spans decades), then split at the profile's knees
+    edges = [r]
+    while edges[-1] < 1e-2:
+        edges.append(min(10.0 * edges[-1], 1e-2))
+    edges = sorted(set(edges) | {p for p in _knees(q, alpha) if p > r})
+    wy = lambda y: math.exp(-alpha * y) * float(q(math.exp(y)))
+    total = sum(quad(wy, math.log(a), math.log(b), epsabs=0.0, epsrel=1e-12,
+                     limit=256)[0] for a, b in zip(edges, edges[1:]))
     # rescale s = lo*v so the infinite leg always starts at 1 (QUADPACK's
     # infinite-interval map degrades badly for large lower limits)
+    lo = edges[-1]
     wv = lambda v: lo ** (-alpha) * v ** (-1.0 - alpha) * float(q(lo * v))
-    v, err = quad(wv, 1.0, np.inf, epsabs=1e-13, epsrel=1e-10, limit=256)
-    total += v
+    total += quad(wv, 1.0, np.inf, epsabs=1e-13, epsrel=1e-10, limit=256)[0]
     if not math.isfinite(total):
         raise NumericError("divergent tail integral", estimate=total)
     return total
-
-
-def radial_interval_mass(q: RadialProfile, alpha: float, a: float, b: float) -> float:
-    """int_a^b s^(-1-alpha) q(s) ds for 0 < a <= b."""
-    if a <= 0:
-        raise DomainError("interval must avoid the origin")
-    if b <= a:
-        return 0.0
-    w = lambda s: s ** (-1.0 - alpha) * float(q(s))
-    pts = [p for p in _knees(q, alpha) if a < p < b]
-    v, _ = quad(w, a, b, points=pts or None, epsabs=1e-13, epsrel=1e-10, limit=256)
-    return v
 
 
 def radial_second_moment(q: RadialProfile, alpha: float, r: float) -> float:
@@ -261,6 +254,109 @@ def radial_second_moment(q: RadialProfile, alpha: float, r: float) -> float:
     return v
 
 
+#: tail table nodes 10^(k / TAIL_PER_TEN): every power of ten is a node
+TAIL_PER_TEN = 128
+_STEP = math.log(10.0) / TAIL_PER_TEN
+#: W at or below this reads as 0 (exponential tails underflow past s ~ 700)
+_W_FLOOR = 1e-300
+#: the 8-point Gauss-Legendre rule applied on each node interval
+_RULE_X, _RULE_W = np.polynomial.legendre.leggauss(8)
+
+
+class TailTable:
+    """W(r) = int_r^inf s^(-1-alpha) q(s) ds for one (q, alpha), any r > 0.
+
+    Constant and truncated profiles use their closed forms.  Otherwise W is
+    a cubic Hermite in (log r, log W) on the nodes 10^(k / TAIL_PER_TEN),
+    with the exact slopes d log W / d log r = -r^(-alpha) q(r) / W(r).  The
+    node values sum an 8-point Gauss-Legendre rule in log s between
+    neighbouring nodes onto radial_tail_mass at the top node, 1e8, above
+    which W follows the top slope.  The table starts at 1e-2 and grows
+    down a decade at a time when a smaller r is asked for.
+    """
+
+    def __init__(self, q: RadialProfile, alpha: float):
+        self.q, self.alpha = q, alpha
+        # (c, s0) of the closed form W = c (r^-alpha - s0^-alpha)_+ / alpha
+        self.closed = ((q.c, math.inf) if isinstance(q, Constant) else
+                       (1.0, q.s0) if isinstance(q, Truncated) else None)
+        if self.closed is None:
+            self.k_lo = 8 * TAIL_PER_TEN
+            self.w = np.array([radial_tail_mass(q, alpha, 1e8)])
+            self._grow(1e-2)
+
+    def _grow(self, r_min: float) -> None:
+        """Add whole decades of nodes below the table down to r_min."""
+        n = TAIL_PER_TEN * max(math.ceil(
+            self.k_lo / TAIL_PER_TEN - math.log10(r_min)), 0)
+        k = np.arange(self.k_lo - n, self.k_lo)
+        ys = _STEP * (k[:, None] + 0.5 + 0.5 * _RULE_X).ravel()
+        f = np.exp(-self.alpha * ys) * self.q(np.exp(ys))  # q sees 1-d
+        inc = _STEP / 2 * f.reshape(n, len(_RULE_W)) @ _RULE_W
+        w = np.concatenate((self.w[0] + np.cumsum(inc[::-1])[::-1], self.w))
+        if not math.isfinite(w[0]):
+            raise NumericError("radial tail mass is not finite",
+                               estimate=float(w[0]))
+        self.k_lo -= n
+        self.w, self.y = w, _STEP * np.arange(self.k_lo, self.k_lo + len(w))
+        self.logw = np.log(np.maximum(w, _W_FLOOR))
+        # slopes per node step, for the cubic in t = (y - y_i) / step
+        self.slope = -_STEP * np.exp(-self.alpha * self.y) * self.q(
+            np.exp(self.y)) / np.maximum(w, _W_FLOOR)
+
+    def _cubic(self, i):
+        """log W on node interval i as f0 + t (m0 + t (c2 + t c3))."""
+        f0, m0, m1 = self.logw[i], self.slope[i], self.slope[i + 1]
+        d = self.logw[i + 1] - f0
+        return f0, m0, 3 * d - 2 * m0 - m1, m0 + m1 - 2 * d
+
+    def __call__(self, r):
+        """W at the radii r > 0."""
+        r = np.asarray(r, dtype=float)
+        r_min = float(r.min()) if r.size else 1.0
+        if not r_min > 0:  # also nan
+            raise DomainError(f"radius {r_min} is not positive")
+        a = self.alpha
+        if self.closed:
+            c, s0 = self.closed
+            return c * np.maximum(r ** -a - s0 ** -a, 0.0) / a
+        if r_min < math.exp(self.y[0]):
+            self._grow(r_min)
+        x = np.log10(r) * TAIL_PER_TEN - self.k_lo
+        i = np.clip(np.floor(x), 0, len(self.y) - 2).astype(int)
+        t = np.minimum(x - i, 1.0)  # above the top node: the top slope
+        f0, m0, c2, c3 = self._cubic(i)
+        f = f0 + t * (m0 + t * (c2 + t * c3)) + (x - i - t) * self.slope[-1]
+        return np.where(f > math.log(_W_FLOOR), np.exp(f), 0.0)
+
+    def inverse(self, w):
+        """The radius r with W(r) = w > 0."""
+        w = np.asarray(w, dtype=float)
+        a = self.alpha
+        if self.closed:
+            c, s0 = self.closed
+            return (a * w / c + s0 ** -a) ** (-1.0 / a)
+        lw = np.log(w)
+        if lw.size and lw.max() > self.logw[0]:
+            # log W rises at least as fast as -alpha log r: grow to there
+            self(math.exp(self.y[0] - (lw.max() - self.logw[0]) / a))
+        i = np.clip(np.searchsorted(-self.logw, -lw) - 1, 0, len(self.y) - 2)
+        # Newton on the interval's cubic, from its chord
+        f0, m0, c2, c3 = self._cubic(i)
+        t = (lw - f0) / (m0 + c2 + c3)
+        for _ in range(2):
+            t -= (f0 - lw + t * (m0 + t * (c2 + t * c3))) / (
+                m0 + t * (2 * c2 + 3 * t * c3))
+        with np.errstate(divide="ignore"):  # a flat top: W underflowed
+            top = 1.0 + (lw - self.logw[-1]) / self.slope[-1]
+        t = np.where(lw < self.logw[-1], top, t)
+        return np.exp(self.y[i] + _STEP * t)
+
+
+#: one tail table per (q, alpha) for the whole process
+_tail_table = lru_cache(maxsize=256)(TailTable)
+
+
 # ---------------------------------------------------------------------------
 # model functionals
 
@@ -268,7 +364,7 @@ def nu_tail(model: LevyModel, r: float) -> float:
     """nu(B(0,r)^c)."""
     if r <= 0:
         raise DomainError("r must be positive")
-    return sum(w * radial_tail_mass(q, model.alpha, r)
+    return sum(w * float(_tail_table(q, model.alpha)(r))
                for w, q in model.profiles_and_weights())
 
 
@@ -290,39 +386,31 @@ def _ray_chord(x: np.ndarray, theta: np.ndarray, r: float):
     lo, hi = b - root, b + root
     if hi <= 0.0:
         return None
-    return max(lo, 0.0), hi
+    return max(lo, 1e-300), hi
 
 
 def nu_ball(model: LevyModel, x, r: float) -> float:
-    """nu(B(x, r)) by radial chord integration (atoms) or angular quadrature."""
+    """nu(B(x, r)) by radial chords, W(a) - W(b), over atoms or angles."""
     if r <= 0:
         raise DomainError("r must be positive")
     x = np.asarray(x, dtype=float).reshape(model.d)
     if np.linalg.norm(x) <= r:
         # ball covers the origin: infinite unless it misses the small-jump cone
         raise DomainError("ball contains the origin; nu(B(x,r)) is infinite")
-    if model.spectral.is_atomic:
-        total = 0.0
-        for w, q, theta in model.atoms():
-            chord = _ray_chord(x, theta, r)
-            if chord is None:
-                continue
-            a, b = chord
-            total += w * radial_interval_mass(q, model.alpha, max(a, 1e-300), b)
-        return total
-    # density measure, d = 2: outer angular quadrature
-    g = model.spectral.density
-    q = model.profile
 
-    def per_angle(a):
-        theta = np.array([math.cos(a), math.sin(a)])
+    def chord_mass(q, theta):
         chord = _ray_chord(x, theta, r)
         if chord is None:
             return 0.0
-        lo, hi = chord
-        return float(g(np.array([a]))[0]) * radial_interval_mass(
-            q, model.alpha, max(lo, 1e-300), hi)
+        wa, wb = _tail_table(q, model.alpha)(np.array(chord))
+        return float(wa - wb)
 
+    if model.spectral.is_atomic:
+        return sum(w * chord_mass(q, th) for w, q, th in model.atoms())
+    # density measure, d = 2: outer angular quadrature
+    g = model.spectral.density
+    per_angle = lambda a: float(g(np.array([a]))[0]) * chord_mass(
+        model.profile, np.array([math.cos(a), math.sin(a)]))
     # the chord support in angle is an interval around the direction of x
     phi0 = math.atan2(x[1], x[0])
     half = math.asin(min(1.0, r / np.linalg.norm(x)))

@@ -1,11 +1,14 @@
 """Sampling increments of the tempered stable process.
 
 An increment over time t is drawn as the sum of a compound Poisson number
-of big jumps (radius > eps, exact via rejection from the pure-stable
-Pareto tail) plus either nothing ("drop") or a centered Gaussian with the
+of big jumps plus either nothing ("drop") or a centered Gaussian with the
 small-jump covariance t * int_{|y|<eps} y y^T nu(dy) ("gaussian"
-substitution).  Meant for statistical cross-validation of the computed
-densities, not for efficiency.
+substitution).  A big jump picks an atom with probability proportional to
+its tail mass, and its radius R > eps exactly, from P(R > s) = W(s)/W(eps)
+by inverting the model's radial tail table W.  Jumps are summed
+JUMP_CHUNK at a time, so memory stays bounded however many a batch holds.
+Meant for statistical cross-validation of the computed densities, not for
+efficiency.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import LevyModel, radial_second_moment, radial_tail_mass
+from .model import LevyModel, _tail_table, radial_second_moment
 
 __all__ = [
     "SamplerConfig",
@@ -25,6 +28,9 @@ __all__ = [
     "jump_counts",
     "jump_radius_cdf",
 ]
+
+#: big jumps drawn and summed at once by the sampler
+JUMP_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -54,29 +60,8 @@ def _require_atoms(model: LevyModel) -> None:
 
 
 def _atom_tail_masses(model: LevyModel, eps: float) -> np.ndarray:
-    return np.array([w * radial_tail_mass(q, model.alpha, eps)
+    return np.array([w * float(_tail_table(q, model.alpha)(eps))
                      for w, q in model.profiles_and_weights()])
-
-
-def _sample_radii(rng, q, alpha: float, eps: float, n: int) -> tuple:
-    """Jump radii with density prop. to s^(-1-alpha) q(s) on (eps, inf).
-
-    Proposal: Pareto via inverse CDF s = eps U^(-1/alpha); accept with
-    probability q(s)/q(eps) (q nonincreasing).  Returns (radii, trials).
-    """
-    out = np.empty(n)
-    qeps = float(q(np.array([eps]))[0])
-    filled, trials = 0, 0
-    while filled < n:
-        m = max(n - filled, 16)
-        s = eps * rng.random(m) ** (-1.0 / alpha)
-        acc = rng.random(m) * qeps <= np.asarray(q(s))
-        good = s[acc]
-        take = min(len(good), n - filled)
-        out[filled:filled + take] = good[:take]
-        filled += take
-        trials += m
-    return out, trials
 
 
 def sample_big_jump_sum(config: SamplerConfig, rng=None) -> np.ndarray:
@@ -88,26 +73,36 @@ def sample_big_jump_sum(config: SamplerConfig, rng=None) -> np.ndarray:
 def _big_jump_sums(config: SamplerConfig, rng, count: int) -> np.ndarray:
     m = config.model
     _require_atoms(m)
-    lam_atoms = _atom_tail_masses(m, config.eps)
+    pairs = m.profiles_and_weights()
+    tables = [_tail_table(q, m.alpha) for _, q in pairs]
+    # W(eps) per atom: a radius is W^-1 of a uniform share of it
+    tail_eps = np.array([float(table(config.eps)) for table in tables])
+    lam_atoms = np.array([w for w, _ in pairs]) * tail_eps
     lam = float(lam_atoms.sum())
     sums = np.zeros((count, m.d))
-    n_jumps = rng.poisson(config.t * lam, size=count)
-    total = int(n_jumps.sum())
-    if total == 0:
-        return sums
-    probs = lam_atoms / lam
-    atom_idx = rng.choice(len(lam_atoms), size=total, p=probs)
-    radii = np.empty(total)
-    pairs = m.profiles_and_weights()
-    for i, (_, q) in enumerate(pairs):
-        sel = atom_idx == i
-        if sel.any():
-            radii[sel], _ = _sample_radii(rng, q, m.alpha, config.eps,
-                                          int(sel.sum()))
-    thetas = np.asarray(m.spectral.directions)[atom_idx]
-    jumps = radii[:, None] * thetas
-    owner = np.repeat(np.arange(count), n_jumps)
-    np.add.at(sums, owner, jumps)
+    # jumps ends[j-1] .. ends[j] - 1 belong to draw j
+    ends = np.cumsum(rng.poisson(config.t * lam, size=count))
+    total = int(ends[-1]) if count else 0
+    for start in range(0, total, JUMP_CHUNK):
+        stop = min(start + JUMP_CHUNK, total)
+        # two uniforms per jump, for its atom and its radius: the stream
+        # and so the draws do not depend on JUMP_CHUNK
+        u = rng.random((stop - start, 2))
+        atom_idx = np.minimum(np.searchsorted(
+            np.cumsum(lam_atoms) / lam, u[:, 0], side="right"), len(pairs) - 1)
+        share = (1.0 - u[:, 1]) * tail_eps[atom_idx]
+        radii = np.empty(stop - start)
+        for i, table in enumerate(tables):
+            sel = atom_idx == i
+            radii[sel] = table.inverse(share[sel])
+        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
+        counts = np.diff(np.clip(ends[first:last + 1], start, stop),
+                         prepend=start)
+        owner = np.repeat(np.arange(last + 1 - first), counts)
+        for k in range(m.d):
+            sums[first:last + 1, k] += np.bincount(
+                owner, radii * m.spectral.directions[atom_idx, k],
+                minlength=last + 1 - first)
     return sums
 
 
@@ -150,13 +145,8 @@ def jump_counts(config: SamplerConfig, rng=None,
 
 def jump_radius_cdf(model: LevyModel, eps: float, s: np.ndarray) -> np.ndarray:
     """CDF of the big-jump radius law (mixture over spectral atoms)."""
-    lam_atoms = _atom_tail_masses(model, eps)
-    lam = float(lam_atoms.sum())
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    for w, q in model.profiles_and_weights():
-        tail_eps = radial_tail_mass(q, model.alpha, eps)
-        vals = np.array([tail_eps - radial_tail_mass(q, model.alpha, v)
-                         if v > eps else 0.0 for v in s])
-        out += w * vals
-    return out / lam
+    s = np.maximum(np.asarray(s, dtype=float), eps)
+    out = sum(w * (_tail_table(q, model.alpha)(eps)
+                   - _tail_table(q, model.alpha)(s))
+              for w, q in model.profiles_and_weights())
+    return out / float(_atom_tail_masses(model, eps).sum())

@@ -38,12 +38,15 @@ def relativistic_kernel(d: int, alpha: float, s):
     K(s) = s^(d+alpha) * int_0^inf exp(-u - s^2/(4u)) u^((-2-d-alpha)/2) du,
     evaluated through the modified Bessel function of the second kind:
     K(s) = 2^(1+nu) s^nu K_nu(s) with nu = (d+alpha)/2.  The scaled Bessel
-    routine keeps the evaluation stable for large s (underflows cleanly to 0
-    past s ~ 700 where exp(-s) leaves double range).
+    routine keeps the evaluation stable for large s: s^nu e^(-s) is taken
+    as one exponential, which underflows cleanly to 0 past s ~ 700, and
+    the kernel is 0 there (s^nu overflows and kve is nan for huge s).
     """
     nu = 0.5 * (d + alpha)
     s = np.asarray(s, dtype=float)
-    return 2.0 ** (1.0 + nu) * s**nu * special.kve(nu, s) * np.exp(-s)
+    decay = np.exp(nu * np.log(s) - s)
+    return 2.0 ** (1.0 + nu) * np.where(decay > 0, special.kve(nu, s),
+                                        0.0) * decay
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,14 @@ def test_psi_quad_stable_near_two(u):
         stable_constant(1.98) * u ** 1.98, rel=1e-10)
 
 
+@pytest.mark.parametrize("u", [1e6, 1e8])
+def test_psi_quad_small_scale_limit(u):
+    # psi_q(u) -> q(0+) c_alpha u^alpha as u -> inf; for (1+s)^-3 at
+    # alpha = 1 the deficit is about 3 log(u) / (c_1 u) < 1e-4
+    ratio = psi_quad(PolyTempered(3.0), 1.0, u) / (stable_constant(1.0) * u)
+    assert ratio == pytest.approx(1.0, abs=1e-4)
+
+
 def test_phi_zero():
     for m in (cauchy_model(), poly_model(3.0, 1.0), relativistic_model(1.0)):
         assert phi(m, np.zeros(m.d)).value == pytest.approx(0.0, abs=1e-14)
@@ -188,6 +196,12 @@ def test_one_table_per_model_across_times(fresh_tables, monkeypatch):
     # every psi node is computed once, however often the table grows
     table = fresh_tables(m.profile, m.alpha, math.inf)
     assert len(calls) == len(table.log_u)
+
+
+@pytest.mark.parametrize("u", [math.nan, -math.inf], ids=["nan", "inf"])
+def test_psi_vector_rejects_non_finite(u):
+    with pytest.raises(DomainError, match=f"u = {u} is not finite"):
+        psi_vector(PolyTempered(3.0), 1.0, [1.0, u, 2.0])
 
 
 @pytest.mark.parametrize("xi", [[math.inf], [math.nan]], ids=["inf", "nan"])

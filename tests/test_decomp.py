@@ -36,6 +36,13 @@ def test_split_rate_poly_m2():
     assert sm.lam == pytest.approx(3.0 - 4.0 * math.log(2.0), rel=1e-10)
 
 
+def test_split_rate_small_eps():
+    # 1/eps - 3 log(1/eps) - 1 <= nu(B(0,eps)^c) / 2 <= 1/eps for (1+s)^-3
+    sm = split(poly_model(3.0, 1.0), 1e-7)
+    assert sm.lam > 0
+    assert sm.lam == pytest.approx(2e7, rel=1e-4)
+
+
 def test_default_eps_regimes():
     m = exp_model(1.0)           # beta = 2
     assert default_eps(m, 0.25) == pytest.approx(0.25)       # t^{1/alpha}

@@ -93,3 +93,39 @@ def test_detector_flags_an_unused_private_name():
     trees = {"a.py": ast.parse("_K = 1\n_J = 2\ndef _f():\n    return _J\n"),
              "b.py": ast.parse("from a import _f\n")}
     assert _unused_private_names(trees) == ["a.py: _K (line 1)"]
+
+
+def _integrate_imports(tree: ast.Module) -> list:
+    """Every import of scipy.integrate or of a name from it, with its line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"{a.name} (line {node.lineno})" for a in node.names
+                      if a.name.split(".")[:2] == ["scipy", "integrate"]]
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            found += [f"scipy.integrate (line {node.lineno})"
+                      for a in node.names if a.name == "integrate"]
+        elif isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[:2] == ["scipy", "integrate"]:
+            found += [f"{node.module}.{a.name} (line {node.lineno})"
+                      for a in node.names]
+    return found
+
+
+@pytest.mark.parametrize("name", ["decomp.py", "montecarlo.py"])
+def test_radial_integrals_stay_in_model(name):
+    # the big-jump cells and the sampler read the tail table of model.py
+    path = pathlib.Path(templevy.__file__).parent / name
+    assert _integrate_imports(ast.parse(path.read_text())) == []
+
+
+def test_detector_flags_a_scipy_integrate_import():
+    tree = ast.parse("import numpy\nfrom scipy.integrate import quad\n"
+                     "import scipy.integrate as si\n"
+                     "from scipy import fft, integrate\n"
+                     "def f():\n"
+                     "    from scipy.integrate._quadpack_py import dblquad\n")
+    assert _integrate_imports(tree) == [
+        "scipy.integrate.quad (line 2)", "scipy.integrate (line 3)",
+        "scipy.integrate (line 4)",
+        "scipy.integrate._quadpack_py.dblquad (line 6)"]

@@ -19,6 +19,7 @@ from templevy.model import (
     nu_tail,
     poly_model,
     radial_second_moment,
+    radial_tail_mass,
     save_model,
     stable_model,
 )
@@ -42,6 +43,14 @@ def test_nu_tail_poly_quadrature_oracle():
     oracle = 2.0 * quad(lambda s: s ** -1.5 * (1 + s) ** -2.0,
                         1.0, np.inf, epsabs=1e-13, epsrel=1e-11)[0]
     assert nu_tail(m, 1.0) == pytest.approx(oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
+def test_radial_tail_mass_constant_closed_form(alpha):
+    # int_r^inf s^(-1-alpha) ds = r^-alpha / alpha, across twelve decades
+    for r in (1e-12, 3.7e-10, 1e-9, 2.5e-7, 1e-6, 4e-4, 1e-2, 0.3, 1.0):
+        assert radial_tail_mass(Constant(1.0), alpha, r) == pytest.approx(
+            r ** -alpha / alpha, rel=1e-10)
 
 
 def test_truncated_second_moment_constant_profile():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from templevy import montecarlo
 from templevy.density import GridSpec, invert
 from templevy.errors import DomainError
 from templevy.model import (LevyModel, SpectralMeasure, cauchy_model,
@@ -38,6 +39,15 @@ def test_seeded_determinism():
     c = sample_many(SamplerConfig(cauchy_model(), t=1.0, eps=0.1,
                                   count=200, seed=8))
     assert not np.array_equal(a, c)
+
+
+def test_chunking_leaves_draws_unchanged(monkeypatch):
+    # ~3300 jumps summed in one chunk, then in chunks of 7 that split draws
+    cfg = SamplerConfig(poly_model(3.0, 1.0), t=0.5, eps=0.05, mode="drop",
+                        count=300, seed=9)
+    whole = sample_many(cfg)
+    monkeypatch.setattr(montecarlo, "JUMP_CHUNK", 7)
+    np.testing.assert_allclose(sample_many(cfg), whole, rtol=1e-12, atol=0)
 
 
 def test_single_draw_shapes():
