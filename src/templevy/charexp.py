@@ -5,10 +5,12 @@ atoms of the one-dimensional oscillatory integral
 
     psi_q(u) = int_0^inf (1 - cos(u s)) s^(-1-alpha) q(s) ds,
 
-evaluated here by adaptive quadrature: the singular head with a smoothing
-substitution, the oscillatory tail with weighted (Fourier) quadrature.
-Grid fills go through a log-log cubic spline of psi, one per (profile,
-alpha, upper) for the whole process, on 48 log nodes per tenfold of u from
+evaluated here by adaptive quadrature in v = u s: the singular head v < 1
+by a smoothing substitution split at the profile's own scales, the tail as
+the jump mass W(1/u) - W(upper) minus one cosine-weighted (QAWF, or QAWO
+for a cut) integral; cuts with u * upper > 1e8 raise NumericError.  Grid
+fills go through a log-log cubic spline of psi, one per (profile, alpha,
+upper) for the whole process, on 48 log nodes per tenfold of u from
 u = 1e-6.  A table starts at u = 10 and grows tenfold at a time when a
 larger |u| is asked for, computing only the new nodes; below 1e-6 it
 follows the power law of its first node.
@@ -25,7 +27,8 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
 
 from .errors import DegeneracyError, DomainError, NumericError
-from .model import LevyModel, radial_second_moment, radial_tail_mass
+from .model import (LevyModel, _knees, radial_second_moment,
+                    radial_tail_mass)
 from .profiles import Constant, RadialProfile, Truncated
 
 __all__ = [
@@ -60,20 +63,16 @@ def _head_weight(z: float, p: float) -> float:
     return 0.5 * sinc * sinc * p * z
 
 
-@lru_cache(maxsize=None)
 def stable_constant(alpha: float) -> float:
-    """c_alpha = int_0^inf (1 - cos v) v^(-1-alpha) dv, by quadrature."""
-    p = 2.0 / (2.0 - alpha)  # flatten the v^(1-alpha) endpoint behavior
-    head, _ = quad(_head_weight, 0.0, 1.0, args=(p,),
-                   epsabs=1e-14, epsrel=1e-12, limit=256)
-    cos_tail, _ = quad(lambda v: v ** (-1.0 - alpha), 1.0, np.inf,
-                       weight="cos", wvar=1.0, epsabs=1e-13, limlst=200)
-    return head + 1.0 / alpha - cos_tail
+    """c_alpha = int_0^inf (1 - cos v) v^(-1-alpha) dv, in closed form."""
+    return math.pi / (2.0 * math.gamma(1.0 + alpha)
+                      * math.sin(0.5 * math.pi * alpha))
 
 
-def _haversine(x):
-    """1 - cos(x) without cancellation."""
-    return 2.0 * math.sin(0.5 * x) ** 2
+#: beyond this u * upper the finite-range Fourier quadrature loses accuracy
+MAX_CUT_RANGE = 1e8
+#: W(upper), the same for every node of a cut psi table
+_cut_mass = lru_cache(maxsize=256)(radial_tail_mass)
 
 
 def psi_quad(q: RadialProfile, alpha: float, u: float,
@@ -92,61 +91,36 @@ def psi_quad(q: RadialProfile, alpha: float, u: float,
     if upper <= 0:
         return 0.0
     V = u * upper  # may be inf
+    if V > MAX_CUT_RANGE and math.isfinite(V):
+        raise NumericError(f"u * upper = {V:.6g} exceeds {MAX_CUT_RANGE:g}: "
+                           "the cut cosine integral is unreliable there")
     A = min(1.0, V)
     # singular head on [0, A]: substitute v = z^p to flatten v^(1-alpha)
     p = 2.0 / (2.0 - alpha)
-
-    def head(z):
-        if z <= 0.0:
-            return 0.0
-        return _head_weight(z, p) * float(q(z**p / u))
-
+    head = lambda z: _head_weight(z, p) * float(q(z**p / u))
     zmax = A ** (1.0 / p)
-    # interior points where q changes character (q's own scale, mapped to z)
-    pts = sorted({min(max((u * s) ** (1.0 / p), 0.0), zmax)
-                  for s in (1.0, 0.1, 10.0)} - {0.0, zmax})
+    # break points at q's own scales: its knees times 0.1 to 100, in z
+    pts = sorted({min((u * k * f) ** (1.0 / p), zmax)
+                  for k in _knees(q, alpha) for f in (0.1, 1.0, 10.0, 100.0)}
+                 - {0.0, zmax})
     i1, _ = quad(head, 0.0, zmax, points=pts or None,
                  epsabs=0.0, epsrel=1e-11, limit=512)
     if V <= A:
         return u**alpha * i1
-
-    def wtil(v):
-        if v > V:
-            return 0.0
-        return v ** (-1.0 - alpha) * float(q(v / u))
-
+    # tail: int_A^V (1 - cos v) wtil = jump mass on (A/u, upper) minus a
+    # cosine-weighted integral (QAWF for V = inf, QAWO otherwise)
+    wtil = lambda v: v ** (-1.0 - alpha) * float(q(v / u))
+    mass = radial_tail_mass(q, alpha, A / u)  # already in s units
+    if math.isfinite(V):
+        mass -= _cut_mass(q, alpha, upper)
     with warnings.catch_warnings():
-        # QAWF flags "bad integrand behavior" on tempered tails while still
-        # meeting the requested tolerance; accuracy is pinned by the
+        # QUADPACK flags "bad integrand behavior" on tempered tails while
+        # still meeting the requested tolerance; accuracy is pinned by the
         # closed-form oracles in the test suite.
         warnings.simplefilter("ignore", IntegrationWarning)
-        if math.isinf(V):
-            mass = radial_tail_mass(q, alpha, A / u)  # already in s units
-            cosint, _ = quad(wtil, A, np.inf, weight="cos", wvar=1.0,
-                             epsabs=1e-13, limlst=400, limit=400)
-            val = u**alpha * (i1 - cosint) + mass
-        elif V - A <= 64.0 * math.pi:
-            # short range: integrate 1 - cos directly
-            i2, _ = quad(lambda v: _haversine(v) * wtil(v), A, V,
-                         epsabs=0.0, epsrel=1e-11, limit=512)
-            val = u**alpha * (i1 + i2)
-        else:
-            # long range: cos integral over [A, V] as a difference of two
-            # half-line Fourier integrals of the integrand continued past V
-            # by freezing q at the cut (keeps both endpoints smooth)
-            mass = u**alpha * quad(wtil, A, V, epsabs=0.0, epsrel=1e-11,
-                                   limit=512)[0]
-            qcut = float(q(upper))
-
-            def wext(v):
-                return v ** (-1.0 - alpha) * (qcut if v >= V
-                                              else float(q(v / u)))
-
-            cos_a, _ = quad(wext, A, np.inf, weight="cos", wvar=1.0,
-                            epsabs=1e-13, limlst=400, limit=400)
-            cos_v, _ = quad(wext, V, np.inf, weight="cos", wvar=1.0,
-                            epsabs=1e-13, limlst=400, limit=400)
-            val = u**alpha * (i1 - cos_a + cos_v) + mass
+        cosint, _ = quad(wtil, A, V, weight="cos", wvar=1.0,
+                         epsabs=1e-13, limlst=400, limit=400)
+    val = u**alpha * (i1 - cosint) + mass
     if not math.isfinite(val):
         raise NumericError("oscillatory radial integral did not converge",
                            estimate=u**alpha * i1 + mass)

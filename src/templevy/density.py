@@ -45,6 +45,9 @@ RINGING_TOL = 1e-9
 
 #: largest number of grid points per axis, by dimension
 MAX_N = {1: 2 ** 22, 2: 2 ** 11}
+#: auto_grid aims for spectral mass e^(-t Phi) below TAIL_TARGET past the
+#: cutoff, and for jump mass t nu(|y| > L) below ALIAS_TARGET past the box
+TAIL_TARGET, ALIAS_TARGET = 1e-12, 1e-10
 
 
 @dataclass(frozen=True)
@@ -213,17 +216,15 @@ def invert(model: LevyModel, t: float, grid: GridSpec = None) -> DensityField:
                         min_raw=fld.min_raw)
 
 
-def auto_grid(model: LevyModel, t: float,
-              tail_target: float = 1e-12,
-              alias_target: float = 1e-10) -> GridSpec:
+def auto_grid(model: LevyModel, t: float) -> GridSpec:
     """Default grid: extent from the jump tail, cutoff from Phi growth."""
     a = model.alpha
     L = max(10.0 * t ** (1.0 / a), 10.0)
     # grow the box until the mass the process can park beyond it is tiny
     # (capped: folded-back tail mass is reported via alias_error instead)
-    while t * nu_tail(model, L) > alias_target and L < 4096.0:
+    while t * nu_tail(model, L) > ALIAS_TARGET and L < 4096.0:
         L *= 2.0
-    target = -math.log(tail_target)
+    target = -math.log(TAIL_TARGET)
     cut = _cutoff(model, t, target)
     n = 2 ** int(math.ceil(math.log2(max(2.0 * L * cut / math.pi, 64.0))))
     n_cap = MAX_N[model.d]
@@ -265,12 +266,8 @@ def density_at(model: LevyModel, t: float, x: float) -> float:
     U = _cutoff(model, t, 40.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        if x * U > 30.0:
-            val, err = quad(g, 0.0, np.inf, weight="cos", wvar=x,
-                            epsabs=1e-13, limlst=500, limit=500)
-        else:
-            val, err = quad(lambda xi: g(xi) * math.cos(x * xi), 0.0, U,
-                            epsabs=1e-13, epsrel=1e-11, limit=500)
+        val, err = quad(g, 0.0, U, weight="cos", wvar=x, epsabs=1e-13,
+                        epsrel=1e-11, limit=500)
     if not math.isfinite(val) or err > 1e-6 * max(abs(val), 1e-9):
         raise NumericError("pointwise inversion did not converge",
                            estimate=val)

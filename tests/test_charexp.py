@@ -19,13 +19,14 @@ from templevy.charexp import (
     stable_constant,
 )
 from templevy.density import invert
-from templevy.errors import DegeneracyError, DomainError
+from templevy.errors import DegeneracyError, DomainError, NumericError
 from templevy.model import (
     LevyModel,
     SpectralMeasure,
     cauchy_model,
     exp_model,
     poly_model,
+    radial_tail_mass,
     relativistic_model,
     stable_model,
 )
@@ -40,7 +41,8 @@ def _c_alpha_gamma(alpha: float) -> float:
             / (alpha * (1.0 - alpha)))
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 1.5, 1.9, 1.97, 1.98, 1.99])
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 1.0, 1.2, 1.5, 1.9, 1.97,
+                                   1.98, 1.99])
 def test_stable_constant_gamma_identity(alpha):
     assert stable_constant(alpha) == pytest.approx(
         _c_alpha_gamma(alpha), rel=1e-12)
@@ -130,21 +132,33 @@ def test_cut_exponent_below_full_relativistic():
 
 def test_psi_exponential_closed_form():
     # a = 0 pure exponential tempering: psi(u) =
-    # Gamma(-alpha) (c^alpha - Re (c - iu)^alpha)
-    alpha, c = 0.5, 1.0
-    q = ExpTempered(a=0.0, c1=c)
-    for u in (0.3, 1.0, 5.0, 40.0):
-        oracle = gamma_fn(-alpha) * (
-            c ** alpha - ((c - 1j * u) ** alpha).real)
-        assert psi_quad(q, alpha, u) == pytest.approx(oracle, rel=1e-9)
+    # Gamma(-alpha) c^alpha (1 - rho^alpha cos(alpha theta)), with
+    # x = u / c, rho = sqrt(1 + x^2) and theta = atan(x), written without
+    # cancellation for small u
+    alpha = 0.5
+    for c, u in ((1.0, 0.3), (1.0, 1.0), (1.0, 5.0), (1.0, 40.0),
+                 (0.25, 1e-6), (0.8, 1e-6)):
+        x = u / c
+        th = math.atan(x)
+        oracle = gamma_fn(-alpha) * c ** alpha * (
+            2.0 * math.sin(0.5 * alpha * th) ** 2
+            - math.expm1(0.5 * alpha * math.log1p(x * x))
+            * math.cos(alpha * th))
+        # psi is about 1e-12 at u = 1e-6: no absolute slack
+        assert psi_quad(ExpTempered(a=0.0, c1=c), alpha, u) == pytest.approx(
+            oracle, rel=1e-9, abs=0.0)
 
 
 def test_psi_finite_cutoff_per_period_oracle():
     # direct summation over half-periods of the oscillation
-    q = PolyTempered(1.0)
-    alpha = 1.2
-    for u, upper in ((0.7, 2.0), (15.0, 0.1), (40.0, 3.0), (300.0, 1.0)):
-        f = lambda s: (1 - math.cos(u * s)) * s ** (-1 - alpha) * (1 + s) ** -1.0
+    for q, alpha, u, upper in (
+            (PolyTempered(1.0), 1.2, 0.7, 2.0),
+            (PolyTempered(1.0), 1.2, 15.0, 0.1),
+            (PolyTempered(1.0), 1.2, 40.0, 3.0),
+            (PolyTempered(1.0), 1.2, 300.0, 1.0),
+            (PolyTempered(3.0), 0.3, 2054.0, 0.1),
+            (ExpTempered(c1=1.0), 1.0, 226.0, 1.0)):
+        f = lambda s: (1 - math.cos(u * s)) * s ** (-1 - alpha) * float(q(s))
         edges = [0.0]
         k = 1
         while edges[-1] < upper:
@@ -154,6 +168,24 @@ def test_psi_finite_cutoff_per_period_oracle():
                      for a, b in zip(edges, edges[1:]))
         assert psi_quad(q, alpha, u, upper=upper) == pytest.approx(
             oracle, rel=1e-8)
+
+
+def test_psi_long_cutoff_against_full_measure():
+    # psi cut at upper = psi - W(upper) + u^alpha int_V^inf cos(v) wtil(v) dv
+    # with V = u upper = 1e7 and wtil(v) = v^(-1-alpha) q(v / u)
+    q, alpha, u, upper = PolyTempered(3.0), 1.9, 1e3, 1e4
+    wtil = lambda v: v ** (-1.0 - alpha) * float(q(v / u))
+    beyond, _ = quad(wtil, u * upper, np.inf, weight="cos", wvar=1.0,
+                     epsabs=1e-13, limlst=400, limit=400)
+    oracle = (psi_quad(q, alpha, u) - radial_tail_mass(q, alpha, upper)
+              + u ** alpha * beyond)
+    assert psi_quad(q, alpha, u, upper=upper) == pytest.approx(
+        oracle, rel=1e-12)
+
+
+def test_psi_cut_beyond_reliable_range_raises():
+    with pytest.raises(NumericError, match="exceeds 1e\\+08"):
+        psi_quad(PolyTempered(3.0), 1.0, 1e5, upper=1e4)
 
 
 @pytest.fixture

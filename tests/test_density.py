@@ -61,10 +61,13 @@ def test_field_symmetry_and_positivity():
 
 
 def test_density_at_cauchy():
-    for t in (0.1, 1.0):
-        for x in (0.0, 0.5, 3.0, 10.0):
+    for t in (0.01, 0.1, 1.0):
+        # x = 3 pi t / 4 is where x U = 30 for the cutoff U = 40 / (pi t):
+        # take x on both sides of it and far out in the tail
+        for x in (0.0, 0.5, 3.0, 10.0, 300.0, 0.7 * math.pi * t,
+                  0.8 * math.pi * t):
             assert density_at(cauchy_model(), t, x) == pytest.approx(
-                _cauchy_pdf(t, x), rel=1e-9)
+                _cauchy_pdf(t, x), rel=1e-9, abs=0.0)
 
 
 def test_density_at_relativistic_origin():
