@@ -292,7 +292,7 @@ def convolution_ball_check(sm: SplitMeasure, n_max: int, x_set,
     ax = grid.x_axis()
     a = m.alpha
     q = m.profiles_and_weights()[0][1]
-    qeps = float(q(np.array([sm.eps]))[0])
+    qeps = float(q(sm.eps))
     rows = []
     for n in range(1, n_max + 1):
         conv = _window(sfft.irfft(nuhat ** n, 2 * grid.N))
@@ -306,7 +306,7 @@ def convolution_ball_check(sm: SplitMeasure, n_max: int, x_set,
                     ball = _ball_mass(conv, ax, grid.h, x, r)
                     ref = (r ** gamma * (sm.eps ** (-a) * qeps) ** (n - 1)
                            * abs(x) ** (-a - gamma)
-                           * float(q(np.array([abs(x)]))[0]))
+                           * float(q(abs(x))))
                     row["ball"] = ball
                     row["ref"] = ref
                     row["ratio"] = ball / ref if ref > 0 else math.inf

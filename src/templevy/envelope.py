@@ -107,7 +107,7 @@ def evaluate(spec: EnvelopeSpec, t: float, x) -> float:
         return diag
     off = (t ** (1.0 + (spec.gamma - spec.d) / a)
            * r ** (-spec.alpha - spec.gamma)
-           * float(spec.profile(np.array([r]))[0]))
+           * float(spec.profile(r)))
     return min(diag, off)
 
 
@@ -119,7 +119,7 @@ def product_form(spec: EnvelopeSpec, t: float, x) -> float:
     """
     a = spec.alpha if spec.regime == "small_t" else spec.beta
     r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    qv = float(spec.profile(np.array([r]))[0]) if r > 0 else 1.0
+    qv = float(spec.profile(r)) if r > 0 else 1.0
     return (t ** (-spec.d / a)
             * (1.0 + t ** (-1.0 / a) * r) ** (-spec.alpha - spec.gamma) * qv)
 
@@ -170,20 +170,44 @@ def _check_gamma(model: LevyModel, spec: EnvelopeSpec) -> dict:
     return {"pass": bool(ok), "gamma_fit": g_fit, "c_fit": c_fit}
 
 
+#: how much a sup may still grow when its scan range is doubled
+SUP_GROWTH = 0.01
+
+
+def _outward_grid(start: float, stop: float, n: int) -> np.ndarray:
+    """n log-spaced nodes from start to stop, continued on the same
+    spacing while they stay within a factor 2 beyond stop."""
+    a, b = math.log(start), math.log(stop)
+    h = (b - a) / (n - 1)
+    extra = int(math.log(2.0) / abs(h))
+    return np.exp(a + h * np.arange(n + extra))
+
+
+def _sup_settles(ratios: np.ndarray, n: int) -> bool:
+    """Whether the sup of ratios (on an _outward_grid) stays bounded past
+    the first n nodes: over the extension it grows by at most SUP_GROWTH,
+    or its rises shrink node by node (it closes in on a finite limit).  A
+    finite sup on a fixed range says nothing: a power that diverges
+    outward is finite on every finite range."""
+    sup = np.maximum.accumulate(ratios)
+    rises = np.diff(sup[n - 1:])
+    return bool(np.isfinite(sup[-1])
+                and (sup[-1] <= (1.0 + SUP_GROWTH) * sup[n - 1]
+                     or np.all(rises[1:] < rises[:-1])))
+
+
 def _check_profile_dominates(model: LevyModel, spec: EnvelopeSpec) -> dict:
     """Upper envelopes need q_spec >= model profile (up to a constant)."""
-    s = np.exp(np.linspace(math.log(1e-2), math.log(50.0), 60))
-    worst = 0.0
-    for _, q in model.profiles_and_weights():
-        ratio = np.asarray(q(s)) / np.asarray(spec.profile(s))
-        worst = max(worst, float(np.max(ratio)))
-    return {"pass": bool(math.isfinite(worst)), "sup_ratio": worst}
+    s = _outward_grid(1e-2, 50.0, 60)
+    ratio = np.max([np.asarray(q(s)) / np.asarray(spec.profile(s))
+                    for _, q in model.profiles_and_weights()], axis=0)
+    return {"pass": _sup_settles(ratio, 60), "sup_ratio": float(ratio.max())}
 
 
 def _check_beta_integrability(model: LevyModel, spec: EnvelopeSpec) -> dict:
     """int_1^inf s^(beta - alpha - 1) q(s) ds < inf."""
     b, a = spec.beta, model.alpha
-    f = lambda s: s ** (b - a - 1.0) * float(spec.profile(np.array([s]))[0])
+    f = lambda s: s ** (b - a - 1.0) * float(spec.profile(s))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -226,7 +250,7 @@ def _check_ball_lower(model: LevyModel, spec: EnvelopeSpec) -> dict:
                 r = frac * r_abs
                 ball = nu_ball(model, r_abs * th, r)
                 ref = (r ** spec.gamma * r_abs ** (-a - spec.gamma)
-                       * float(spec.profile(np.array([r_abs]))[0]))
+                       * float(spec.profile(r_abs)))
                 if ref > 0:
                     worst = min(worst, ball / ref)
     return {"pass": bool(worst > 0 and math.isfinite(worst)),
@@ -235,10 +259,11 @@ def _check_ball_lower(model: LevyModel, spec: EnvelopeSpec) -> dict:
 
 def _check_tail_upper(model: LevyModel, exponent: float) -> dict:
     """nu(B(0,r)^c) <= c r^(-exponent) for small r."""
-    radii = np.exp(np.linspace(math.log(1e-2), math.log(1.0), 16))
-    ratios = [nu_tail(model, float(r)) * r ** exponent for r in radii]
-    sup = max(ratios)
-    return {"pass": bool(math.isfinite(sup)), "sup_ratio": float(sup)}
+    radii = _outward_grid(1.0, 1e-2, 16)
+    ratios = np.array([nu_tail(model, float(r)) * r ** exponent
+                       for r in radii])
+    return {"pass": _sup_settles(ratios, 16),
+            "sup_ratio": float(ratios.max())}
 
 
 # ---------------------------------------------------------------------------

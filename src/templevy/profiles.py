@@ -39,29 +39,35 @@ def relativistic_kernel(d: int, alpha: float, s):
     evaluated through the modified Bessel function of the second kind:
     K(s) = 2^(1+nu) s^nu K_nu(s) with nu = (d+alpha)/2.  The scaled Bessel
     routine keeps the evaluation stable for large s: s^nu e^(-s) is taken
-    as one exponential, which underflows cleanly to 0 past s ~ 700, and
-    the kernel is 0 there (s^nu overflows and kve is nan for huge s).
+    as one exponential, which underflows cleanly to 0 past s ~ 800.  kve
+    is nan past s ~ 2e9, so it is read at min(s, 1e6): the product is 0
+    there either way.  s may be a float or an array.
     """
     nu = 0.5 * (d + alpha)
-    s = np.asarray(s, dtype=float)
     decay = np.exp(nu * np.log(s) - s)
-    return 2.0 ** (1.0 + nu) * np.where(decay > 0, special.kve(nu, s),
-                                        0.0) * decay
+    return 2.0 ** (1.0 + nu) * special.kve(nu, np.minimum(s, 1e6)) * decay
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Base class; subclasses implement ``value`` on positive arrays."""
+    """Base class; subclasses implement ``value`` on positive s.
+
+    ``value`` receives either a float or an ndarray and applies one formula
+    to both.  A float goes in untouched: the scalar quadratures call q once
+    per integrand point, and a 0-d array would cost several times the
+    formula itself.
+    """
 
     #: whether q satisfies the doubling bound q(s) <= K q(2s)
     doubling = True
 
-    def value(self, s: np.ndarray) -> np.ndarray:  # pragma: no cover
+    def value(self, s):  # pragma: no cover
         raise NotImplementedError
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.value(s)
+        if isinstance(s, float):
+            return self.value(s)
+        return self.value(np.asarray(s, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,8 @@ class Custom(RadialProfile):
         return self.declares_doubling
 
     def value(self, s):
-        return np.asarray(self.func(s), dtype=float)
+        # the user's function always sees an array
+        return np.asarray(self.func(np.asarray(s, dtype=float)), dtype=float)
 
 
 def doubling_constant(q: RadialProfile, s_min: float, s_max: float, n: int = 400):

@@ -138,6 +138,39 @@ def test_hypothesis_check_constant_beta2_fails_integrability():
     assert not rep["checks"]["beta_integrability"]["pass"]
 
 
+def test_hypothesis_check_rejects_undominated_profile():
+    # Cauchy's q = 1 over (1+s)^-3 is (1+s)^3: finite on every finite scan
+    # range, but it keeps growing when the range is doubled
+    rep = hypothesis_check(stable_model(1.0), _upper_small(PolyTempered(3.0)))
+    check = rep["checks"]["profile_dominates"]
+    assert not check["pass"]
+    assert check["sup_ratio"] > 1e5
+    for m in (poly_model(3.0, 1.0), exp_model(1.0), exp_model(1.5)):
+        rep = hypothesis_check(m, _upper_small(PolyTempered(3.0)))
+        assert rep["checks"]["profile_dominates"]["pass"]
+
+
+def test_hypothesis_check_rejects_tail_exponent_below_alpha():
+    # nu(B(0,r)^c) ~ r^-1.5 for alpha = 1.5, so r^1.2 times it grows like
+    # r^-0.3 as r -> 0: finite on [1e-2, 1] but unbounded below
+    spec = EnvelopeSpec(side="lower", regime="large_t", d=1, alpha=1.0,
+                        gamma=1.0, profile=ExpTempered(a=0.0, c1=1.0),
+                        beta=1.2, directions=((1.0,), (-1.0,)))
+    checks = hypothesis_check(exp_model(1.5), spec)["checks"]
+    assert checks["tail_upper"]["pass"]
+    assert not checks["tail_upper_beta"]["pass"]
+
+
+def test_hypothesis_check_tail_converging_slowly_passes():
+    # at alpha = 0.5, r^alpha nu(B(0,r)^c) still rises by ~2 % per node at
+    # r = 1e-2, but the rises shrink: it closes in on a finite limit
+    m = relativistic_model(0.5)
+    spec = EnvelopeSpec(side="lower", regime="small_t", d=1, alpha=0.5,
+                        gamma=1.0, profile=relativistic_lower_profile(1, 0.5),
+                        directions=((1.0,), (-1.0,)))
+    assert hypothesis_check(m, spec)["checks"]["tail_upper"]["pass"]
+
+
 def test_hypothesis_check_relativistic_lower():
     m = relativistic_model(1.0)
     spec = EnvelopeSpec(side="lower", regime="small_t", d=1, alpha=1.0,

@@ -3,11 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from templevy.charexp import psi_quad
 from templevy.errors import UnsupportedProfileError
+from templevy.model import (_tail_table, radial_second_moment,
+                            radial_tail_mass)
 from templevy.profiles import (
     Constant,
+    Custom,
     ExpTempered,
     PolyTempered,
     Relativistic,
@@ -100,3 +105,61 @@ def test_profile_serialization_roundtrip():
         back = profile_from_dict(profile_to_dict(q))
         s = np.logspace(-2, 1, 20)
         np.testing.assert_allclose(back(s), q(s), rtol=1e-14)
+
+
+def test_quadrature_integrands_see_floats(monkeypatch):
+    seen = []
+    for cls in (PolyTempered, ExpTempered):
+        def recording(self, s, _value=cls.value):
+            seen.append(type(s))
+            return _value(self, s)
+        monkeypatch.setattr(cls, "value", recording)
+    for q in (PolyTempered(2.5), ExpTempered(a=0.5, c1=0.8)):
+        psi_quad(q, 0.7, 3.0)
+        psi_quad(q, 0.7, 3.0, upper=2.0)
+        radial_tail_mass(q, 0.7, 1e-3)
+        radial_second_moment(q, 0.7, 5.0)
+    assert len(seen) > 1000
+    assert all(issubclass(t, float) for t in seen)
+
+
+@st.composite
+def profiles(draw):
+    """The five built-in profile kinds."""
+    return draw(st.one_of(
+        st.builds(Constant, st.floats(0.1, 10.0)),
+        st.builds(PolyTempered, st.floats(0.5, 5.0)),
+        st.builds(ExpTempered, st.floats(0.0, 2.0), st.floats(0.1, 2.0)),
+        st.builds(Truncated, st.floats(0.01, 10.0)),
+        st.builds(Relativistic, st.sampled_from([1, 2]),
+                  st.floats(0.05, 1.99)),
+    ))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(profiles(), st.floats(-12.0, 6.0))
+def test_float_path_equals_array_path(q, log_s):
+    s = 10.0 ** log_s
+    value = float(q(s))
+    # bitwise against a 0-d array: numpy's scalar math and Python's float
+    # math both call the C library's pow and exp
+    assert value == float(q(np.asarray(s)))
+    # 1-d arrays may take numpy's SIMD pow, which can differ from the C
+    # library's in the last bit
+    assert value == pytest.approx(q(np.array([s]))[0], rel=5e-16, abs=0.0)
+
+
+def test_custom_profile_sees_arrays():
+    def poly3(s):
+        # an array-only formula: a float has no shape
+        return np.full(s.shape, 1.0) * (1.0 + s) ** -3.0
+
+    custom, q = Custom(poly3), PolyTempered(3.0)
+    for alpha in (0.5, 1.5):
+        for u in (1e-4, 0.3, 40.0, 3e3):
+            for upper in (math.inf, 1.0):
+                assert psi_quad(custom, alpha, u, upper) == pytest.approx(
+                    psi_quad(q, alpha, u, upper), rel=1e-12, abs=0.0)
+        r = np.logspace(-8.0, 3.0, 23)
+        np.testing.assert_allclose(_tail_table(custom, alpha)(r),
+                                   _tail_table(q, alpha)(r), rtol=1e-12)
