@@ -7,13 +7,15 @@ atoms of the one-dimensional oscillatory integral
 
 evaluated here by adaptive quadrature in v = u s: the singular head v < 1
 by a smoothing substitution split at the profile's own scales, the tail as
-the jump mass W(1/u) - W(upper) minus one cosine-weighted (QAWF, or QAWO
-for a cut) integral; cuts with u * upper > 1e8 raise NumericError.  Grid
-fills go through a log-log cubic spline of psi, one per (profile, alpha,
-upper) for the whole process, on 48 log nodes per tenfold of u from
-u = 1e-6.  A table starts at u = 10 and grows tenfold at a time when a
-larger |u| is asked for, computing only the new nodes; below 1e-6 it
-follows the power law of its first node.
+the jump mass W(1/u) minus one cosine-weighted (QAWF) integral.  A profile
+cut at s0 (profiles.Truncated, the small-jump part of a split measure)
+takes the mass W(1/u) - W(s0) of its base and the QAWO integral up to
+V = u s0; cuts with u s0 > 1e8 raise NumericError.  Grid fills go through
+a log-log cubic spline of psi, one per (profile, alpha) for the whole
+process, on 48 log nodes per tenfold of u from u = 1e-6.  A table starts
+at u = 10 and grows tenfold at a time when a larger |u| is asked for,
+computing only the new nodes; below 1e-6 it follows the power law of its
+first node.
 """
 from __future__ import annotations
 
@@ -27,8 +29,8 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
 
 from .errors import DegeneracyError, DomainError, NumericError
-from .model import (LevyModel, _knees, radial_second_moment,
-                    radial_tail_mass)
+from .model import (LevyModel, _knees, radial_tail_mass,
+                    truncated_second_moment)
 from .profiles import Constant, RadialProfile, Truncated
 
 __all__ = [
@@ -69,15 +71,14 @@ def stable_constant(alpha: float) -> float:
                       * math.sin(0.5 * math.pi * alpha))
 
 
-#: beyond this u * upper the finite-range Fourier quadrature loses accuracy
+#: beyond this u * s0 the finite-range Fourier quadrature loses accuracy
 MAX_CUT_RANGE = 1e8
-#: W(upper), the same for every node of a cut psi table
+#: W(s0) of the base, the same for every node of a cut psi table
 _cut_mass = lru_cache(maxsize=256)(radial_tail_mass)
 
 
-def psi_quad(q: RadialProfile, alpha: float, u: float,
-             upper: float = math.inf) -> float:
-    """Scalar psi_q(u) on (0, upper), adaptive.
+def psi_quad(q: RadialProfile, alpha: float, u: float) -> float:
+    """Scalar psi_q(u), adaptive; a cut profile integrates up to its s0.
 
     Works in the rescaled variable v = u s, so the oscillation is always
     cos(v) and the Fourier quadrature of the tail is well conditioned for
@@ -86,13 +87,13 @@ def psi_quad(q: RadialProfile, alpha: float, u: float,
     u = abs(float(u))
     if u == 0.0:
         return 0.0
-    if isinstance(q, Truncated):
-        upper = min(upper, q.s0)
-    if upper <= 0:
+    # a cut integrates its base q up to s0
+    q, s0 = (q.q, q.s0) if isinstance(q, Truncated) else (q, math.inf)
+    if s0 <= 0:
         return 0.0
-    V = u * upper  # may be inf
+    V = u * s0  # may be inf
     if V > MAX_CUT_RANGE and math.isfinite(V):
-        raise NumericError(f"u * upper = {V:.6g} exceeds {MAX_CUT_RANGE:g}: "
+        raise NumericError(f"u * s0 = {V:.6g} exceeds {MAX_CUT_RANGE:g}: "
                            "the cut cosine integral is unreliable there")
     A = min(1.0, V)
     # singular head on [0, A]: substitute v = z^p to flatten v^(1-alpha)
@@ -107,12 +108,12 @@ def psi_quad(q: RadialProfile, alpha: float, u: float,
                  epsabs=0.0, epsrel=1e-11, limit=512)
     if V <= A:
         return u**alpha * i1
-    # tail: int_A^V (1 - cos v) wtil = jump mass on (A/u, upper) minus a
+    # tail: int_A^V (1 - cos v) wtil = jump mass on (A/u, s0) minus a
     # cosine-weighted integral (QAWF for V = inf, QAWO otherwise)
     wtil = lambda v: v ** (-1.0 - alpha) * float(q(v / u))
     mass = radial_tail_mass(q, alpha, A / u)  # already in s units
     if math.isfinite(V):
-        mass -= _cut_mass(q, alpha, upper)
+        mass -= _cut_mass(q, alpha, s0)
     with warnings.catch_warnings():
         # QUADPACK flags "bad integrand behavior" on tempered tails while
         # still meeting the requested tolerance; accuracy is pinned by the
@@ -134,9 +135,8 @@ U_LO, PER_TEN = 1e-6, 48
 class PsiTable:
     """Log-log cubic spline of psi_q on the nodes from U_LO up to u_hi."""
 
-    def __init__(self, q: RadialProfile, alpha: float,
-                 upper: float = math.inf):
-        self.q, self.alpha, self.upper = q, alpha, upper
+    def __init__(self, q: RadialProfile, alpha: float):
+        self.q, self.alpha = q, alpha
         self.log_u, self.log_psi, self.u_hi = np.empty(0), np.empty(0), 1.0
         self._extend(10.0)
 
@@ -147,7 +147,7 @@ class PsiTable:
         n = PER_TEN * round(math.log10(self.u_hi / U_LO)) + 1
         lg = math.log(U_LO) + math.log(10.0) / PER_TEN * np.arange(
             len(self.log_u), n)
-        vals = np.array([psi_quad(self.q, self.alpha, math.exp(t), self.upper)
+        vals = np.array([psi_quad(self.q, self.alpha, math.exp(t))
                          for t in lg])
         if np.any(vals <= 0):
             raise NumericError("psi not positive on table range")
@@ -171,30 +171,26 @@ class PsiTable:
         return out
 
 
-#: one table per (q, alpha, upper) for the whole process
+#: one table per (q, alpha) for the whole process
 _psi_table = lru_cache(maxsize=256)(PsiTable)
 
 
-def psi_vector(q: RadialProfile, alpha: float, u: np.ndarray,
-               upper: float = math.inf) -> np.ndarray:
+def psi_vector(q: RadialProfile, alpha: float, u: np.ndarray) -> np.ndarray:
     """Vectorized psi_q(u) via cached spline (closed form for constant q)."""
     u = np.asarray(u, dtype=float)
     # min and max see any nan or inf without a grid-sized temporary
     if u.size and not (math.isfinite(u.min()) and math.isfinite(u.max())):
         raise DomainError(f"u = {u[~np.isfinite(u)].flat[0]} is not finite")
     u = np.abs(u)
-    if isinstance(q, Constant) and math.isinf(upper):
+    if isinstance(q, Constant):
         return q.c * stable_constant(alpha) * u**alpha
-    return _psi_table(q, alpha, upper)(u)
+    return _psi_table(q, alpha)(u)
 
 
-def phi_on_points(model: LevyModel, xi: np.ndarray,
-                  upper: float = math.inf) -> np.ndarray:
+def phi_on_points(model: LevyModel, xi: np.ndarray) -> np.ndarray:
     """Phi on frequency points, shape (..., d) or (...,) in d=1.
 
-    The result has one value per point.  A finite `upper` cuts the jump
-    measure at that radius, giving the exponent of the small-jump part;
-    the relativistic closed form holds only for the whole measure.
+    The result has one value per point.
     """
     xi = np.asarray(xi, dtype=float)
     if model.d == 1 and (xi.ndim < 2 or xi.shape[-1] != 1):
@@ -203,13 +199,13 @@ def phi_on_points(model: LevyModel, xi: np.ndarray,
     if xi.size and not (math.isfinite(xi.min()) and math.isfinite(xi.max())):
         bad = xi[~np.isfinite(xi).all(axis=-1)][0]
         raise DomainError(f"frequency xi = {bad.tolist()} is not finite")
-    if model.closed_form == "relativistic" and math.isinf(upper):
+    if model.closed_form == "relativistic":
         r2 = np.sum(xi * xi, axis=-1)
         return (r2 + 1.0) ** (model.alpha / 2.0) - 1.0
     total = np.zeros(xi.shape[:-1])
     for w, q, theta in model.atoms():
         u = np.abs(xi @ theta)
-        total = total + w * psi_vector(q, model.alpha, u, upper)
+        total = total + w * psi_vector(q, model.alpha, u)
     return total
 
 
@@ -274,10 +270,8 @@ def check_lower_growth(model: LevyModel, exponent: float,
 def second_moment(model: LevyModel, s_probe: float = 1e3,
                   s_check: float = 1e6) -> float:
     """int |y|^2 nu(dy), raising DomainError when the integral diverges."""
-    total, check = 0.0, 0.0
-    for w, q in model.profiles_and_weights():
-        total += w * radial_second_moment(q, model.alpha, s_probe)
-        check += w * radial_second_moment(q, model.alpha, s_check)
+    total = truncated_second_moment(model, s_probe)
+    check = truncated_second_moment(model, s_check)
     if check > total * (1.0 + 1e-6) + 1e-12:
         raise DomainError("infinite second moment (profile decays too slowly)")
     return check

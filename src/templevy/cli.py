@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from . import decomp, envelope, harness, montecarlo
-from .density import GridSpec, density_at, field_to_csv, invert, save_field
+from .density import (GridSpec, auto_grid, density_at, field_to_csv, invert,
+                      save_field)
 from .charexp import phi_on_points
 from .model import load_model
 
@@ -64,7 +65,7 @@ def _cmd_decompose(args) -> int:
            else float(args.eps))
     sm = decomp.split(model, eps)
     grid = _parse_grid(args.grid, model.d) if args.grid \
-        else decomp.local_auto_grid(sm, args.t)
+        else auto_grid(model, args.t)
     loc = decomp.local_density(sm, args.t, grid)
     cp = decomp.compound_poisson(sm, args.t, grid, args.tol)
     rec = decomp.recompose(loc, cp)

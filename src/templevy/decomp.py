@@ -1,9 +1,9 @@
 """Splitting the jump measure at radius eps.
 
-nu is cut into a small-jump part (radii < eps), whose semigroup density
-p~_t is smooth and obtained by inverting exp(-t Phi~_eps), and a finite
-big-jump part nubar with total mass lambda, whose semigroup is the compound
-Poisson law
+nu is cut into a small-jump part (radii < eps), a model of its own whose
+profiles are cut at eps (profiles.Truncated) and whose semigroup density
+p~_t is smooth and obtained by density.invert, and a finite big-jump part
+nubar with total mass lambda, whose semigroup is the compound Poisson law
 
     Pbar_t = e^(-t lambda) sum_n t^n nubar^(n*) / n!
            = e^(-t lambda) exp(t nubar)   (convolution exponential),
@@ -17,7 +17,7 @@ both sides are computed by independent discretizations and compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft as sfft
@@ -25,11 +25,10 @@ from scipy.signal import fftconvolve
 from scipy.stats import poisson
 
 from .charexp import phi_on_points
-from .density import (MAX_N, DensityField, GridSpec, _checked_inverse,
-                      _cutoff, char_function_on_grid)
+from .density import MAX_N, DensityField, GridSpec, _cutoff, invert
 from .errors import DomainError, GridError
 from .model import LevyModel, _tail_table, nu_tail
-from .profiles import tail_index
+from .profiles import Truncated, tail_index
 
 __all__ = [
     "SplitMeasure",
@@ -49,11 +48,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SplitMeasure:
-    """The jump measure cut at radius eps; lam is the big-jump total mass."""
+    """nu cut at eps: big-jump mass lam, small-jump model with cut profiles."""
 
     model: LevyModel
     eps: float
     lam: float
+    small: LevyModel
 
 
 @dataclass(frozen=True)
@@ -85,29 +85,30 @@ def default_eps(model: LevyModel, t: float) -> float:
 def split(model: LevyModel, eps: float) -> SplitMeasure:
     if eps <= 0:
         raise DomainError("eps must be positive")
-    return SplitMeasure(model=model, eps=eps, lam=nu_tail(model, eps))
+    cut = lambda q: q and Truncated(eps, q)  # None stays None
+    small = replace(model, profile=cut(model.profile), closed_form=None,
+                    atom_profiles=model.atom_profiles and tuple(
+                        map(cut, model.atom_profiles)))
+    return SplitMeasure(model=model, eps=eps, lam=nu_tail(model, eps),
+                        small=small)
 
 
 def local_auto_grid(sm: SplitMeasure, t: float,
                     extent_mult: float = 20.0) -> GridSpec:
     """Grid sized to the small-jump semigroup at scale t^(1/alpha)."""
-    m = sm.model
+    if t <= 0:
+        raise DomainError("t must be positive")
+    m = sm.small
     L = max(extent_mult * t ** (1.0 / m.alpha), extent_mult * sm.eps)
-    cut = _cutoff(m, t, 45.0, upper=sm.eps)
+    cut = _cutoff(m, t, 45.0)
     n = 2 ** int(math.ceil(math.log2(max(2.0 * L * cut / math.pi, 64.0))))
     return GridSpec(m.d, L, min(max(n, 512), MAX_N[m.d]))
 
 
 def local_density(sm: SplitMeasure, t: float,
                   grid: GridSpec = None) -> DensityField:
-    """p~_t, the density of the small-jump semigroup, by inversion."""
-    if t <= 0:
-        raise DomainError("t must be positive")
-    if grid is None:
-        grid = local_auto_grid(sm, t)
-    fhat = char_function_on_grid(sm.model, t, grid, upper=sm.eps)
-    # truncation: the value at the corner frequency
-    return _checked_inverse(fhat, grid, t, float(fhat.flat[0]), 0.0)
+    """p~_t, the density of the small-jump model sm.small, by inversion."""
+    return invert(sm.small, t, grid or local_auto_grid(sm, t))
 
 
 def local_moment(sm: SplitMeasure, t: float, n: int,
@@ -265,7 +266,7 @@ def frequency_identity_defect(sm: SplitMeasure, t: float,
     # a subsample of the dual grid bounds the exponent evaluations
     step = max(1, grid.N // 2048)
     xi = grid.xi_axis()[::step]
-    phit = phi_on_points(sm.model, xi, upper=sm.eps)
+    phit = phi_on_points(sm.small, xi)
     # frequency m pi / L is bin 2|m| of the padded transform
     m = np.arange(-(grid.N // 2), grid.N // 2, step)
     coshat = _nubar_hat(bounded_cell_masses(sm, grid)).real[2 * np.abs(m)]

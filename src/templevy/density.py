@@ -7,7 +7,9 @@ The density of the semigroup at time t is
 computed on symmetric uniform grids (d = 1, 2) with the discrete transform
 carrying the continuous-transform scaling, and pointwise in d = 1 by
 adaptive (Fourier-weighted) quadrature.  Both spectral-truncation and
-spatial-aliasing error estimates are attached to every field.
+spatial-aliasing error estimates are attached to every field.  The
+small-jump law of a split measure is a model of its own (decomp.split
+cuts every profile at eps) and goes through the same invert.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from scipy.integrate import IntegrationWarning, quad
 from .charexp import phi_on_points
 from .errors import DomainError, GridError, NumericError, DegeneracyError
 from .model import LevyModel, nu_tail
-from .profiles import tail_index
+from .profiles import Truncated, tail_index
 
 __all__ = [
     "GridSpec",
@@ -143,44 +145,16 @@ class DensityField:
                      + f[0] * f[1] * v[i0[0] + 1, i0[1] + 1])
 
 
-def char_function_on_grid(model: LevyModel, t: float, grid: GridSpec,
-                          upper: float = math.inf) -> np.ndarray:
-    """exp(-t Phi) sampled on the dual grid of `grid`.
-
-    A finite `upper` samples the small-jump part: jumps of radius at least
-    `upper` are left out of Phi.
-    """
+def char_function_on_grid(model: LevyModel, t: float,
+                          grid: GridSpec) -> np.ndarray:
+    """exp(-t Phi) sampled on the dual grid of `grid`."""
     xi = grid.xi_axis()
     if grid.d == 2:
         g1, g2 = np.meshgrid(xi, xi, indexing="ij")
         xi = np.stack([g1, g2], axis=-1)
-    fhat = phi_on_points(model, xi, upper)
+    fhat = phi_on_points(model, xi)
     fhat *= -t  # in place: on 2^11 x 2^11 grids every copy costs 32 MB
     return np.exp(fhat, out=fhat)
-
-
-def _checked_inverse(fhat: np.ndarray, grid: GridSpec, t: float,
-                     trunc: float, alias: float) -> DensityField:
-    """Continuous inverse transform of real symmetric fhat on the dual grid."""
-    N = grid.N
-    if N % 4 != 0:
-        raise GridError("N must be a multiple of 4")
-    scale = (math.pi / grid.L / (2.0 * math.pi)) ** grid.d
-    sgn = np.where(np.arange(N) % 2 == 0, 1.0, -1.0)
-    if grid.d == 1:
-        vals = scale * sgn * np.fft.fft(sgn * fhat).real
-    else:
-        ph = np.outer(sgn, sgn)
-        vals = scale * ph * np.fft.fft2(ph * fhat).real
-    peak = float(vals.max())
-    mn = float(vals.min())
-    if mn < -RINGING_TOL * max(peak, 1e-300):
-        raise GridError(
-            f"negative ringing {mn:.3e} exceeds tolerance: grid too coarse")
-    vals = np.clip(vals, 0.0, None)
-    mass = float(vals.sum()) * grid.h ** grid.d
-    return DensityField(grid=grid, t=t, values=vals, mass=mass,
-                        trunc_error=trunc, alias_error=alias, min_raw=mn)
 
 
 def _trunc_estimate(model: LevyModel, t: float, grid: GridSpec) -> float:
@@ -207,13 +181,24 @@ def invert(model: LevyModel, t: float, grid: GridSpec = None) -> DensityField:
                               "the density may not exist")
     trunc = _trunc_estimate(model, t, grid)
     fhat = char_function_on_grid(model, t, grid)
-    fld = _checked_inverse(fhat, grid, t, trunc, 0.0)
+    # continuous inverse transform of the real symmetric fhat
+    scale = (math.pi / grid.L / (2.0 * math.pi)) ** grid.d
+    sgn = np.where(np.arange(grid.N) % 2 == 0, 1.0, -1.0)
+    if grid.d == 1:
+        v = scale * sgn * np.fft.fft(sgn * fhat).real
+    else:
+        ph = np.outer(sgn, sgn)
+        v = scale * ph * np.fft.fft2(ph * fhat).real
+    mn = float(v.min())
+    if mn < -RINGING_TOL * max(float(v.max()), 1e-300):
+        raise GridError(
+            f"negative ringing {mn:.3e} exceeds tolerance: grid too coarse")
+    v = np.clip(v, 0.0, None)
     # aliasing estimate: edge value approximates the folded tail density
-    v = fld.values
     edge = float(v[0]) if grid.d == 1 else float(max(v[0].max(), v[:, 0].max()))
-    return DensityField(grid=grid, t=t, values=fld.values, mass=fld.mass,
-                        trunc_error=trunc, alias_error=2.0 * edge,
-                        min_raw=fld.min_raw)
+    return DensityField(grid=grid, t=t, values=v,
+                        mass=float(v.sum()) * grid.h ** grid.d,
+                        trunc_error=trunc, alias_error=2.0 * edge, min_raw=mn)
 
 
 def auto_grid(model: LevyModel, t: float) -> GridSpec:
@@ -241,17 +226,18 @@ def auto_grid(model: LevyModel, t: float) -> GridSpec:
     return GridSpec(model.d, L, n)
 
 
-def _cutoff(model: LevyModel, t: float, target: float,
-            upper: float = math.inf) -> float:
+def _cutoff(model: LevyModel, t: float, target: float) -> float:
     """Radius |xi| where t Phi reaches `target`, taking Phi = c |xi|^alpha.
 
-    c is read off Phi (cut at `upper`) on the diagonal at the radius
-    u0 = max(10, 10 / upper), past the quadratic regime of a cut measure.
+    c is read off Phi on the diagonal at the radius u0 = max(10, 10 / s0),
+    past the quadratic regime of a measure cut at s0 (profiles.Truncated).
     """
     a = model.alpha
-    u0 = max(10.0, 10.0 / upper)
+    s0 = min((q.s0 for _, q in model.profiles_and_weights()
+              if isinstance(q, Truncated)), default=math.inf)
+    u0 = max(10.0, 10.0 / s0)
     e = np.ones(model.d) / math.sqrt(model.d)
-    c_est = float(phi_on_points(model, (u0 * e)[None, :], upper)[0]) / u0 ** a
+    c_est = float(phi_on_points(model, (u0 * e)[None, :])[0]) / u0 ** a
     return (target / max(t * c_est, 1e-300)) ** (1.0 / a)
 
 

@@ -19,7 +19,7 @@ from . import envelope as env_mod
 from .decomp import compound_poisson, default_eps, local_density, recompose, split
 from .density import MAX_N, GridSpec, auto_grid, invert
 from .envelope import EnvelopeSpec, evaluate, hypothesis_check
-from .errors import DomainError, RegimeError
+from .errors import DomainError, GridError, RegimeError
 from .model import LevyModel, model_from_dict
 
 __all__ = [
@@ -72,14 +72,14 @@ def _density_dirs(model: LevyModel, n: int = 8) -> np.ndarray:
     return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
-def _scan_grid(model: LevyModel, spec: EnvelopeSpec, t_min: float,
-               x_max: float) -> GridSpec:
+def _scan_grid(model: LevyModel, t_min: float, x_max: float) -> GridSpec:
+    """auto_grid at t_min, widened at its spacing to hold 2.2 x_max."""
     g = auto_grid(model, t_min)
-    L = max(g.L, 2.2 * x_max)
-    n = g.N
-    while n * g.h / 2 < L and n < MAX_N[model.d]:
-        n *= 2
-    return GridSpec(model.d, L, n)
+    g = g.widen(max(2.2 * x_max / g.L, 1.0))
+    if g.N > MAX_N[model.d]:
+        raise GridError(f"scan grid needs N = {g.N} points per axis, above "
+                        f"MAX_N = {MAX_N[model.d]}")
+    return g
 
 
 def _ratio_scan(model: LevyModel, spec: EnvelopeSpec, t_set, radii,
@@ -117,7 +117,7 @@ def _verify_envelope(kind: str, model: LevyModel, spec: EnvelopeSpec,
     radii = np.asarray(radii if radii is not None else DEFAULT_RADII,
                        dtype=float)
     if grid is None:
-        grid = _scan_grid(model, spec, min(t_set), 2.0 * float(radii.max()))
+        grid = _scan_grid(model, min(t_set), 2.0 * float(radii.max()))
     ext = max if kind == "upper" else min
     rows, ratios = _ratio_scan(model, spec, t_set, radii, grid)
     stat = ext(ratios)
@@ -229,8 +229,11 @@ def run_suite(config, out_dir=None) -> tuple:
             else:
                 spec = env_mod.spec_from_dict(chk["spec"])
                 fn = verify_upper if kind == "upper" else verify_lower
+                # large-t sups sit at the edge of the diffusive bulk and
+                # grow with the scan radius: refine without widening there
                 rep = fn(model, spec, chk["t_set"],
-                         radii=chk.get("radii"), model_id=mid,
+                         radii=chk.get("radii"),
+                         extend_range=spec.regime == "small_t", model_id=mid,
                          spec_id=chk.get("spec_id", f"spec{i}"))
         except (DomainError, RegimeError) as e:
             rep = VerificationReport(kind=kind, model_id=mid,

@@ -202,12 +202,9 @@ class LevyModel:
 
 def _knees(q: RadialProfile, alpha: float) -> list:
     """Interior break points where the radial integrand changes character."""
-    pts = [1.0]
-    if isinstance(q, ExpTempered):
-        pts.append(1.0 / q.c1)
     if isinstance(q, Truncated):
-        pts.append(q.s0)
-    return pts
+        return _knees(q.q, alpha) + [q.s0]
+    return [1.0, 1.0 / q.c1] if isinstance(q, ExpTempered) else [1.0]
 
 
 def radial_tail_mass(q: RadialProfile, alpha: float, r: float) -> float:
@@ -266,9 +263,10 @@ _RULE_X, _RULE_W = np.polynomial.legendre.leggauss(8)
 class TailTable:
     """W(r) = int_r^inf s^(-1-alpha) q(s) ds for one (q, alpha), any r > 0.
 
-    Constant and truncated profiles use their closed forms.  Otherwise W is
-    a cubic Hermite in (log r, log W) on the nodes 10^(k / TAIL_PER_TEN),
-    with the exact slopes d log W / d log r = -r^(-alpha) q(r) / W(r).  The
+    A constant profile uses its closed form, and a cut at s0 reads its
+    base's table as (W_q(r) - W_q(s0))_+.  Otherwise W is a cubic Hermite
+    in (log r, log W) on the nodes 10^(k / TAIL_PER_TEN), with the exact
+    slopes d log W / d log r = -r^(-alpha) q(r) / W(r).  The
     node values sum an 8-point Gauss-Legendre rule in log s between
     neighbouring nodes onto radial_tail_mass at the top node, 1e8, above
     which W follows the top slope.  The table starts at 1e-2 and grows
@@ -277,10 +275,11 @@ class TailTable:
 
     def __init__(self, q: RadialProfile, alpha: float):
         self.q, self.alpha = q, alpha
-        # (c, s0) of the closed form W = c (r^-alpha - s0^-alpha)_+ / alpha
-        self.closed = ((q.c, math.inf) if isinstance(q, Constant) else
-                       (1.0, q.s0) if isinstance(q, Truncated) else None)
-        if self.closed is None:
+        if isinstance(q, Truncated):
+            # the cut: the base's table shifted down by its mass beyond s0
+            self.base = _tail_table(q.q, alpha)
+            self.w_cut = float(self.base(q.s0))
+        elif not isinstance(q, Constant):
             self.k_lo = 8 * TAIL_PER_TEN
             self.w = np.array([radial_tail_mass(q, alpha, 1e8)])
             self._grow(1e-2)
@@ -316,10 +315,10 @@ class TailTable:
         r_min = float(r.min()) if r.size else 1.0
         if not r_min > 0:  # also nan
             raise DomainError(f"radius {r_min} is not positive")
-        a = self.alpha
-        if self.closed:
-            c, s0 = self.closed
-            return c * np.maximum(r ** -a - s0 ** -a, 0.0) / a
+        if isinstance(self.q, Truncated):
+            return np.maximum(self.base(r) - self.w_cut, 0.0)
+        if isinstance(self.q, Constant):
+            return self.q.c * r ** -self.alpha / self.alpha
         if r_min < math.exp(self.y[0]):
             self._grow(r_min)
         x = np.log10(r) * TAIL_PER_TEN - self.k_lo
@@ -333,9 +332,10 @@ class TailTable:
         """The radius r with W(r) = w > 0."""
         w = np.asarray(w, dtype=float)
         a = self.alpha
-        if self.closed:
-            c, s0 = self.closed
-            return (a * w / c + s0 ** -a) ** (-1.0 / a)
+        if isinstance(self.q, Truncated):
+            return self.base.inverse(w + self.w_cut)
+        if isinstance(self.q, Constant):
+            return (a * w / self.q.c) ** (-1.0 / a)
         lw = np.log(w)
         if lw.size and lw.max() > self.logw[0]:
             # log W rises at least as fast as -alpha log r: grow to there

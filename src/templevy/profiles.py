@@ -3,7 +3,8 @@
 A profile is the bounded nonincreasing multiplier q(s) applied to the stable
 radial density s^(-1-alpha).  The built-in kinds cover constant (pure stable),
 polynomial tempering (1+s)^(-m), exponential tempering (1+s)^a exp(-c s),
-hard truncation, and the relativistic Bessel-type kernel.
+the relativistic Bessel-type kernel, and the cut of any of them at a
+radius s0 (the small-jump part of a split measure).
 """
 from __future__ import annotations
 
@@ -115,13 +116,23 @@ class ExpTempered(RadialProfile):
 
 @dataclass(frozen=True)
 class Truncated(RadialProfile):
-    """q(s) = 1 for s <= s0, 0 otherwise.  Not doubling."""
+    """The base profile q cut at s0: q(s) for s <= s0, 0 otherwise.
+
+    The default base q = 1 is hard truncation; a cut of a cut keeps the
+    smaller s0 over the inner base.  Not doubling.
+    """
 
     s0: float
+    q: RadialProfile = Constant(1.0)
     doubling = False
 
+    def __post_init__(self):
+        if isinstance(self.q, Truncated):
+            object.__setattr__(self, "s0", min(self.s0, self.q.s0))
+            object.__setattr__(self, "q", self.q.q)
+
     def value(self, s):
-        return np.where(s <= self.s0, 1.0, 0.0)
+        return self.q.value(s) * (s <= self.s0)
 
 
 @dataclass(frozen=True)
@@ -208,7 +219,8 @@ def profile_to_dict(q: RadialProfile) -> dict:
     if isinstance(q, ExpTempered):
         return {"kind": "exp", "a": q.a, "c1": q.c1, "c2": q.c2}
     if isinstance(q, Truncated):
-        return {"kind": "truncated", "s0": q.s0}
+        return {"kind": "truncated", "s0": q.s0,
+                "profile": profile_to_dict(q.q)}
     if isinstance(q, Relativistic):
         return {"kind": "relativistic", "d": q.d, "alpha": q.alpha}
     raise DomainError(f"profile {q!r} has no JSON representation")
@@ -227,7 +239,8 @@ def profile_from_dict(spec: dict) -> RadialProfile:
             float(spec["c2"]) if "c2" in spec else None,
         )
     if kind == "truncated":
-        return Truncated(float(spec["s0"]))
+        return Truncated(float(spec["s0"]), profile_from_dict(
+            spec.get("profile", {"kind": "constant"})))
     if kind == "relativistic":
         return Relativistic(int(spec["d"]), float(spec["alpha"]))
     raise DomainError(f"unknown profile kind {kind!r}")

@@ -18,6 +18,7 @@ from templevy.charexp import (
     second_moment,
     stable_constant,
 )
+from templevy.decomp import split
 from templevy.density import invert
 from templevy.errors import DegeneracyError, DomainError, NumericError
 from templevy.model import (
@@ -30,7 +31,7 @@ from templevy.model import (
     relativistic_model,
     stable_model,
 )
-from templevy.profiles import Constant, ExpTempered, PolyTempered
+from templevy.profiles import Constant, ExpTempered, PolyTempered, Truncated
 
 
 def _c_alpha_gamma(alpha: float) -> float:
@@ -123,7 +124,7 @@ def test_cut_exponent_below_full_relativistic():
     # cut exponent leaves out the jumps beyond eps and is strictly smaller
     m = relativistic_model(1.0)
     xi = np.array([0.5, 2.0, 10.0])
-    cut = phi_on_points(m, xi, upper=0.5)
+    cut = phi_on_points(split(m, 0.5).small, xi)
     full = phi_on_points(m, xi)
     assert np.all(cut < full)
     np.testing.assert_allclose(full, np.sqrt(xi ** 2 + 1.0) - 1.0,
@@ -166,7 +167,7 @@ def test_psi_finite_cutoff_per_period_oracle():
             k += 1
         oracle = sum(quad(f, a, b, epsabs=1e-15, epsrel=1e-13)[0]
                      for a, b in zip(edges, edges[1:]))
-        assert psi_quad(q, alpha, u, upper=upper) == pytest.approx(
+        assert psi_quad(Truncated(upper, q), alpha, u) == pytest.approx(
             oracle, rel=1e-8)
 
 
@@ -179,13 +180,13 @@ def test_psi_long_cutoff_against_full_measure():
                      epsabs=1e-13, limlst=400, limit=400)
     oracle = (psi_quad(q, alpha, u) - radial_tail_mass(q, alpha, upper)
               + u ** alpha * beyond)
-    assert psi_quad(q, alpha, u, upper=upper) == pytest.approx(
+    assert psi_quad(Truncated(upper, q), alpha, u) == pytest.approx(
         oracle, rel=1e-12)
 
 
 def test_psi_cut_beyond_reliable_range_raises():
     with pytest.raises(NumericError, match="exceeds 1e\\+08"):
-        psi_quad(PolyTempered(3.0), 1.0, 1e5, upper=1e4)
+        psi_quad(Truncated(1e4, PolyTempered(3.0)), 1.0, 1e5)
 
 
 @pytest.fixture
@@ -196,24 +197,23 @@ def fresh_tables(monkeypatch):
     return cache
 
 
-@pytest.mark.parametrize("q, alpha, upper", [
-    (PolyTempered(3.0), 1.0, math.inf),
-    (ExpTempered(c1=1.0), 1.5, math.inf),
-    (PolyTempered(3.0), 1.0, 0.5),
+@pytest.mark.parametrize("q, alpha", [
+    (PolyTempered(3.0), 1.0),
+    (ExpTempered(c1=1.0), 1.5),
+    (Truncated(0.5, PolyTempered(3.0)), 1.0),
 ], ids=["poly3", "exp1", "poly3-cut"])
-def test_psi_vector_matches_scalar(fresh_tables, q, alpha, upper):
-    psi_vector(q, alpha, np.logspace(-2, 1, 4), upper)
-    table = fresh_tables(q, alpha, upper)
+def test_psi_vector_matches_scalar(fresh_tables, q, alpha):
+    psi_vector(q, alpha, np.logspace(-2, 1, 4))
+    table = fresh_tables(q, alpha)
     assert table.u_hi == 10.0
     # the same table grows to cover u = 1e5
     u = np.logspace(-2, 5, 15)
-    vec = psi_vector(q, alpha, u, upper)
+    vec = psi_vector(q, alpha, u)
     assert fresh_tables.cache_info().misses == 1
     assert table.u_hi == 1e5
     assert len(table.log_u) == 11 * 48 + 1
     for ui, vi in zip(u, vec):
-        assert vi == pytest.approx(psi_quad(q, alpha, float(ui), upper),
-                                   rel=1e-6)
+        assert vi == pytest.approx(psi_quad(q, alpha, float(ui)), rel=1e-6)
 
 
 def test_one_table_per_model_across_times(fresh_tables, monkeypatch):
@@ -226,7 +226,7 @@ def test_one_table_per_model_across_times(fresh_tables, monkeypatch):
         invert(m, t)
     assert fresh_tables.cache_info().misses == 1
     # every psi node is computed once, however often the table grows
-    table = fresh_tables(m.profile, m.alpha, math.inf)
+    table = fresh_tables(m.profile, m.alpha)
     assert len(calls) == len(table.log_u)
 
 

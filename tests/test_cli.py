@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from templevy.cli import main
+from templevy.density import auto_grid
 from templevy.envelope import EnvelopeSpec, spec_to_dict
 from templevy.model import cauchy_model, model_to_dict, poly_model, save_model
 from templevy.profiles import PolyTempered
@@ -70,6 +71,20 @@ def test_decompose_csv(tmp_path, capsys):
                                  "p_direct", "abs_diff"]
     err = capsys.readouterr().err
     assert "order=" in err and "tail_bound=" in err and "overflow=" in err
+
+
+def test_decompose_default_grid(tmp_path, capsys):
+    # without --grid every part lives on auto_grid(model, t): the small-jump
+    # grid is too narrow for the big jumps at this t
+    mp = tmp_path / "poly.json"
+    save_model(poly_model(3.0, 1.0), mp)
+    out_csv = tmp_path / "parts.csv"
+    assert main(["decompose", "--model", str(mp), "--t", "0.1",
+                 "--out", str(out_csv)]) == 0
+    parts = np.loadtxt(out_csv, delimiter=",", skiprows=1)
+    assert len(parts) == auto_grid(poly_model(3.0, 1.0), 0.1).N
+    # recomposed against direct, relative to the peak
+    assert parts[:, 5].max() < 1e-3 * parts[:, 4].max()
 
 
 def test_envelope_subcommand(tmp_path, capsys):

@@ -20,7 +20,8 @@ from templevy.decomp import (
 )
 from templevy.density import GridSpec, invert
 from templevy.errors import DomainError
-from templevy.model import LevyModel, cauchy_model, exp_model, poly_model
+from templevy.model import (LevyModel, cauchy_model, exp_model, poly_model,
+                            relativistic_model)
 from templevy.profiles import Truncated
 
 
@@ -41,6 +42,20 @@ def test_split_rate_small_eps():
     sm = split(poly_model(3.0, 1.0), 1e-7)
     assert sm.lam > 0
     assert sm.lam == pytest.approx(2e7, rel=1e-4)
+
+
+def test_small_model_cuts_every_profile():
+    sm = split(relativistic_model(1.0), 0.5)
+    # the cut measure has no closed form: its exponent is the cut psi
+    assert sm.small.closed_form is None
+    assert sm.small.profile == Truncated(0.5, sm.model.profile)
+    assert [w for w, _ in sm.small.profiles_and_weights()] == [
+        w for w, _ in sm.model.profiles_and_weights()]
+    # a cut of a cut keeps the smaller radius over the inner base
+    hard = LevyModel(d=1, alpha=1.0, spectral=sm.model.spectral,
+                     profile=Truncated(0.2))
+    assert split(hard, 0.5).small.profile == Truncated(0.2)
+    assert split(hard, 0.1).small.profile == Truncated(0.1)
 
 
 def test_default_eps_regimes():

@@ -4,16 +4,20 @@ import json
 import numpy as np
 import pytest
 
-from templevy.envelope import EnvelopeSpec
+from templevy.density import MAX_N
+from templevy.envelope import EnvelopeSpec, spec_to_dict
+from templevy.errors import GridError
 from templevy.harness import (
     DEFAULT_RADII,
     TOOLKIT_VERSION,
+    _scan_grid,
     run_suite,
     scan_points,
     verify_lower,
     verify_upper,
 )
-from templevy.model import model_to_dict, poly_model, relativistic_model
+from templevy.model import (exp_model, model_to_dict, poly_model,
+                            relativistic_model)
 from templevy.profiles import PolyTempered
 
 
@@ -77,3 +81,23 @@ def test_suite_with_failing_hypotheses(tmp_path):
     assert bundle["results"][0]["verdict"] == "FAIL"
     csvs = list(tmp_path.glob("scan_*.csv"))
     assert len(csvs) == 1
+
+
+def test_suite_large_t_check_keeps_its_range(tmp_path):
+    # criterion 07's pair: a large-t sup sits at the edge of the diffusive
+    # bulk, so the suite refines it without doubling the x-range
+    spec = EnvelopeSpec(side="upper", regime="large_t", d=1, alpha=1.0,
+                        gamma=1.0, profile=PolyTempered(3.0), beta=2.0)
+    config = {"suite_id": "large_t", "checks": [{
+        "kind": "upper", "model": model_to_dict(exp_model(1.0)),
+        "spec": spec_to_dict(spec), "t_set": [2.0, 8.0, 32.0, 100.0]}]}
+    code, bundle = run_suite(config)
+    result = bundle["results"][0]
+    assert code == 0 and result["verdict"] == "PASS"
+    assert result["refinement_delta"] < 1e-3
+
+
+def test_scan_grid_names_its_cap():
+    # a scan too wide for the spacing raises instead of coarsening h
+    with pytest.raises(GridError, match=f"MAX_N = {MAX_N[1]}"):
+        _scan_grid(poly_model(3.0, 1.0), 0.01, 1e5)

@@ -1,5 +1,7 @@
 """Every module-level import and private name in the package is used.
 
+Also: no function takes an `upper` cut radius; a cut is a profile.
+
 Checked with the stdlib ast module, no linter.
 """
 import ast
@@ -129,3 +131,30 @@ def test_detector_flags_a_scipy_integrate_import():
         "scipy.integrate.quad (line 2)", "scipy.integrate (line 3)",
         "scipy.integrate (line 4)",
         "scipy.integrate._quadpack_py.dblquad (line 6)"]
+
+
+def _upper_parameters(tree: ast.Module) -> list:
+    """Functions (and lambdas) with a parameter named `upper`, with lines."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            if "upper" in names:
+                found.append(f"{getattr(node, 'name', 'lambda')} "
+                             f"(line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_upper_parameter(path):
+    # the small-jump part is a model with cut profiles (profiles.Truncated)
+    assert _upper_parameters(ast.parse(path.read_text())) == []
+
+
+def test_detector_flags_an_upper_parameter():
+    tree = ast.parse("def f(x, upper=1.0):\n    pass\n"
+                     "def g(x, *, upper):\n    pass\n"
+                     "def h(x, s0):\n    pass\n")
+    assert _upper_parameters(tree) == ["f (line 1)", "g (line 3)"]

@@ -1,4 +1,5 @@
 """Radial profile evaluation, doubling metadata, and serialization."""
+import json
 import math
 
 import numpy as np
@@ -107,6 +108,16 @@ def test_profile_serialization_roundtrip():
         np.testing.assert_allclose(back(s), q(s), rtol=1e-14)
 
 
+def test_cut_serialization_keeps_its_base():
+    q = Truncated(2.0, ExpTempered(a=0.5, c1=0.8))
+    doc = profile_to_dict(q)
+    assert doc["profile"] == profile_to_dict(q.q)
+    assert profile_from_dict(json.loads(json.dumps(doc))) == q
+    # a document without a base is hard truncation, q = 1
+    hard = {"kind": "truncated", "s0": 2.0}
+    assert profile_from_dict(hard) == Truncated(2.0)
+
+
 def test_quadrature_integrands_see_floats(monkeypatch):
     seen = []
     for cls in (PolyTempered, ExpTempered):
@@ -116,7 +127,7 @@ def test_quadrature_integrands_see_floats(monkeypatch):
         monkeypatch.setattr(cls, "value", recording)
     for q in (PolyTempered(2.5), ExpTempered(a=0.5, c1=0.8)):
         psi_quad(q, 0.7, 3.0)
-        psi_quad(q, 0.7, 3.0, upper=2.0)
+        psi_quad(Truncated(2.0, q), 0.7, 3.0)
         radial_tail_mass(q, 0.7, 1e-3)
         radial_second_moment(q, 0.7, 5.0)
     assert len(seen) > 1000
@@ -157,9 +168,9 @@ def test_custom_profile_sees_arrays():
     custom, q = Custom(poly3), PolyTempered(3.0)
     for alpha in (0.5, 1.5):
         for u in (1e-4, 0.3, 40.0, 3e3):
-            for upper in (math.inf, 1.0):
-                assert psi_quad(custom, alpha, u, upper) == pytest.approx(
-                    psi_quad(q, alpha, u, upper), rel=1e-12, abs=0.0)
+            for cut in (lambda p: p, lambda p: Truncated(1.0, p)):
+                assert psi_quad(cut(custom), alpha, u) == pytest.approx(
+                    psi_quad(cut(q), alpha, u), rel=1e-12, abs=0.0)
         r = np.logspace(-8.0, 3.0, 23)
         np.testing.assert_allclose(_tail_table(custom, alpha)(r),
                                    _tail_table(q, alpha)(r), rtol=1e-12)

@@ -33,6 +33,19 @@ def profiles(draw):
     return q, alpha
 
 
+@st.composite
+def cut_profiles(draw):
+    """(Truncated(s0, q), alpha) with a base q of each other built-in kind."""
+    alpha = draw(ALPHA)
+    q = draw(st.one_of(
+        st.builds(Constant, st.floats(0.1, 10.0)),
+        st.builds(PolyTempered, st.floats(0.5, 5.0)),
+        st.builds(ExpTempered, st.floats(0.0, 2.0), st.floats(0.1, 2.0)),
+        st.just(Relativistic(1, alpha)),
+    ))
+    return Truncated(draw(st.floats(0.01, 10.0)), q), alpha
+
+
 LOG_R = st.floats(-12.0, 1.0)
 
 
@@ -88,3 +101,33 @@ def test_table_follows_top_slope(r):
 def test_table_rejects_non_positive_radius(r):
     with pytest.raises(DomainError, match="not positive"):
         _tail_table(PolyTempered(3.0), 1.0)(np.array([1.0, r]))
+
+
+@PROPERTY
+@given(cut_profiles(), st.lists(LOG_R, min_size=1, max_size=4))
+def test_cut_table_is_base_table_less_its_mass_beyond_s0(qa, log_r):
+    cut, alpha = qa
+    base = _tail_table(cut.q, alpha)
+    r = 10.0 ** np.array(log_r)
+    np.testing.assert_array_equal(
+        _tail_table(cut, alpha)(r),
+        np.maximum(base(r) - float(base(cut.s0)), 0.0))
+
+
+@PROPERTY
+@given(cut_profiles(), st.lists(LOG_R, min_size=1, max_size=4))
+def test_cut_table_matches_scalar_reference(qa, log_r):
+    cut, alpha = qa
+    table = _tail_table(cut, alpha)
+    for r in 10.0 ** np.array(log_r):
+        assert float(table(r)) == pytest.approx(
+            radial_tail_mass(cut, alpha, r), rel=1e-8, abs=1e-300)
+
+
+@PROPERTY
+@given(cut_profiles(), st.lists(LOG_R, min_size=1, max_size=8))
+def test_cut_inverse_round_trips(qa, log_r):
+    table = _tail_table(*qa)
+    u = table(10.0 ** np.array(log_r))
+    u = u[u > 0]
+    np.testing.assert_allclose(table(table.inverse(u)), u, rtol=1e-9)
