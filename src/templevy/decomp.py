@@ -142,16 +142,21 @@ def bounded_cell_masses(sm: SplitMeasure, grid: GridSpec) -> np.ndarray:
 
     Along each atom the cell [x - h/2, x + h/2] holds w (W(a) - W(b)) with
     its edges a < b taken as radii and clipped below at eps, W being the
-    model's tail table: the N + 1 edges cost one table lookup per atom,
-    and the masses telescope to w W(eps) less the mass beyond the window.
+    model's tail table: the N + 1 edges cost one table lookup per profile,
+    at |edge| clipped below at eps, which serves the atoms at +1 and -1
+    alike.  The masses telescope to w W(eps) less the mass beyond the window.
     """
     if grid.d != 1:
         raise DomainError("gridded big-jump measure is d=1 only")
     edges = np.append(grid.x_axis(), grid.L) - grid.h / 2.0
     masses = np.zeros(grid.N)
+    tails = {}
     for w, q, th in sm.model.atoms():
+        if q not in tails:  # W at every |edge|, and W(eps) last
+            tails[q] = _tail_table(q, sm.model.alpha)(
+                np.append(np.maximum(np.abs(edges), sm.eps), sm.eps))
         sign = float(th[0])  # +-1: the radii run up or down the grid
-        tail = _tail_table(q, sm.model.alpha)(np.maximum(sign * edges, sm.eps))
+        tail = np.where(sign * edges >= sm.eps, tails[q][:-1], tails[q][-1])
         masses -= w * sign * np.diff(tail)
     return masses
 

@@ -270,7 +270,12 @@ class TailTable:
     node values sum an 8-point Gauss-Legendre rule in log s between
     neighbouring nodes onto radial_tail_mass at the top node, 1e8, above
     which W follows the top slope.  The table starts at 1e-2 and grows
-    down a decade at a time when a smaller r is asked for.
+    down a decade at a time when a smaller r is asked for.  The inverse
+    reads a guide, built on its first call after each growth: the exact
+    node coordinate at about four levels per node, evenly spaced in log W
+    over the nodes above the underflow floor.  Linear interpolation
+    between them puts a share in its node interval, all but always at
+    once.
     """
 
     def __init__(self, q: RadialProfile, alpha: float):
@@ -302,12 +307,13 @@ class TailTable:
         # slopes per node step, for the cubic in t = (y - y_i) / step
         self.slope = -_STEP * np.exp(-self.alpha * self.y) * self.q(
             np.exp(self.y)) / np.maximum(w, _W_FLOOR)
-
-    def _cubic(self, i):
-        """log W on node interval i as f0 + t (m0 + t (c2 + t c3))."""
-        f0, m0, m1 = self.logw[i], self.slope[i], self.slope[i + 1]
-        d = self.logw[i + 1] - f0
-        return f0, m0, 3 * d - 2 * m0 - m1, m0 + m1 - 2 * d
+        # log W on node interval i as f0 + t (m0 + t (c2 + t c3)), and the
+        # chord's slope m0 + c2 + c3
+        f0, m0, m1 = self.logw[:-1], self.slope[:-1], self.slope[1:]
+        d = np.diff(self.logw)
+        c2, c3 = 3 * d - 2 * m0 - m1, m0 + m1 - 2 * d
+        self.cubic = (f0, m0, c2, c3, m0 + c2 + c3)
+        self.guide = None
 
     def __call__(self, r):
         """W at the radii r > 0."""
@@ -324,12 +330,65 @@ class TailTable:
         x = np.log10(r) * TAIL_PER_TEN - self.k_lo
         i = np.clip(np.floor(x), 0, len(self.y) - 2).astype(int)
         t = np.minimum(x - i, 1.0)  # above the top node: the top slope
-        f0, m0, c2, c3 = self._cubic(i)
+        f0, m0, c2, c3 = (c[i] for c in self.cubic[:4])
         f = f0 + t * (m0 + t * (c2 + t * c3)) + (x - i - t) * self.slope[-1]
         return np.where(f > math.log(_W_FLOOR), np.exp(f), 0.0)
 
+    def _newton(self, lw, i):
+        """t in node interval i where its cubic meets log W = lw.
+
+        Two Newton steps from the chord; past the top node, the top slope.
+        """
+        f0, m0, c2, c3, chord = (c[i] for c in self.cubic)
+        t = (lw - f0) / chord
+        for _ in range(2):
+            t -= (f0 - lw + t * (m0 + t * (c2 + t * c3))) / (
+                m0 + t * (2 * c2 + 3 * t * c3))
+        top = lw < self.logw[-1]
+        if np.any(top):
+            with np.errstate(divide="ignore"):  # a flat top: W underflowed
+                t = np.where(top, 1.0 + (lw - self.logw[-1]) / self.slope[-1],
+                             t)
+        return t
+
+    def _build_guide(self) -> None:
+        """Node coordinates at even steps of log W, ~4 per node."""
+        n = max(int(np.count_nonzero(self.w > _W_FLOOR)), 2) - 1
+        levels = np.linspace(self.logw[0], self.logw[n], 4 * n + 1)
+        i = np.clip(np.searchsorted(-self.logw, -levels) - 1, 0, n - 1)
+        x = i + self._newton(levels, i)
+        # node interval i spans logw[i] >= log W >= logw[i + 1], open
+        # at both ends of the table
+        hi, lo = self.logw[:-1].copy(), self.logw[1:].copy()
+        hi[0], lo[-1] = np.inf, -np.inf
+        self.guide = (levels[0], 4 * n / (levels[0] - levels[-1]),
+                      x, np.append(np.diff(x), 0.0), hi, lo)
+
+    def _interval(self, lw):
+        """The node interval i holding each log W = lw.
+
+        The guide's linear interpolant finds it all but always at once; a
+        share it misses steps one node at a time.
+        """
+        if self.guide is None:
+            self._build_guide()
+        g0, per_level, x, dx, hi, lo = self.guide
+        p = np.minimum((g0 - lw) * per_level, len(x) - 1)
+        j = p.astype(int)
+        i = np.minimum((x[j] + (p - j) * dx[j]).astype(int), len(hi) - 1)
+        while True:
+            up, down = lw < lo[i], lw > hi[i]
+            if not (up.any() or down.any()):
+                return i
+            i += up
+            i -= down
+
     def inverse(self, w):
-        """The radius r with W(r) = w > 0."""
+        """The radius r with W(r) = w > 0.
+
+        The guide gives each log w its node interval with no search, and
+        two Newton steps on that interval's cubic, from its chord, give r.
+        """
         w = np.asarray(w, dtype=float)
         a = self.alpha
         if isinstance(self.q, Truncated):
@@ -340,17 +399,8 @@ class TailTable:
         if lw.size and lw.max() > self.logw[0]:
             # log W rises at least as fast as -alpha log r: grow to there
             self(math.exp(self.y[0] - (lw.max() - self.logw[0]) / a))
-        i = np.clip(np.searchsorted(-self.logw, -lw) - 1, 0, len(self.y) - 2)
-        # Newton on the interval's cubic, from its chord
-        f0, m0, c2, c3 = self._cubic(i)
-        t = (lw - f0) / (m0 + c2 + c3)
-        for _ in range(2):
-            t -= (f0 - lw + t * (m0 + t * (c2 + t * c3))) / (
-                m0 + t * (2 * c2 + 3 * t * c3))
-        with np.errstate(divide="ignore"):  # a flat top: W underflowed
-            top = 1.0 + (lw - self.logw[-1]) / self.slope[-1]
-        t = np.where(lw < self.logw[-1], top, t)
-        return np.exp(self.y[i] + _STEP * t)
+        i = self._interval(lw)
+        return np.exp(self.y[i] + _STEP * self._newton(lw, i))
 
 
 #: one tail table per (q, alpha) for the whole process

@@ -3,12 +3,13 @@
 An increment over time t is drawn as the sum of a compound Poisson number
 of big jumps plus either nothing ("drop") or a centered Gaussian with the
 small-jump covariance t * int_{|y|<eps} y y^T nu(dy) ("gaussian"
-substitution).  A big jump picks an atom with probability proportional to
-its tail mass, and its radius R > eps exactly, from P(R > s) = W(s)/W(eps)
-by inverting the model's radial tail table W.  Jumps are summed
-JUMP_CHUNK at a time, so memory stays bounded however many a batch holds.
-Meant for statistical cross-validation of the computed densities, not for
-efficiency.
+substitution).  The big jumps are thinned by atom: atom i with weight w_i
+and tail table W_i makes its own Poisson(t w_i W_i(eps)) number of jumps
+along its direction, each with one uniform U and radius
+R = W_i^-1(U W_i(eps)) > eps exactly, so P(R > s) = W_i(s)/W_i(eps).
+Jumps are summed JUMP_CHUNK at a time, so memory stays bounded however
+many a batch holds.  Meant for statistical cross-validation of the
+computed densities.
 """
 from __future__ import annotations
 
@@ -29,8 +30,9 @@ __all__ = [
     "jump_radius_cdf",
 ]
 
-#: big jumps drawn and summed at once by the sampler
-JUMP_CHUNK = 1 << 16
+#: big jumps drawn and summed at once by the sampler; at 1 << 16 each
+#: chunk's half-megabyte temporaries go back to the OS and fault in again
+JUMP_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -59,9 +61,13 @@ def _require_atoms(model: LevyModel) -> None:
                           "(jump directions are drawn from its atoms)")
 
 
-def _atom_tail_masses(model: LevyModel, eps: float) -> np.ndarray:
-    return np.array([w * float(_tail_table(q, model.alpha)(eps))
-                     for w, q in model.profiles_and_weights()])
+def _atom_tail_masses(model: LevyModel, eps: float) -> list:
+    """Per atom: its weight w, tail table W and W(eps)."""
+    out = []
+    for w, q in model.profiles_and_weights():
+        table = _tail_table(q, model.alpha)
+        out.append((w, table, float(table(eps))))
+    return out
 
 
 def sample_big_jump_sum(config: SamplerConfig, rng=None) -> np.ndarray:
@@ -73,36 +79,27 @@ def sample_big_jump_sum(config: SamplerConfig, rng=None) -> np.ndarray:
 def _big_jump_sums(config: SamplerConfig, rng, count: int) -> np.ndarray:
     m = config.model
     _require_atoms(m)
-    pairs = m.profiles_and_weights()
-    tables = [_tail_table(q, m.alpha) for _, q in pairs]
-    # W(eps) per atom: a radius is W^-1 of a uniform share of it
-    tail_eps = np.array([float(table(config.eps)) for table in tables])
-    lam_atoms = np.array([w for w, _ in pairs]) * tail_eps
-    lam = float(lam_atoms.sum())
     sums = np.zeros((count, m.d))
-    # jumps ends[j-1] .. ends[j] - 1 belong to draw j
-    ends = np.cumsum(rng.poisson(config.t * lam, size=count))
-    total = int(ends[-1]) if count else 0
-    for start in range(0, total, JUMP_CHUNK):
-        stop = min(start + JUMP_CHUNK, total)
-        # two uniforms per jump, for its atom and its radius: the stream
-        # and so the draws do not depend on JUMP_CHUNK
-        u = rng.random((stop - start, 2))
-        atom_idx = np.minimum(np.searchsorted(
-            np.cumsum(lam_atoms) / lam, u[:, 0], side="right"), len(pairs) - 1)
-        share = (1.0 - u[:, 1]) * tail_eps[atom_idx]
-        radii = np.empty(stop - start)
-        for i, table in enumerate(tables):
-            sel = atom_idx == i
-            radii[sel] = table.inverse(share[sel])
-        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
-        counts = np.diff(np.clip(ends[first:last + 1], start, stop),
-                         prepend=start)
-        owner = np.repeat(np.arange(last + 1 - first), counts)
-        for k in range(m.d):
-            sums[first:last + 1, k] += np.bincount(
-                owner, radii * m.spectral.directions[atom_idx, k],
-                minlength=last + 1 - first)
+    for (w, table, tail), theta in zip(_atom_tail_masses(m, config.eps),
+                                       m.spectral.directions):
+        # the atom's own Poisson process of jumps: its jumps
+        # ends[j-1] .. ends[j] - 1 belong to draw j
+        ends = np.cumsum(rng.poisson(config.t * w * tail, size=count))
+        total = int(ends[-1]) if count else 0
+        radial = np.zeros(count)
+        for start in range(0, total, JUMP_CHUNK):
+            stop = min(start + JUMP_CHUNK, total)
+            # one uniform per jump: the stream and so the draws do not
+            # depend on JUMP_CHUNK
+            radii = table.inverse((1.0 - rng.random(stop - start)) * tail)
+            first, last = np.searchsorted(ends, [start, stop - 1],
+                                          side="right")
+            counts = np.diff(np.clip(ends[first:last + 1], start, stop),
+                             prepend=start)
+            owner = np.repeat(np.arange(last + 1 - first), counts)
+            radial[first:last + 1] += np.bincount(
+                owner, radii, minlength=last + 1 - first)
+        sums += radial[:, None] * theta
     return sums
 
 
@@ -139,14 +136,14 @@ def jump_counts(config: SamplerConfig, rng=None,
     """Big-jump counts per increment: Poisson with mean t * lambda(eps)."""
     rng = np.random.default_rng(config.seed) if rng is None else rng
     count = config.count if count is None else count
-    lam = float(_atom_tail_masses(config.model, config.eps).sum())
+    lam = sum(w * tail for w, _, tail in
+              _atom_tail_masses(config.model, config.eps))
     return rng.poisson(config.t * lam, size=count)
 
 
 def jump_radius_cdf(model: LevyModel, eps: float, s: np.ndarray) -> np.ndarray:
     """CDF of the big-jump radius law (mixture over spectral atoms)."""
     s = np.maximum(np.asarray(s, dtype=float), eps)
-    out = sum(w * (_tail_table(q, model.alpha)(eps)
-                   - _tail_table(q, model.alpha)(s))
-              for w, q in model.profiles_and_weights())
-    return out / float(_atom_tail_masses(model, eps).sum())
+    tails = _atom_tail_masses(model, eps)
+    return (sum(w * (tail - table(s)) for w, table, tail in tails)
+            / sum(w * tail for w, _, tail in tails))

@@ -109,9 +109,19 @@ class ExpTempered(RadialProfile):
             object.__setattr__(self, "c2", self.c1)
         if self.c1 <= 0 or self.c2 <= 0 or self.a < 0:
             raise DomainError("ExpTempered requires a >= 0 and c1, c2 > 0")
+        # exp(-c1 s) is 0 past s_zero, where (1+s)^a may still overflow
+        object.__setattr__(self, "_s_zero", 750.0 / self.c1)
 
     def value(self, s):
-        return (1.0 + s) ** self.a * np.exp(-self.c1 * s)
+        # q is 0 past s_zero: an array (or numpy scalar) is read no
+        # further out, so inf * 0 = nan cannot arise; a float's power
+        # raises OverflowError there instead
+        if type(s) is not float:
+            s = np.minimum(s, self._s_zero)
+        try:
+            return (1.0 + s) ** self.a * np.exp(-self.c1 * s)
+        except OverflowError:
+            return 0.0
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from templevy.density import GridSpec, invert
 from templevy.errors import DomainError
 from templevy.model import (LevyModel, SpectralMeasure, cauchy_model,
                             nu_tail, poly_model)
-from templevy.profiles import PolyTempered
+from templevy.profiles import ExpTempered, PolyTempered
 from templevy.montecarlo import (
     SamplerConfig,
     jump_counts,
@@ -127,3 +127,23 @@ def test_ks_against_inverted_density():
     emp = (np.arange(len(x)) + 0.5) / len(x)
     ks = np.max(np.abs(emp - cdf))
     assert ks < 0.02
+
+
+def test_ks_with_unlike_atoms():
+    # two profiles with unequal weights, each on both of +-1: thinning gives
+    # each atom its own Poisson count and its own radius law.  The measure
+    # is symmetric, but the atom check pairs each atom with the first
+    # opposite one and so rejects repeated directions: it is skipped
+    q3, qe = PolyTempered(3.0), ExpTempered(c1=1.0)
+    m = LevyModel(d=1, alpha=1.0, atom_profiles=(q3, q3, qe, qe),
+                  spectral=SpectralMeasure(
+                      d=1, directions=np.array([[1.0], [-1.0], [1.0], [-1.0]]),
+                      weights=np.array([1.0, 1.0, 0.5, 0.5]),
+                      symmetric=False))
+    t = 0.5
+    x = np.sort(sample_many(SamplerConfig(m, t=t, eps=0.02, count=20000,
+                                          seed=42))[:, 0])
+    fld = invert(m, t, GridSpec(1, 256.0, 2 ** 15))
+    cdf = np.interp(x, fld.grid.x_axis(), np.cumsum(fld.values) * fld.grid.h)
+    emp = (np.arange(len(x)) + 0.5) / len(x)
+    assert np.max(np.abs(emp - cdf)) < 0.02

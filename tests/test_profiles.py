@@ -160,6 +160,14 @@ def test_float_path_equals_array_path(q, log_s):
     assert value == pytest.approx(q(np.array([s]))[0], rel=5e-16, abs=0.0)
 
 
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_exp_tempered_is_zero_far_out(a):
+    # (1+s)^a overflows past s ~ 1e154 (a = 2) while exp(-c1 s) is 0
+    q = ExpTempered(a=a, c1=1.0)
+    assert q(1e200) == 0.0
+    np.testing.assert_array_equal(q(np.array([1e200, np.inf])), [0.0, 0.0])
+
+
 def test_custom_profile_sees_arrays():
     def poly3(s):
         # an array-only formula: a float has no shape

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from templevy.decomp import bounded_cell_masses, split
+from templevy.decomp import bounded_cell_masses, default_eps, split
 from templevy.density import GridSpec
 from templevy.errors import DomainError
-from templevy.model import (LevyModel, SpectralMeasure, _tail_table,
+from templevy.model import (_STEP, LevyModel, SpectralMeasure, TailTable,
+                            _tail_table, cauchy_model, exp_model, poly_model,
                             radial_tail_mass)
 from templevy.profiles import (Constant, ExpTempered, PolyTempered,
                                Relativistic, Truncated)
@@ -131,3 +132,78 @@ def test_cut_inverse_round_trips(qa, log_r):
     u = table(10.0 ** np.array(log_r))
     u = u[u > 0]
     np.testing.assert_allclose(table(table.inverse(u)), u, rtol=1e-9)
+
+
+def _searched_inverse(table, w):
+    """W^-1 by binary search for the node interval, then two Newton steps
+    on its cubic from the chord: the inverse the guide replaced."""
+    if isinstance(table.q, Truncated):
+        return _searched_inverse(table.base, w + table.w_cut)
+    if isinstance(table.q, Constant):
+        return (table.alpha * w / table.q.c) ** (-1.0 / table.alpha)
+    lw = np.log(w)
+    i = np.clip(np.searchsorted(-table.logw, -lw) - 1, 0, len(table.y) - 2)
+    f0, m0, m1 = table.logw[i], table.slope[i], table.slope[i + 1]
+    d = table.logw[i + 1] - f0
+    c2, c3 = 3 * d - 2 * m0 - m1, m0 + m1 - 2 * d
+    t = (lw - f0) / (m0 + c2 + c3)
+    for _ in range(2):
+        t -= (f0 - lw + t * (m0 + t * (c2 + t * c3))) / (
+            m0 + t * (2 * c2 + 3 * t * c3))
+    with np.errstate(divide="ignore"):
+        top = 1.0 + (lw - table.logw[-1]) / table.slope[-1]
+    t = np.where(lw < table.logw[-1], top, t)
+    return np.exp(table.y[i] + _STEP * t)
+
+
+# radii up to 1e10 also reach the top slope above the last node, 1e8
+LOG_R_WIDE = st.floats(-12.0, 10.0)
+
+
+@settings(PROPERTY, max_examples=120)  # about 60 of each strategy
+@given(st.one_of(profiles(), cut_profiles()),
+       st.lists(LOG_R_WIDE, min_size=1, max_size=8))
+def test_inverse_matches_searched_inverse(qa, log_r):
+    table = _tail_table(*qa)
+    u = table(10.0 ** np.array(log_r))
+    u = u[u > 0]
+    np.testing.assert_allclose(table.inverse(u), _searched_inverse(table, u),
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("q", [PolyTempered(3.0), ExpTempered(0.5, 1.0)])
+def test_inverse_rebuilds_its_guide_when_the_table_grows(q):
+    # a table of its own, still starting at 1e-2
+    table = TailTable(q, 1.2)
+    early = table(np.array([0.02, 0.5, 3.0]))
+    r_early = table.inverse(early)  # builds the guide
+    # W(1e-6) lies above the table: the inverse grows it by four decades
+    deep = np.array([radial_tail_mass(q, 1.2, 1e-6)])
+    r_deep = table.inverse(deep)
+    assert table.y[0] < np.log(1e-6)
+    np.testing.assert_allclose(r_deep, [1e-6], rtol=1e-8)
+    np.testing.assert_allclose(table(r_deep), deep, rtol=1e-9)
+    np.testing.assert_allclose(table.inverse(early), r_early, rtol=1e-12)
+    np.testing.assert_allclose(table(table.inverse(early)), early, rtol=1e-9)
+
+
+def _per_atom_cell_masses(sm, grid):
+    """bounded_cell_masses reading the table once per atom."""
+    edges = np.append(grid.x_axis(), grid.L) - grid.h / 2.0
+    masses = np.zeros(grid.N)
+    for w, q, th in sm.model.atoms():
+        sign = float(th[0])
+        tail = _tail_table(q, sm.model.alpha)(np.maximum(sign * edges, sm.eps))
+        masses -= w * sign * np.diff(tail)
+    return masses
+
+
+@pytest.mark.parametrize("t, n", [(0.1, 2 ** 20), (1.0, 2 ** 17)])
+@pytest.mark.parametrize("model", [cauchy_model(), poly_model(3.0, 1.0),
+                                   exp_model(1.0)],
+                         ids=["cauchy", "poly3", "exp1"])
+def test_cell_masses_equal_per_atom_reads(model, t, n):
+    sm = split(model, default_eps(model, t))
+    grid = GridSpec(1, 2048.0, n)
+    np.testing.assert_array_equal(bounded_cell_masses(sm, grid),
+                                  _per_atom_cell_masses(sm, grid))
