@@ -1,21 +1,23 @@
 """Characteristic exponent Phi(xi) = int (1 - cos<xi,y>) nu(dy).
 
-For spectral-radial measures the exponent reduces to a sum over spectral
-atoms of the one-dimensional oscillatory integral
+For spectral-radial measures the exponent reduces to a sum over the
+model's +- pairs of atoms (LevyModel.pairs, weight w(theta) + w(-theta))
+of the one-dimensional oscillatory integral
 
     psi_q(u) = int_0^inf (1 - cos(u s)) s^(-1-alpha) q(s) ds,
 
-evaluated here by adaptive quadrature in v = u s: the singular head v < 1
-by a smoothing substitution split at the profile's own scales, the tail as
-the jump mass W(1/u) minus one cosine-weighted (QAWF) integral.  A profile
-cut at s0 (profiles.Truncated, the small-jump part of a split measure)
-takes the mass W(1/u) - W(s0) of its base and the QAWO integral up to
-V = u s0; cuts with u s0 > 1e8 raise NumericError.  Grid fills go through
-a log-log cubic spline of psi, one per (profile, alpha) for the whole
-process, on 48 log nodes per tenfold of u from u = 1e-6.  A table starts
-at u = 10 and grows tenfold at a time when a larger |u| is asked for,
-computing only the new nodes; below 1e-6 it follows the power law of its
-first node.
+which has a closed form for constant q and for the relativistic kernel
+Relativistic(1, alpha) (psi_vector), and is otherwise evaluated by
+adaptive quadrature in v = u s: the singular head v < 1 by a smoothing
+substitution split at the profile's own scales, the tail as the jump mass
+W(1/u) minus one cosine-weighted (QAWF) integral.  A profile cut at s0
+(profiles.Truncated, the small-jump part of a split measure) takes the
+mass W(1/u) - W(s0) of its base and the QAWO integral up to V = u s0;
+cuts with u s0 > 1e8 raise NumericError.  Grid fills go through a log-log
+cubic spline of psi, one per (profile, alpha) for the whole process, on
+48 log nodes per tenfold of u from u = 1e-6.  A table starts at u = 10 and
+grows tenfold at a time when a larger |u| is asked for, computing only
+the new nodes; below 1e-6 it follows the power law of its first node.
 """
 from __future__ import annotations
 
@@ -30,8 +32,8 @@ from scipy.interpolate import CubicSpline
 
 from .errors import DegeneracyError, DomainError, NumericError
 from .model import (LevyModel, _knees, radial_tail_mass,
-                    truncated_second_moment)
-from .profiles import Constant, RadialProfile, Truncated
+                    relativistic_weight, truncated_second_moment)
+from .profiles import Constant, RadialProfile, Relativistic, Truncated
 
 __all__ = [
     "ExponentEvaluation",
@@ -175,22 +177,32 @@ class PsiTable:
 _psi_table = lru_cache(maxsize=256)(PsiTable)
 
 
+def _closed_psi(q: RadialProfile, alpha: float):
+    """psi_q in closed form, or None.  Relativistic(1, alpha) gives Phi =
+    (u^2 + 1)^(alpha/2) - 1 on a +-1 pair of relativistic_model's weight."""
+    if isinstance(q, Constant):
+        c = q.c * stable_constant(alpha)
+        return lambda u: c * u**alpha
+    if isinstance(q, Relativistic) and (q.d, q.alpha) == (1, alpha):
+        w = 2.0 * relativistic_weight(1, alpha)
+        return lambda u: ((u * u + 1.0) ** (alpha / 2.0) - 1.0) / w
+    return None
+
+
 def psi_vector(q: RadialProfile, alpha: float, u: np.ndarray) -> np.ndarray:
-    """Vectorized psi_q(u) via cached spline (closed form for constant q)."""
+    """Vectorized psi_q(u): a closed form, else the cached spline."""
     u = np.asarray(u, dtype=float)
     # min and max see any nan or inf without a grid-sized temporary
     if u.size and not (math.isfinite(u.min()) and math.isfinite(u.max())):
         raise DomainError(f"u = {u[~np.isfinite(u)].flat[0]} is not finite")
-    u = np.abs(u)
-    if isinstance(q, Constant):
-        return q.c * stable_constant(alpha) * u**alpha
-    return _psi_table(q, alpha)(u)
+    return (_closed_psi(q, alpha) or _psi_table(q, alpha))(np.abs(u))
 
 
 def phi_on_points(model: LevyModel, xi: np.ndarray) -> np.ndarray:
     """Phi on frequency points, shape (..., d) or (...,) in d=1.
 
-    The result has one value per point.
+    The result has one value per point: psi is read once per +- pair of
+    the model, at u = |xi . theta| with the pair's summed weight.
     """
     xi = np.asarray(xi, dtype=float)
     if model.d == 1 and (xi.ndim < 2 or xi.shape[-1] != 1):
@@ -199,38 +211,36 @@ def phi_on_points(model: LevyModel, xi: np.ndarray) -> np.ndarray:
     if xi.size and not (math.isfinite(xi.min()) and math.isfinite(xi.max())):
         bad = xi[~np.isfinite(xi).all(axis=-1)][0]
         raise DomainError(f"frequency xi = {bad.tolist()} is not finite")
-    if model.closed_form == "relativistic":
-        r2 = np.sum(xi * xi, axis=-1)
-        return (r2 + 1.0) ** (model.alpha / 2.0) - 1.0
-    total = np.zeros(xi.shape[:-1])
-    for w, q, theta in model.atoms():
-        u = np.abs(xi @ theta)
-        total = total + w * psi_vector(q, model.alpha, u)
+    total = 0.0
+    for w, q, theta in model.pairs:
+        # in d = 1 a pair's direction is +-1: u is |xi|, with no product
+        u = np.abs(xi @ theta if model.d > 1 else xi[..., 0])
+        total = total + w * (_closed_psi(q, model.alpha)
+                             or _psi_table(q, model.alpha))(u)
     return total
 
 
 def phi(model: LevyModel, xi, method: str = "auto") -> ExponentEvaluation:
     """Evaluate Phi(xi).
 
-    method: "auto" picks a closed form when the model carries one,
-    "quadrature" forces the adaptive oscillatory integral, "closed" demands
-    a closed form.
+    method: "auto" picks a closed form when the measure is atomic and
+    every pair's psi has one, "quadrature" forces the adaptive oscillatory
+    integral once per +- pair, "closed" demands a closed form.
     """
     if method not in ("auto", "quadrature", "closed"):
         raise DomainError(f"unknown method {method!r}: "
                           "use 'auto', 'quadrature' or 'closed'")
     x = np.asarray(xi, dtype=float).reshape(model.d)
-    # relativistic, or pure stable atoms: phi_on_points is exact
-    closed = model.closed_form == "relativistic" or (
-        model.spectral.is_atomic and all(
-            isinstance(q, Constant) for _, q in model.profiles_and_weights()))
+    # atoms whose psi all have closed forms: phi_on_points is exact
+    closed = model.spectral.is_atomic and all(
+        _closed_psi(q, model.alpha) is not None for _, q, _ in model.pairs)
     if method == "closed" and not closed:
         raise DomainError("no closed form for this model")
     if closed and method != "quadrature":
         val = float(phi_on_points(model, x[None, :])[0])
         return ExponentEvaluation(tuple(x), val, "closed-form", 0.0)
     val = sum(w * psi_quad(q, model.alpha, float(x @ th))
-              for w, q, th in model.atoms())
+              for w, q, th in model.pairs)
     err = 1e-10 * (1.0 + abs(val))
     return ExponentEvaluation(tuple(x), float(val), "quadrature", err)
 
@@ -287,12 +297,12 @@ def check_two_sided(model: LevyModel, radii=None, s0: float = 0.5) -> tuple:
         raise DegeneracyError("degenerate spectral measure")
     # uniform angular nondegeneracy over s in (0, s0)
     s_grid = np.exp(np.linspace(math.log(1e-3 * s0), math.log(s0), 12))
-    atoms = model.atoms()
-    # (eta . theta)^2 for every probe direction eta and atom theta
-    cos2 = (_direction_set(model) @ np.array([th for *_, th in atoms]).T) ** 2
+    pairs = model.pairs
+    # (eta . theta)^2 for every probe direction eta and pair theta
+    cos2 = (_direction_set(model) @ np.array([th for *_, th in pairs]).T) ** 2
     worst = math.inf
     for s in s_grid:
-        acc = cos2 @ np.array([w * float(q(s)) for w, q, _ in atoms])
+        acc = cos2 @ np.array([w * float(q(s)) for w, q, _ in pairs])
         worst = min(worst, float(acc.min()))
     if worst <= 0:
         raise DegeneracyError("angular second moment vanishes for some direction")

@@ -86,7 +86,7 @@ def split(model: LevyModel, eps: float) -> SplitMeasure:
     if eps <= 0:
         raise DomainError("eps must be positive")
     cut = lambda q: q and Truncated(eps, q)  # None stays None
-    small = replace(model, profile=cut(model.profile), closed_form=None,
+    small = replace(model, profile=cut(model.profile),
                     atom_profiles=model.atom_profiles and tuple(
                         map(cut, model.atom_profiles)))
     return SplitMeasure(model=model, eps=eps, lam=nu_tail(model, eps),

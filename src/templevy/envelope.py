@@ -170,10 +170,6 @@ def _check_gamma(model: LevyModel, spec: EnvelopeSpec) -> dict:
     return {"pass": bool(ok), "gamma_fit": g_fit, "c_fit": c_fit}
 
 
-#: how much a sup may still grow when its scan range is doubled
-SUP_GROWTH = 0.01
-
-
 def _outward_grid(start: float, stop: float, n: int) -> np.ndarray:
     """n log-spaced nodes from start to stop, continued on the same
     spacing while they stay within a factor 2 beyond stop."""
@@ -185,14 +181,14 @@ def _outward_grid(start: float, stop: float, n: int) -> np.ndarray:
 
 def _sup_settles(ratios: np.ndarray, n: int) -> bool:
     """Whether the sup of ratios (on an _outward_grid) stays bounded past
-    the first n nodes: over the extension it grows by at most SUP_GROWTH,
-    or its rises shrink node by node (it closes in on a finite limit).  A
-    finite sup on a fixed range says nothing: a power that diverges
-    outward is finite on every finite range."""
+    the first n nodes: over the extension it does not rise (by more than
+    1e-12 of itself), or its rises shrink node by node (it closes in on a
+    finite limit).  A finite sup on a fixed range says nothing: a power
+    that diverges outward, however slowly, is finite on every range."""
     sup = np.maximum.accumulate(ratios)
     rises = np.diff(sup[n - 1:])
     return bool(np.isfinite(sup[-1])
-                and (sup[-1] <= (1.0 + SUP_GROWTH) * sup[n - 1]
+                and (np.all(rises <= 1e-12 * sup[-1])
                      or np.all(rises[1:] < rises[:-1])))
 
 

@@ -5,9 +5,10 @@ for atomic spectral measures, or the analogous angular integral when the
 spectral measure has a bounded density on the sphere (d = 2 only).  A
 density is also discretized once into ANGULAR_NODES atoms, the one angular
 rule behind the exponent and the direction matrix; the ball and mass
-functionals integrate the density itself.  Every radial mass, from the
-tails nu(B(0,r)^c) and ball masses to the big-jump cells of decomp and the
-sampler's radii, reads one cached TailTable of
+functionals integrate the density itself.  The measure is symmetric:
+LevyModel groups the atom set into +- pairs of equal weight.  Every
+radial mass, from the tails nu(B(0,r)^c) and ball masses to the big-jump
+cells of decomp and the sampler's radii, reads one cached TailTable of
 W(r) = int_r^inf s^(-1-alpha) q(s) ds per (profile, alpha).
 """
 from __future__ import annotations
@@ -70,7 +71,6 @@ class SpectralMeasure:
     directions: Optional[np.ndarray] = None  # (k, d) unit vectors
     weights: Optional[np.ndarray] = None  # (k,) positive
     density: Optional[Callable[[np.ndarray], np.ndarray]] = None  # g(angles)
-    symmetric: bool = True
 
     # the atom set: the atoms themselves, or the discretized density
     atom_directions: np.ndarray = field(init=False, repr=False)
@@ -93,13 +93,9 @@ class SpectralMeasure:
                 raise DomainError("directions must be unit vectors (1e-12)")
             object.__setattr__(self, "directions", dirs)
             object.__setattr__(self, "weights", w)
-            if self.symmetric and not self._atoms_symmetric():
-                raise DomainError("atoms are not invariant under negation")
         elif self.density is not None:
             if self.d != 2:
                 raise DomainError("density spectral measures supported in d=2 only")
-            if self.symmetric and not self._density_symmetric():
-                raise DomainError("density not symmetric under theta -> -theta")
             ang = np.linspace(0.0, 2 * math.pi, ANGULAR_NODES, endpoint=False)
             dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
             w = np.asarray(self.density(ang), dtype=float) * (
@@ -114,21 +110,6 @@ class SpectralMeasure:
     @property
     def is_atomic(self) -> bool:
         return self.directions is not None
-
-    def _atoms_symmetric(self) -> bool:
-        dirs, w = self.directions, self.weights
-        for i in range(len(w)):
-            diff = np.linalg.norm(dirs + dirs[i], axis=1)
-            j = int(np.argmin(diff))
-            if diff[j] > 1e-9 or abs(w[j] - w[i]) > 1e-9 * (1 + abs(w[i])):
-                return False
-        return True
-
-    def _density_symmetric(self, n: int = 64) -> bool:
-        ang = np.linspace(0.0, math.pi, n, endpoint=False)
-        g1 = np.asarray(self.density(ang), dtype=float)
-        g2 = np.asarray(self.density(ang + math.pi), dtype=float)
-        return bool(np.allclose(g1, g2, atol=1e-9, rtol=1e-9))
 
     @property
     def total_mass(self) -> float:
@@ -151,14 +132,15 @@ class SpectralMeasure:
 
 @dataclass(frozen=True, eq=False)
 class LevyModel:
-    """Spectral-radial Levy measure with stability index alpha in (0, 2)."""
+    """Symmetric spectral-radial Levy measure with alpha in (0, 2)."""
 
     d: int
     alpha: float
     spectral: SpectralMeasure
     profile: RadialProfile = None  # type: ignore[assignment]
     atom_profiles: Optional[Sequence[RadialProfile]] = None
-    closed_form: Optional[str] = None  # "stable" | "relativistic" | None
+    # (w(theta) + w(-theta), q, theta) per +- pair of the atom set
+    pairs: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0):
@@ -173,11 +155,35 @@ class LevyModel:
             object.__setattr__(self, "atom_profiles", tuple(self.atom_profiles))
         elif self.profile is None:
             raise DomainError("model needs a profile")
+        object.__setattr__(self, "pairs", self._pair_atoms())
         # finiteness of the defining integrals
         if not math.isfinite(nu_tail(self, 1.0)):
             raise DomainError("nu(B(0,1)^c) is not finite")
         if not math.isfinite(truncated_second_moment(self, 1.0)):
             raise DomainError("truncated second moment is not finite")
+
+    def _pair_atoms(self) -> tuple:
+        """Atom i joins the first atom j of its profile at +-theta_i (by a
+        Gram matrix, to ~3e-8); theta_j and -theta_j must weigh the same."""
+        w, th = self.spectral.atom_weights, self.spectral.atom_directions
+        profs = [q for _, q, _ in self.atoms()]
+        kind = np.array([profs.index(q) for q in profs])
+        gram = th @ th.T
+        d2 = np.diag(gram)[:, None] + np.diag(gram)  # |th_i|^2 + |th_j|^2
+        plus, minus = ((kind[:, None] == kind) & (d2 - 2 * s * gram <= 1e-15)
+                       for s in (1.0, -1.0))
+        head = np.argmax(plus | minus, axis=1)
+        up = plus[np.arange(len(w)), head]
+        w_up, w_down = (np.bincount(head, w * at, len(w)) for at in (up, ~up))
+        pairs = []
+        for i in np.flatnonzero(head == np.arange(len(w))):
+            if abs(w_up[i] - w_down[i]) > 1e-9 * (1.0 + abs(w_up[i])):
+                raise DomainError(
+                    f"nu is not symmetric: atom {i} at {th[i].tolist()}, "
+                    f"profile {profs[i]!r}, weight {w_up[i]:.12g} there "
+                    f"and {w_down[i]:.12g} at its negation")
+            pairs.append((float(w_up[i] + w_down[i]), profs[i], th[i]))
+        return tuple(pairs)
 
     @property
     def degenerate(self) -> bool:
@@ -186,8 +192,7 @@ class LevyModel:
     def profiles_and_weights(self):
         """Pairs (weight, profile) per atom; density measures use one profile."""
         if self.spectral.is_atomic:
-            profs = self.atom_profiles or (self.profile,) * len(self.spectral.weights)
-            return list(zip(self.spectral.weights, profs))
+            return [(w, q) for w, q, _ in self.atoms()]
         return [(self.spectral.total_mass, self.profile)]
 
     def atoms(self):
@@ -327,11 +332,12 @@ class TailTable:
             return self.q.c * r ** -self.alpha / self.alpha
         if r_min < math.exp(self.y[0]):
             self._grow(r_min)
-        x = np.log10(r) * TAIL_PER_TEN - self.k_lo
-        i = np.clip(np.floor(x), 0, len(self.y) - 2).astype(int)
-        t = np.minimum(x - i, 1.0)  # above the top node: the top slope
+        x = np.log10(r) * TAIL_PER_TEN
+        i = np.clip(np.floor(x) - self.k_lo, 0, len(self.y) - 2).astype(int)
+        x -= i + self.k_lo  # offset in node i, free of k_lo: growth keeps W(r)
+        t = np.minimum(x, 1.0)  # above the top node: the top slope
         f0, m0, c2, c3 = (c[i] for c in self.cubic[:4])
-        f = f0 + t * (m0 + t * (c2 + t * c3)) + (x - i - t) * self.slope[-1]
+        f = f0 + t * (m0 + t * (c2 + t * c3)) + (x - t) * self.slope[-1]
         return np.where(f > math.log(_W_FLOOR), np.exp(f), 0.0)
 
     def _newton(self, lw, i):
@@ -518,23 +524,16 @@ def gamma_estimate(spectral: SpectralMeasure, r_grid) -> tuple:
 # ---------------------------------------------------------------------------
 # factories
 
-def _pm_atoms(d: int, axes: Sequence[int] = None, weight: float = 1.0):
-    axes = range(d) if axes is None else axes
-    dirs, ws = [], []
-    for ax in axes:
-        e = np.zeros(d)
-        e[ax] = 1.0
-        dirs.extend([e, -e])
-        ws.extend([weight, weight])
-    return np.array(dirs), np.array(ws)
+def _pm_axes(d: int, weight: float = 1.0) -> SpectralMeasure:
+    """Atoms of one weight at +-e_i for every axis e_i."""
+    return SpectralMeasure(d=d, directions=np.kron(np.eye(d), [[1.0], [-1.0]]),
+                           weights=np.full(2 * d, weight))
 
 
 def stable_model(alpha: float, d: int = 1, weight: float = 1.0) -> LevyModel:
     """Pure stable model with +-axis atoms and q = 1."""
-    dirs, ws = _pm_atoms(d, weight=weight)
-    spec = SpectralMeasure(d=d, directions=dirs, weights=ws)
-    return LevyModel(d=d, alpha=alpha, spectral=spec, profile=Constant(1.0),
-                     closed_form="stable")
+    return LevyModel(d=d, alpha=alpha, spectral=_pm_axes(d, weight),
+                     profile=Constant(1.0))
 
 
 def cauchy_model() -> LevyModel:
@@ -543,15 +542,13 @@ def cauchy_model() -> LevyModel:
 
 
 def poly_model(m: float, alpha: float, d: int = 1) -> LevyModel:
-    dirs, ws = _pm_atoms(d)
-    spec = SpectralMeasure(d=d, directions=dirs, weights=ws)
-    return LevyModel(d=d, alpha=alpha, spectral=spec, profile=PolyTempered(m))
+    return LevyModel(d=d, alpha=alpha, spectral=_pm_axes(d),
+                     profile=PolyTempered(m))
 
 
 def exp_model(alpha: float, a: float = 0.0, c1: float = 1.0, d: int = 1) -> LevyModel:
-    dirs, ws = _pm_atoms(d)
-    spec = SpectralMeasure(d=d, directions=dirs, weights=ws)
-    return LevyModel(d=d, alpha=alpha, spectral=spec, profile=ExpTempered(a, c1))
+    return LevyModel(d=d, alpha=alpha, spectral=_pm_axes(d),
+                     profile=ExpTempered(a, c1))
 
 
 def relativistic_weight(d: int, alpha: float) -> float:
@@ -564,11 +561,9 @@ def relativistic_model(alpha: float, d: int = 1) -> LevyModel:
     """Relativistic alpha-stable process (mass parameter 1), d = 1."""
     if d != 1:
         raise DomainError("relativistic factory provided for d=1 only")
-    w = relativistic_weight(d, alpha)
-    dirs, ws = _pm_atoms(d, weight=w)
-    spec = SpectralMeasure(d=d, directions=dirs, weights=ws)
-    return LevyModel(d=d, alpha=alpha, spectral=spec,
-                     profile=Relativistic(d, alpha), closed_form="relativistic")
+    return LevyModel(d=d, alpha=alpha,
+                     spectral=_pm_axes(d, relativistic_weight(d, alpha)),
+                     profile=Relativistic(d, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +586,6 @@ def model_to_dict(model: LevyModel) -> dict:
         doc["profiles"] = [profile_to_dict(q) for q in model.atom_profiles]
     else:
         doc["profile"] = profile_to_dict(model.profile)
-    if model.closed_form:
-        doc["closed_form"] = model.closed_form
     return doc
 
 
@@ -614,8 +607,10 @@ def model_from_dict(doc: dict) -> LevyModel:
         kwargs["profile"] = None
     else:
         kwargs["profile"] = profile_from_dict(doc["profile"])
+    # older files may name a closed form: that key is ignored, the
+    # profiles alone decide which exponents have one
     return LevyModel(d=int(doc["d"]), alpha=float(doc["alpha"]), spectral=spec,
-                     closed_form=doc.get("closed_form"), **kwargs)
+                     **kwargs)
 
 
 def load_model(path) -> LevyModel:

@@ -62,11 +62,11 @@ def _require_atoms(model: LevyModel) -> None:
 
 
 def _atom_tail_masses(model: LevyModel, eps: float) -> list:
-    """Per atom: its weight w, tail table W and W(eps)."""
+    """Per atom: its weight w, tail table W, W(eps) and direction."""
     out = []
-    for w, q in model.profiles_and_weights():
+    for w, q, theta in model.atoms():
         table = _tail_table(q, model.alpha)
-        out.append((w, table, float(table(eps))))
+        out.append((w, table, float(table(eps)), theta))
     return out
 
 
@@ -80,8 +80,7 @@ def _big_jump_sums(config: SamplerConfig, rng, count: int) -> np.ndarray:
     m = config.model
     _require_atoms(m)
     sums = np.zeros((count, m.d))
-    for (w, table, tail), theta in zip(_atom_tail_masses(m, config.eps),
-                                       m.spectral.directions):
+    for w, table, tail, theta in _atom_tail_masses(m, config.eps):
         # the atom's own Poisson process of jumps: its jumps
         # ends[j-1] .. ends[j] - 1 belong to draw j
         ends = np.cumsum(rng.poisson(config.t * w * tail, size=count))
@@ -107,8 +106,7 @@ def small_jump_covariance(model: LevyModel, eps: float) -> np.ndarray:
     """int_{|y| < eps} y y^T nu(dy), a d x d matrix."""
     _require_atoms(model)
     cov = np.zeros((model.d, model.d))
-    for (w, q), th in zip(model.profiles_and_weights(),
-                          model.spectral.directions):
+    for w, q, th in model.atoms():
         cov += w * radial_second_moment(q, model.alpha, eps) * np.outer(th, th)
     return cov
 
@@ -136,7 +134,7 @@ def jump_counts(config: SamplerConfig, rng=None,
     """Big-jump counts per increment: Poisson with mean t * lambda(eps)."""
     rng = np.random.default_rng(config.seed) if rng is None else rng
     count = config.count if count is None else count
-    lam = sum(w * tail for w, _, tail in
+    lam = sum(w * tail for w, _, tail, _ in
               _atom_tail_masses(config.model, config.eps))
     return rng.poisson(config.t * lam, size=count)
 
@@ -145,5 +143,5 @@ def jump_radius_cdf(model: LevyModel, eps: float, s: np.ndarray) -> np.ndarray:
     """CDF of the big-jump radius law (mixture over spectral atoms)."""
     s = np.maximum(np.asarray(s, dtype=float), eps)
     tails = _atom_tail_masses(model, eps)
-    return (sum(w * (tail - table(s)) for w, table, tail in tails)
-            / sum(w * tail for w, _, tail in tails))
+    return (sum(w * (tail - table(s)) for w, table, tail, _ in tails)
+            / sum(w * tail for w, _, tail, _ in tails))

@@ -18,6 +18,7 @@ from templevy.decomp import (
     recompose,
     split,
 )
+from templevy.charexp import phi
 from templevy.density import GridSpec, invert
 from templevy.errors import DomainError
 from templevy.model import (LevyModel, cauchy_model, exp_model, poly_model,
@@ -47,7 +48,8 @@ def test_split_rate_small_eps():
 def test_small_model_cuts_every_profile():
     sm = split(relativistic_model(1.0), 0.5)
     # the cut measure has no closed form: its exponent is the cut psi
-    assert sm.small.closed_form is None
+    with pytest.raises(DomainError):
+        phi(sm.small, [2.0], method="closed")
     assert sm.small.profile == Truncated(0.5, sm.model.profile)
     assert [w for w, _ in sm.small.profiles_and_weights()] == [
         w for w, _ in sm.model.profiles_and_weights()]

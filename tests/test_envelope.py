@@ -145,6 +145,11 @@ def test_hypothesis_check_rejects_undominated_profile():
     check = rep["checks"]["profile_dominates"]
     assert not check["pass"]
     assert check["sup_ratio"] > 1e5
+    # (1+s)^0.01 diverges too, though it grows by under 1 % over the
+    # extension of the scan range
+    rep = hypothesis_check(poly_model(2.99, 1.0),
+                           _upper_small(PolyTempered(3.0)))
+    assert not rep["checks"]["profile_dominates"]["pass"]
     for m in (poly_model(3.0, 1.0), exp_model(1.0), exp_model(1.5)):
         rep = hypothesis_check(m, _upper_small(PolyTempered(3.0)))
         assert rep["checks"]["profile_dominates"]["pass"]

@@ -1,15 +1,18 @@
 """Every module-level import and private name in the package is used.
 
-Also: no function takes an `upper` cut radius; a cut is a profile.
+Also: no function takes an `upper` cut radius; a cut is a profile.  The
+model classes take no option beyond the measure itself.
 
 Checked with the stdlib ast module, no linter.
 """
 import ast
+import dataclasses
 import pathlib
 
 import pytest
 
 import templevy
+from templevy.model import LevyModel, SpectralMeasure
 
 SOURCES = sorted(pathlib.Path(templevy.__file__).parent.glob("*.py"))
 
@@ -158,3 +161,13 @@ def test_detector_flags_an_upper_parameter():
                      "def g(x, *, upper):\n    pass\n"
                      "def h(x, s0):\n    pass\n")
     assert _upper_parameters(tree) == ["f (line 1)", "g (line 3)"]
+
+
+@pytest.mark.parametrize("cls, names", [
+    (SpectralMeasure, {"d", "directions", "weights", "density"}),
+    (LevyModel, {"d", "alpha", "spectral", "profile", "atom_profiles"}),
+], ids=["SpectralMeasure", "LevyModel"])
+def test_model_fields_are_the_measure(cls, names):
+    # symmetry is checked, and closed forms follow from the profiles: a
+    # knob that switches either comes back only through this test
+    assert {f.name for f in dataclasses.fields(cls) if f.init} == names

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from templevy.charexp import phi, phi_on_points, psi_vector
 from templevy.errors import DomainError
 from templevy.model import (
     LevyModel,
@@ -20,10 +22,12 @@ from templevy.model import (
     poly_model,
     radial_second_moment,
     radial_tail_mass,
+    relativistic_model,
     save_model,
     stable_model,
 )
-from templevy.profiles import Constant, ExpTempered, PolyTempered
+from templevy.profiles import (Constant, ExpTempered, PolyTempered,
+                               Relativistic, Truncated)
 
 
 def test_nu_tail_cauchy():
@@ -148,3 +152,93 @@ def test_tail_vs_second_moment_consistency():
     q = PolyTempered(2.0)
     assert 2.0 * radial_second_moment(q, 1.2, 3.0) == pytest.approx(
         oracle, rel=1e-8)
+
+
+def _line_model(weights, profiles, alpha=1.0):
+    """d = 1 model with atoms at +1, -1, +1, -1, ..."""
+    dirs = [[(-1.0) ** i] for i in range(len(weights))]
+    return LevyModel(d=1, alpha=alpha, atom_profiles=profiles,
+                     spectral=SpectralMeasure(d=1, directions=np.array(dirs),
+                                              weights=np.array(weights)))
+
+
+def test_model_rejects_one_profile_per_side():
+    # balanced spectral weights, but nu(-D) != nu(D)
+    with pytest.raises(DomainError, match=r"atom 0 at \[1.0\]"):
+        _line_model([1.0, 1.0], [PolyTempered(3.0), ExpTempered(c1=5.0)])
+
+
+def test_model_loads_repeated_directions():
+    q = PolyTempered(3.0)
+    m = _line_model([1.0, 1.0, 0.5, 0.5], [q] * 4)
+    assert [(w, p) for w, p, _ in m.pairs] == [(3.0, q)]
+    assert phi(m, [2.0]).value == pytest.approx(
+        1.5 * phi(poly_model(3.0, 1.0), [2.0]).value, rel=1e-12)
+
+
+def test_model_rejects_asymmetric_density():
+    sp = SpectralMeasure(d=2, density=lambda a: 1.0 + 0.5 * np.cos(a))
+    with pytest.raises(DomainError, match="not symmetric"):
+        LevyModel(d=2, alpha=1.0, spectral=sp, profile=PolyTempered(3.0))
+
+
+def test_legacy_closed_form_key_is_ignored():
+    # a file that names a closed form its profile does not have
+    doc = model_to_dict(poly_model(3.0, 1.0))
+    doc["closed_form"] = "relativistic"
+    m = model_from_dict(doc)
+    assert phi(m, [2.0]).value == pytest.approx(1.5640855, rel=1e-6)
+    with pytest.raises(DomainError, match="no closed form"):
+        phi(m, [2.0], method="closed")
+    assert "closed_form" not in model_to_dict(relativistic_model(1.0))
+
+
+ALPHAS = (0.5, 1.0, 1.5)
+
+
+@st.composite
+def symmetric_atom_sets(draw):
+    """(d, alpha, directions, weights, profiles): every atom has its
+    antipode with the same weight and profile, in shuffled order; few
+    directions, so they repeat."""
+    d = draw(st.sampled_from([1, 2]))
+    alpha = draw(st.sampled_from(ALPHAS))
+    kinds = (Constant(2.0), PolyTempered(3.0), ExpTempered(0.5, 1.0),
+             Truncated(1.0, PolyTempered(2.0)), Relativistic(1, alpha))
+    atoms = []
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.sampled_from([0.0, 0.5, 2.0])) if d == 2 else 0.0
+        w = draw(st.floats(0.1, 10.0))
+        q = draw(st.sampled_from(kinds))
+        if d == 1:
+            th = [1.0] if draw(st.booleans()) else [-1.0]
+            atoms += [(th, w, q), ([-th[0]], w, q)]
+        else:  # the antipode from the angle, as the density rule makes it
+            atoms += [([math.cos(a), math.sin(a)], w, q),
+                      ([math.cos(a + math.pi), math.sin(a + math.pi)], w, q)]
+    atoms = draw(st.permutations(atoms))
+    dirs, ws, qs = zip(*atoms)
+    return d, alpha, np.array(dirs), np.array(ws), list(qs)
+
+
+def _atom_set_model(d, alpha, dirs, ws, qs):
+    return LevyModel(d=d, alpha=alpha, atom_profiles=qs,
+                     spectral=SpectralMeasure(d=d, directions=dirs,
+                                              weights=ws))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(symmetric_atom_sets(), st.data())
+def test_symmetric_atom_sets_load_and_pair(atom_set, data):
+    d, alpha, dirs, ws, qs = atom_set
+    m = _atom_set_model(d, alpha, dirs, ws, qs)
+    xi = np.array([[0.3, -1.1], [2.0, 0.7], [-7.5, 4.0]])[:, :d]
+    per_atom = sum(w * psi_vector(q, alpha, np.abs(xi @ th))
+                   for w, q, th in zip(ws, qs, dirs))
+    np.testing.assert_allclose(phi_on_points(m, xi), per_atom, rtol=1e-13)
+    # one atom a little heavier: nu is no longer symmetric
+    i = data.draw(st.integers(0, len(ws) - 1))
+    heavier = ws.copy()
+    heavier[i] *= 1.0 + 1e-6
+    with pytest.raises(DomainError, match="not symmetric"):
+        _atom_set_model(d, alpha, dirs, heavier, qs)

@@ -131,15 +131,12 @@ def test_ks_against_inverted_density():
 
 def test_ks_with_unlike_atoms():
     # two profiles with unequal weights, each on both of +-1: thinning gives
-    # each atom its own Poisson count and its own radius law.  The measure
-    # is symmetric, but the atom check pairs each atom with the first
-    # opposite one and so rejects repeated directions: it is skipped
+    # each atom its own Poisson count and its own radius law
     q3, qe = PolyTempered(3.0), ExpTempered(c1=1.0)
     m = LevyModel(d=1, alpha=1.0, atom_profiles=(q3, q3, qe, qe),
                   spectral=SpectralMeasure(
                       d=1, directions=np.array([[1.0], [-1.0], [1.0], [-1.0]]),
-                      weights=np.array([1.0, 1.0, 0.5, 0.5]),
-                      symmetric=False))
+                      weights=np.array([1.0, 1.0, 0.5, 0.5])))
     t = 0.5
     x = np.sort(sample_many(SamplerConfig(m, t=t, eps=0.02, count=20000,
                                           seed=42))[:, 0])

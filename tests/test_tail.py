@@ -98,6 +98,17 @@ def test_table_follows_top_slope(r):
         radial_tail_mass(q, 1.0, r), rel=1e-6, abs=0.0)
 
 
+@pytest.mark.parametrize("q", [PolyTempered(0.5), ExpTempered(0.0, 1.0)])
+def test_table_values_stay_put_when_it_grows(q):
+    # a cut reads W(s0) of its base once, so the base's values may not
+    # change in the last bit when the base later grows downwards
+    table = TailTable(q, 0.47)
+    r = np.geomspace(1e-2, 1e3, 1001)
+    before = table(r)
+    table(np.array([1e-9]))
+    np.testing.assert_array_equal(table(r), before)
+
+
 @pytest.mark.parametrize("r", [0.0, -1.0, np.nan])
 def test_table_rejects_non_positive_radius(r):
     with pytest.raises(DomainError, match="not positive"):
