@@ -7,17 +7,23 @@ of the one-dimensional oscillatory integral
     psi_q(u) = int_0^inf (1 - cos(u s)) s^(-1-alpha) q(s) ds,
 
 which has a closed form for constant q and for the relativistic kernel
-Relativistic(1, alpha) (psi_vector), and is otherwise evaluated by
-adaptive quadrature in v = u s: the singular head v < 1 by a smoothing
-substitution split at the profile's own scales, the tail as the jump mass
+Relativistic(1, alpha) (psi_vector).  Grid fills go through a log-log
+cubic spline of psi, one per (profile, alpha) for the whole process, on
+48 log nodes per tenfold of u from u = 1e-6 up to the least power of ten
+(at least 10) that covers every |u| asked for; below 1e-6 it follows the
+power law of its first node.  A profile that declares q(0+) and its tail
+(every built-in one but a cut) takes all its nodes from one FFTLog sweep
+(_sweep): psi_q is a Mellin convolution, so one inverse FFT gives it on
+the whole log-u grid, and a larger |u| sweeps again on a wider window.
+
+Otherwise, and for phi(method="quadrature"), psi is evaluated by adaptive
+quadrature in v = u s (psi_quad): the singular head v < 1 by a smoothing
+substitution split at the profile's knees, the tail as the jump mass
 W(1/u) minus one cosine-weighted (QAWF) integral.  A profile cut at s0
 (profiles.Truncated, the small-jump part of a split measure) takes the
 mass W(1/u) - W(s0) of its base and the QAWO integral up to V = u s0;
-cuts with u s0 > 1e8 raise NumericError.  Grid fills go through a log-log
-cubic spline of psi, one per (profile, alpha) for the whole process, on
-48 log nodes per tenfold of u from u = 1e-6.  A table starts at u = 10 and
-grows tenfold at a time when a larger |u| is asked for, computing only
-the new nodes; below 1e-6 it follows the power law of its first node.
+cuts with u s0 > 1e8 raise NumericError.  A cut table computes only its
+new nodes when it grows.
 """
 from __future__ import annotations
 
@@ -27,12 +33,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.fft import irfft, rfft
 from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
+from scipy.special import loggamma
 
 from .errors import DegeneracyError, DomainError, NumericError
-from .model import (LevyModel, _knees, radial_tail_mass,
-                    relativistic_weight, truncated_second_moment)
+from .model import (LevyModel, radial_tail_mass, relativistic_weight,
+                    truncated_second_moment)
 from .profiles import Constant, RadialProfile, Relativistic, Truncated
 
 __all__ = [
@@ -79,20 +87,21 @@ MAX_CUT_RANGE = 1e8
 _cut_mass = lru_cache(maxsize=256)(radial_tail_mass)
 
 
-def psi_quad(q: RadialProfile, alpha: float, u: float) -> float:
+def psi_quad(q: RadialProfile, alpha: float, u: float,
+             with_error: bool = False):
     """Scalar psi_q(u), adaptive; a cut profile integrates up to its s0.
 
     Works in the rescaled variable v = u s, so the oscillation is always
     cos(v) and the Fourier quadrature of the tail is well conditioned for
-    every u.
+    every u.  with_error=True returns (psi, error), the error being the
+    sum of QUADPACK's estimates for the head, the jump mass W(A/u) and
+    the cosine integral.
     """
     u = abs(float(u))
-    if u == 0.0:
-        return 0.0
     # a cut integrates its base q up to s0
     q, s0 = (q.q, q.s0) if isinstance(q, Truncated) else (q, math.inf)
-    if s0 <= 0:
-        return 0.0
+    if u == 0.0 or s0 <= 0:
+        return (0.0, 0.0) if with_error else 0.0
     V = u * s0  # may be inf
     if V > MAX_CUT_RANGE and math.isfinite(V):
         raise NumericError(f"u * s0 = {V:.6g} exceeds {MAX_CUT_RANGE:g}: "
@@ -104,38 +113,143 @@ def psi_quad(q: RadialProfile, alpha: float, u: float) -> float:
     zmax = A ** (1.0 / p)
     # break points at q's own scales: its knees times 0.1 to 100, in z
     pts = sorted({min((u * k * f) ** (1.0 / p), zmax)
-                  for k in _knees(q, alpha) for f in (0.1, 1.0, 10.0, 100.0)}
+                  for k in q.knees() for f in (0.1, 1.0, 10.0, 100.0)}
                  - {0.0, zmax})
-    i1, _ = quad(head, 0.0, zmax, points=pts or None,
-                 epsabs=0.0, epsrel=1e-11, limit=512)
+    i1, e1 = quad(head, 0.0, zmax, points=pts or None,
+                  epsabs=0.0, epsrel=1e-11, limit=512)
     if V <= A:
-        return u**alpha * i1
+        val, err = u**alpha * i1, u**alpha * e1
+        return (val, err) if with_error else val
     # tail: int_A^V (1 - cos v) wtil = jump mass on (A/u, s0) minus a
     # cosine-weighted integral (QAWF for V = inf, QAWO otherwise)
     wtil = lambda v: v ** (-1.0 - alpha) * float(q(v / u))
-    mass = radial_tail_mass(q, alpha, A / u)  # already in s units
+    mass, e_mass = radial_tail_mass(q, alpha, A / u, with_error=True)
     if math.isfinite(V):
         mass -= _cut_mass(q, alpha, s0)
     with warnings.catch_warnings():
-        # QUADPACK flags "bad integrand behavior" on tempered tails while
-        # still meeting the requested tolerance; accuracy is pinned by the
-        # closed-form oracles in the test suite.
+        # QUADPACK flags "bad integrand behavior" on tempered tails; its
+        # error estimate is passed on instead (with_error)
         warnings.simplefilter("ignore", IntegrationWarning)
-        cosint, _ = quad(wtil, A, V, weight="cos", wvar=1.0,
-                         epsabs=1e-13, limlst=400, limit=400)
+        cosint, e2 = quad(wtil, A, V, weight="cos", wvar=1.0,
+                          epsabs=1e-13, limlst=400, limit=400)
     val = u**alpha * (i1 - cosint) + mass
     if not math.isfinite(val):
         raise NumericError("oscillatory radial integral did not converge",
                            estimate=u**alpha * i1 + mass)
-    return val
+    return (val, u**alpha * (e1 + e2) + e_mass) if with_error else val
+
+
+def _psi_exp(alpha: float, u: np.ndarray) -> np.ndarray:
+    """psi of q(s) = e^-s: Gamma(-alpha) (1 - Re (1 - iu)^alpha).
+
+    Written without cancellation as Gamma(2 - alpha) / alpha times
+    -Re((1 - iu) expm1(d L)) / d, d = alpha - 1, L = log(1 - iu) = x + iy;
+    at alpha = 1 that is u atan u - log1p(u^2) / 2.
+    """
+    x, y = 0.5 * np.log1p(u * u), -np.arctan(u)
+    d = alpha - 1.0
+    if d == 0.0:
+        er, ei = x, y
+    else:  # expm1(d L) / d, real and imaginary parts
+        er = (np.expm1(d * x) * np.cos(d * y)
+              - 2.0 * np.sin(0.5 * d * y) ** 2) / d
+        ei = np.exp(d * x) * np.sin(d * y) / d
+    return -math.gamma(2.0 - alpha) / alpha * (er + u * ei)
 
 
 #: psi table nodes: U_LO * 10^(k / PER_TEN), k = 0, 1, ...
 U_LO, PER_TEN = 1e-6, 48
+_STEP = math.log(10.0) / PER_TEN
+#: the sweep drops what falls below e^-SWEEP_DECAY of its scale: the
+#: samples beyond the ends of its window and the periodic images of psi
+SWEEP_DECAY = 36.0
+#: how far the sweep's bias b keeps inside its strip
+SWEEP_MARGIN = 0.3
+#: a sweep that needs more points, or samples beyond s = e^300, leaves
+#: the table to psi_quad
+SWEEP_MAX_N = 2 ** 17
+
+
+def _sweep(q: RadialProfile, alpha: float, n: int):
+    """psi_q on the first n table nodes from one FFTLog sweep, or None
+    when its window would be too wide (SWEEP_MAX_N).
+
+    psi_q(u) = int K(us) f(s) ds/s, K = 1 - cos, f = s^-alpha q(s), is a
+    Mellin convolution (Talman, J. Comput. Phys. 29, 1978; Hamilton,
+    MNRAS 312, 2000, "FFTLog").  q0 e^(-c s) is taken out in closed form
+    (_psi_exp), c the tail's rate, or 1 / the largest knee for a power
+    tail; the rest r = q - q0 e^(-c s) is O(s) at 0.  On the grid x = log s
+    with the table's step, a = s^(-alpha-b) r is a Fourier series; each
+    term s^(b + i eta) of s^-alpha r maps to u^-(b + i eta) M(b + i eta),
+    M(z) = -Gamma(z) cos(pi z / 2) the Mellin transform of K, so one
+    inverse FFT gives u^b psi_r on the grid log u = -x.
+
+    The bias b lies in the strip where a decays at both ends of the
+    window and u^b psi_r at both ends of its period: b in (max(-2,
+    -alpha - m), min(0, 1 - alpha)).  Inside it, SWEEP_MARGIN from its
+    ends, b balances the roundoff that u^-b amplifies at U_LO and at the
+    top node; and b <= -alpha, so that s^(-alpha-b) does not amplify the
+    rounding of q - q0 near s = 0.  The window covers where a exceeds
+    e^-SWEEP_DECAY; its period is long enough for the images of u^b psi_r
+    at u e^(+-period) to fall below that too.
+    """
+    a, q0, (m, c) = alpha, q.q0, q.tail
+    knees = q.knees()
+    power = m if c == 0 else math.inf
+    lo, hi = max(-2.0, -a - power), min(0.0, 1.0 - a)
+    # log(1 / U_LO) and log u at the top node
+    l_lo = -math.log(U_LO)
+    l_hi = _STEP * (n - 1) - l_lo
+    gap = min(SWEEP_MARGIN, 0.5 * (hi - lo))
+    b = min(max(-(2.0 * l_lo + a * l_hi) / (l_lo + l_hi), lo + gap),
+            hi - gap, -a)
+    # u^b psi_r ~ u^e_lo as u -> 0 and u^-e_hi as u -> inf
+    e_lo, e_hi = min(2.0, a + power) + b, hi - b
+    D = SWEEP_DECAY
+    # a ~ s^(1 - alpha - b) at 0 and s^-(alpha + b + m) e^(-c s) at inf
+    x_min = min(math.log(min(knees)) - D / (1.0 - a - b), -l_hi)
+    if c > 0:
+        rate, s = c, D / c
+        for _ in range(3):
+            s = (D + max(0.0, -(a + b + m)) * math.log(s)) / c
+        x_max = math.log(s)
+    else:
+        rate = 1.0 / max(knees)
+        x_max = max(math.log(max(knees)) + D / (a + b + m),
+                    math.log(D / rate))
+    x_max = max(x_max, l_lo)
+    period = max(x_max - x_min, (D + (e_lo + e_hi) * l_lo) / e_hi,
+                 (D + (min(2.0, a + power) - a) * l_hi) / e_lo)
+    N = 1 << math.ceil(math.log2(period / _STEP + 2.0))
+    if N > SWEEP_MAX_N or x_max > 300.0:
+        return None
+    # x_(N-1) is a node's -log u; node j of the table is output K + j
+    K = math.ceil((x_max - l_lo) / _STEP)
+    x = l_lo + _STEP * (np.arange(N) - (N - 1 - K))
+    f = np.zeros(N)
+    w = x >= x_min  # a is 0 below the window: no s underflows to 0
+    s = np.exp(x[w])
+    f[w] = np.exp(-(a + b) * x[w]) * (q(s) - q0 * np.exp(-rate * s))
+    eta = (2.0 * math.pi / (N * _STEP)) * np.arange(N // 2 + 1)
+    z = b + 1j * eta
+    # M(z) by reflection, -pi / (2 sin(pi z / 2) Gamma(1 - z)): no pole
+    mellin = np.exp(math.log(0.5 * math.pi) - loggamma(1.0 - z)
+                    - np.log(-np.sin(0.5 * math.pi * z)))
+    y = rfft(f) * mellin * np.exp(1j * eta * (x[-1] - x[0]))
+    lu = _STEP * np.arange(n) - l_lo
+    g = irfft(np.conj(y), N)[K:K + n]
+    return (np.exp(-b * lu) * g
+            + q0 * rate ** a * _psi_exp(a, np.exp(lu) / rate))
 
 
 class PsiTable:
-    """Log-log cubic spline of psi_q on the nodes from U_LO up to u_hi."""
+    """Log-log cubic spline of psi_q on the nodes from U_LO up to u_hi.
+
+    u_hi starts at 10 and grows tenfold at a time when a larger |u| is
+    asked for.  A profile that declares its tail takes every node from
+    one sweep, done anew over the whole range as u_hi grows; the others
+    (a cut, Custom) compute only the new nodes, by psi_quad.
+    """
 
     def __init__(self, q: RadialProfile, alpha: float):
         self.q, self.alpha = q, alpha
@@ -143,18 +257,20 @@ class PsiTable:
         self._extend(10.0)
 
     def _extend(self, umax: float) -> None:
-        """Grow u_hi tenfold until it covers umax, computing only new nodes."""
+        """Grow u_hi tenfold until it covers umax, then fill the nodes."""
         while self.u_hi < umax:
             self.u_hi *= 10.0
         n = PER_TEN * round(math.log10(self.u_hi / U_LO)) + 1
-        lg = math.log(U_LO) + math.log(10.0) / PER_TEN * np.arange(
-            len(self.log_u), n)
-        vals = np.array([psi_quad(self.q, self.alpha, math.exp(t))
-                         for t in lg])
+        lg = math.log(U_LO) + _STEP * np.arange(n)
+        vals = None if self.q.tail is None else _sweep(self.q, self.alpha, n)
+        keep = 0 if vals is not None else len(self.log_u)
+        if vals is None:
+            vals = np.array([psi_quad(self.q, self.alpha, math.exp(t))
+                             for t in lg[keep:]])
         if np.any(vals <= 0):
             raise NumericError("psi not positive on table range")
-        self.log_u = np.concatenate((self.log_u, lg))
-        self.log_psi = np.concatenate((self.log_psi, np.log(vals)))
+        self.log_u = lg
+        self.log_psi = np.concatenate((self.log_psi[:keep], np.log(vals)))
         self._spline = CubicSpline(self.log_u, self.log_psi)
         self._slope = float(self._spline(self.log_u[0], 1))
 
@@ -239,10 +355,11 @@ def phi(model: LevyModel, xi, method: str = "auto") -> ExponentEvaluation:
     if closed and method != "quadrature":
         val = float(phi_on_points(model, x[None, :])[0])
         return ExponentEvaluation(tuple(x), val, "closed-form", 0.0)
-    val = sum(w * psi_quad(q, model.alpha, float(x @ th))
-              for w, q, th in model.pairs)
-    err = 1e-10 * (1.0 + abs(val))
-    return ExponentEvaluation(tuple(x), float(val), "quadrature", err)
+    val = err = 0.0
+    for w, q, th in model.pairs:
+        v, e = psi_quad(q, model.alpha, float(x @ th), with_error=True)
+        val, err = val + w * v, err + w * e
+    return ExponentEvaluation(tuple(x), float(val), "quadrature", float(err))
 
 
 def _direction_set(model: LevyModel, n_extra: int = 8) -> np.ndarray:

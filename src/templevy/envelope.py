@@ -254,11 +254,17 @@ def _check_ball_lower(model: LevyModel, spec: EnvelopeSpec) -> dict:
 
 
 def _check_tail_upper(model: LevyModel, exponent: float) -> dict:
-    """nu(B(0,r)^c) <= c r^(-exponent) for small r."""
+    """nu(B(0,r)^c) <= c r^(-exponent) for small r.
+
+    nu(B(0,r)^c) ~ q(0+) r^-alpha / alpha as r -> 0, so an exponent below
+    alpha fails whenever a profile has q(0+) > 0, however slowly the
+    ratio grows on the scan."""
     radii = _outward_grid(1.0, 1e-2, 16)
     ratios = np.array([nu_tail(model, float(r)) * r ** exponent
                        for r in radii])
-    return {"pass": _sup_settles(ratios, 16),
+    below = exponent < model.alpha and any(
+        q.q0 > 0 for _, q in model.profiles_and_weights())
+    return {"pass": not below and _sup_settles(ratios, 16),
             "sup_ratio": float(ratios.max())}
 
 

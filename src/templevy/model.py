@@ -163,26 +163,57 @@ class LevyModel:
             raise DomainError("truncated second moment is not finite")
 
     def _pair_atoms(self) -> tuple:
-        """Atom i joins the first atom j of its profile at +-theta_i (by a
-        Gram matrix, to ~3e-8); theta_j and -theta_j must weigh the same."""
+        """Group the atoms by profile and by direction up to sign (to
+        ~3e-8); within a group, the atoms at +theta and at -theta must
+        weigh the same.  A group's pair takes the direction of its first
+        atom.
+
+        Each direction is flipped onto a half-sphere by the sign of its
+        largest coordinate, which no direction within 3e-8 can change.
+        Flipped directions that match are near in a generic projection:
+        sorted by it, atoms are compared at lag 1, 2, ... while any are
+        that near, in O(k) memory for k atoms.
+        """
         w, th = self.spectral.atom_weights, self.spectral.atom_directions
+        k = len(w)
         profs = [q for _, q, _ in self.atoms()]
-        kind = np.array([profs.index(q) for q in profs])
-        gram = th @ th.T
-        d2 = np.diag(gram)[:, None] + np.diag(gram)  # |th_i|^2 + |th_j|^2
-        plus, minus = ((kind[:, None] == kind) & (d2 - 2 * s * gram <= 1e-15)
-                       for s in (1.0, -1.0))
-        head = np.argmax(plus | minus, axis=1)
-        up = plus[np.arange(len(w)), head]
-        w_up, w_down = (np.bincount(head, w * at, len(w)) for at in (up, ~up))
+        first = {}
+        kind = np.array([first.setdefault(q, i) for i, q in enumerate(profs)])
+        sign = np.sign(th[np.arange(k), np.argmax(np.abs(th), axis=1)])
+        key = th * sign[:, None]
+        v = np.cos(np.arange(1.0, self.d + 1.0))
+        p = key @ v
+        order = np.argsort(p, kind="stable")
+        p, tol = p[order], 4e-8 * np.linalg.norm(v)
+        # parent: the earliest match in sorted order, by sorted position
+        parent = np.arange(k)
+        for lag in range(1, k):
+            near = np.flatnonzero(p[lag:] - p[:-lag] <= tol)
+            if near.size == 0:
+                break
+            i, j = order[near], order[near + lag]
+            ok = (kind[i] == kind[j]) & (
+                np.sum((key[i] - key[j]) ** 2, axis=1) <= 1e-15)
+            np.minimum.at(parent, near[ok] + lag, near[ok])
+        while np.any(parent[parent] != parent):
+            parent = parent[parent]
+        roots, g = np.unique(parent, return_inverse=True)
+        group = np.empty(k, dtype=int)
+        group[order] = g
+        n = len(roots)
+        head = np.full(n, k)
+        np.minimum.at(head, group, np.arange(k))
+        up = sign == sign[head[group]]
+        w_up, w_down = (np.bincount(group, w * at, n) for at in (up, ~up))
         pairs = []
-        for i in np.flatnonzero(head == np.arange(len(w))):
-            if abs(w_up[i] - w_down[i]) > 1e-9 * (1.0 + abs(w_up[i])):
+        for g in np.argsort(head):
+            i = head[g]
+            if abs(w_up[g] - w_down[g]) > 1e-9 * (1.0 + abs(w_up[g])):
                 raise DomainError(
                     f"nu is not symmetric: atom {i} at {th[i].tolist()}, "
-                    f"profile {profs[i]!r}, weight {w_up[i]:.12g} there "
-                    f"and {w_down[i]:.12g} at its negation")
-            pairs.append((float(w_up[i] + w_down[i]), profs[i], th[i]))
+                    f"profile {profs[i]!r}, weight {w_up[g]:.12g} there "
+                    f"and {w_down[g]:.12g} at its negation")
+            pairs.append((float(w_up[g] + w_down[g]), profs[i], th[i]))
         return tuple(pairs)
 
     @property
@@ -205,15 +236,12 @@ class LevyModel:
 # ---------------------------------------------------------------------------
 # radial quadrature helpers
 
-def _knees(q: RadialProfile, alpha: float) -> list:
-    """Interior break points where the radial integrand changes character."""
-    if isinstance(q, Truncated):
-        return _knees(q.q, alpha) + [q.s0]
-    return [1.0, 1.0 / q.c1] if isinstance(q, ExpTempered) else [1.0]
+def radial_tail_mass(q: RadialProfile, alpha: float, r: float,
+                     with_error: bool = False):
+    """int_r^inf s^(-1-alpha) q(s) ds, adaptive: the scalar reference for W.
 
-
-def radial_tail_mass(q: RadialProfile, alpha: float, r: float) -> float:
-    """int_r^inf s^(-1-alpha) q(s) ds, adaptive: the scalar reference for W."""
+    with_error=True returns (W, error), the sum of QUADPACK's estimates.
+    """
     if r <= 0:
         raise DomainError("r must be positive")
     # in y = log s, one decade per call below 1e-2 (where s^(-1-alpha)
@@ -221,18 +249,20 @@ def radial_tail_mass(q: RadialProfile, alpha: float, r: float) -> float:
     edges = [r]
     while edges[-1] < 1e-2:
         edges.append(min(10.0 * edges[-1], 1e-2))
-    edges = sorted(set(edges) | {p for p in _knees(q, alpha) if p > r})
+    edges = sorted(set(edges) | {p for p in q.knees() if p > r})
     wy = lambda y: math.exp(-alpha * y) * float(q(math.exp(y)))
-    total = sum(quad(wy, math.log(a), math.log(b), epsabs=0.0, epsrel=1e-12,
-                     limit=256)[0] for a, b in zip(edges, edges[1:]))
+    parts = [quad(wy, math.log(a), math.log(b), epsabs=0.0, epsrel=1e-12,
+                  limit=256) for a, b in zip(edges, edges[1:])]
     # rescale s = lo*v so the infinite leg always starts at 1 (QUADPACK's
     # infinite-interval map degrades badly for large lower limits)
     lo = edges[-1]
     wv = lambda v: lo ** (-alpha) * v ** (-1.0 - alpha) * float(q(lo * v))
-    total += quad(wv, 1.0, np.inf, epsabs=1e-13, epsrel=1e-10, limit=256)[0]
+    parts.append(quad(wv, 1.0, np.inf, epsabs=1e-13, epsrel=1e-10,
+                      limit=256))
+    total, err = (sum(p) for p in zip(*parts))
     if not math.isfinite(total):
         raise NumericError("divergent tail integral", estimate=total)
-    return total
+    return (total, err) if with_error else total
 
 
 def radial_second_moment(q: RadialProfile, alpha: float, r: float) -> float:
@@ -241,7 +271,7 @@ def radial_second_moment(q: RadialProfile, alpha: float, r: float) -> float:
         raise DomainError("r must be positive")
     w = lambda s: s ** (1.0 - alpha) * float(q(s))
     edges = [0.0]
-    edges += sorted(p for p in set(_knees(q, alpha)) if 0 < p < r)
+    edges += sorted(p for p in set(q.knees()) if 0 < p < r)
     # split wide ranges by decades: a localized integrand on a huge
     # interval otherwise evades the adaptive sampler entirely
     e = max(edges[-1], 1.0)

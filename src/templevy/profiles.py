@@ -57,13 +57,32 @@ class RadialProfile:
     to both.  A float goes in untouched: the scalar quadratures call q once
     per integrand point, and a 0-d array would cost several times the
     formula itself.
+
+    A profile also declares its scales: ``knees()``, the radii where q
+    changes character (the radial quadratures split there), ``q0`` =
+    q(0+) and ``tail`` = (m, c), with q(s) of order s^-m e^(-c s) as
+    s -> inf (c = 0 for a power tail).  The FFTLog sweep behind the psi
+    tables reads q0 and tail; a profile that leaves ``tail`` at None
+    (Custom, and a cut, whose jump at s0 would ring) has its tables
+    filled by quadrature, and Constant has a closed form.
     """
 
     #: whether q satisfies the doubling bound q(s) <= K q(2s)
     doubling = True
+    #: (m, c): q(s) ~ s^-m e^(-c s) as s -> inf; None when not declared
+    tail = None
 
     def value(self, s):  # pragma: no cover
         raise NotImplementedError
+
+    def knees(self) -> tuple:
+        """Radii where q changes character."""
+        return (1.0,)
+
+    @property
+    def q0(self) -> float:
+        """q(0+); the base class reads q at s = 1e-12."""
+        return float(self(np.array([1e-12]))[0])
 
     def __call__(self, s):
         if isinstance(s, float):
@@ -84,6 +103,12 @@ class PolyTempered(RadialProfile):
     """q(s) = (1+s)^(-m)."""
 
     m: float
+
+    q0 = 1.0
+
+    @property
+    def tail(self) -> tuple:
+        return (self.m, 0.0)
 
     def value(self, s):
         return (1.0 + s) ** (-self.m)
@@ -111,6 +136,15 @@ class ExpTempered(RadialProfile):
             raise DomainError("ExpTempered requires a >= 0 and c1, c2 > 0")
         # exp(-c1 s) is 0 past s_zero, where (1+s)^a may still overflow
         object.__setattr__(self, "_s_zero", 750.0 / self.c1)
+
+    q0 = 1.0
+
+    @property
+    def tail(self) -> tuple:
+        return (-self.a, self.c1)
+
+    def knees(self) -> tuple:
+        return (1.0, 1.0 / self.c1)
 
     def value(self, s):
         # q is 0 past s_zero: an array (or numpy scalar) is read no
@@ -141,6 +175,11 @@ class Truncated(RadialProfile):
             object.__setattr__(self, "s0", min(self.s0, self.q.s0))
             object.__setattr__(self, "q", self.q.q)
 
+    # tail stays None: the jump at s0 would ring in the psi sweep
+
+    def knees(self) -> tuple:
+        return self.q.knees() + (self.s0,)
+
     def value(self, s):
         return self.q.value(s) * (s <= self.s0)
 
@@ -154,6 +193,17 @@ class Relativistic(RadialProfile):
 
     d: int
     alpha: float
+
+    @property
+    def q0(self) -> float:
+        # 2^(1+nu) s^nu K_nu(s) -> 2^(1+nu) 2^(nu-1) Gamma(nu) as s -> 0
+        nu = 0.5 * (self.d + self.alpha)
+        return 4.0 ** nu * math.gamma(nu)
+
+    @property
+    def tail(self) -> tuple:
+        # K_nu(s) ~ sqrt(pi / (2 s)) e^-s
+        return (0.5 - 0.5 * (self.d + self.alpha), 1.0)
 
     def value(self, s):
         return relativistic_kernel(self.d, self.alpha, s)

@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
@@ -31,7 +32,8 @@ from templevy.model import (
     relativistic_model,
     stable_model,
 )
-from templevy.profiles import Constant, ExpTempered, PolyTempered, Truncated
+from templevy.profiles import (Constant, ExpTempered, PolyTempered,
+                               Relativistic, Truncated)
 
 
 def _c_alpha_gamma(alpha: float) -> float:
@@ -131,23 +133,39 @@ def test_cut_exponent_below_full_relativistic():
                                rtol=1e-12)
 
 
+def _exp_oracle(c: float, alpha: float, u: float) -> float:
+    """psi of a = 0 pure exponential tempering e^(-c s):
+    Gamma(-alpha) c^alpha (1 - rho^alpha cos(alpha theta)), with x = u / c,
+    rho = sqrt(1 + x^2) and theta = atan(x), written without cancellation
+    for small u (alpha != 1)."""
+    x = u / c
+    th = math.atan(x)
+    return gamma_fn(-alpha) * c ** alpha * (
+        2.0 * math.sin(0.5 * alpha * th) ** 2
+        - math.expm1(0.5 * alpha * math.log1p(x * x)) * math.cos(alpha * th))
+
+
 def test_psi_exponential_closed_form():
-    # a = 0 pure exponential tempering: psi(u) =
-    # Gamma(-alpha) c^alpha (1 - rho^alpha cos(alpha theta)), with
-    # x = u / c, rho = sqrt(1 + x^2) and theta = atan(x), written without
-    # cancellation for small u
     alpha = 0.5
     for c, u in ((1.0, 0.3), (1.0, 1.0), (1.0, 5.0), (1.0, 40.0),
                  (0.25, 1e-6), (0.8, 1e-6)):
-        x = u / c
-        th = math.atan(x)
-        oracle = gamma_fn(-alpha) * c ** alpha * (
-            2.0 * math.sin(0.5 * alpha * th) ** 2
-            - math.expm1(0.5 * alpha * math.log1p(x * x))
-            * math.cos(alpha * th))
         # psi is about 1e-12 at u = 1e-6: no absolute slack
         assert psi_quad(ExpTempered(a=0.0, c1=c), alpha, u) == pytest.approx(
-            oracle, rel=1e-9, abs=0.0)
+            _exp_oracle(c, alpha, u), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("u", [773.1, 999.0])
+def test_psi_vector_exponential_closed_form_off_nodes(u):
+    # two points where a table of psi_quad nodes was 1.5e-4 off
+    assert psi_vector(ExpTempered(c1=1.25), 0.3, [u])[0] == pytest.approx(
+        _exp_oracle(1.25, 0.3, u), rel=1e-10, abs=0.0)
+
+
+def test_phi_quadrature_error_covers_its_miss():
+    # QAWF misses psi at u = 715 by 1.2e-4 relative; the error phi
+    # reports is QUADPACK's own estimate, which covers it
+    ev = phi(exp_model(0.3, 0.0, 1.25), [715.0], method="quadrature")
+    assert ev.error >= abs(ev.value - 2.0 * _exp_oracle(1.25, 0.3, 715.0))
 
 
 def test_psi_finite_cutoff_per_period_oracle():
@@ -197,6 +215,16 @@ def fresh_tables(monkeypatch):
     return cache
 
 
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """The arguments of every psi_quad call charexp makes in one test."""
+    calls = []
+    quad = charexp.psi_quad
+    monkeypatch.setattr(charexp, "psi_quad",
+                        lambda *a: calls.append(a) or quad(*a))
+    return calls
+
+
 @pytest.mark.parametrize("q, alpha", [
     (PolyTempered(3.0), 1.0),
     (ExpTempered(c1=1.0), 1.5),
@@ -204,30 +232,64 @@ def fresh_tables(monkeypatch):
 ], ids=["poly3", "exp1", "poly3-cut"])
 def test_psi_vector_matches_scalar(fresh_tables, q, alpha):
     psi_vector(q, alpha, np.logspace(-2, 1, 4))
-    table = fresh_tables(q, alpha)
-    assert table.u_hi == 10.0
     # the same table grows to cover u = 1e5
     u = np.logspace(-2, 5, 15)
     vec = psi_vector(q, alpha, u)
     assert fresh_tables.cache_info().misses == 1
-    assert table.u_hi == 1e5
-    assert len(table.log_u) == 11 * 48 + 1
     for ui, vi in zip(u, vec):
         assert vi == pytest.approx(psi_quad(q, alpha, float(ui)), rel=1e-6)
 
 
-def test_one_table_per_model_across_times(fresh_tables, monkeypatch):
-    calls = []
-    quad = charexp.psi_quad
-    monkeypatch.setattr(charexp, "psi_quad",
-                        lambda *a: calls.append(a) or quad(*a))
+def test_cut_table_grows_by_new_nodes(fresh_tables, quad_calls):
+    q, alpha = Truncated(0.5, PolyTempered(3.0)), 1.0
+    psi_vector(q, alpha, np.logspace(-2, 1, 4))
+    table = fresh_tables(q, alpha)
+    assert table.u_hi == 10.0
+    psi_vector(q, alpha, np.logspace(-2, 5, 15))
+    assert table.u_hi == 1e5
+    assert len(table.log_u) == 11 * 48 + 1
+    # every node is computed once, however often the table grows
+    assert len(quad_calls) == len(table.log_u)
+
+
+def test_one_table_per_model_across_times(fresh_tables, quad_calls):
     m = poly_model(3.0, 1.0)
     for t in (0.1, 1.0, 10.0):
         invert(m, t)
     assert fresh_tables.cache_info().misses == 1
-    # every psi node is computed once, however often the table grows
-    table = fresh_tables(m.profile, m.alpha)
-    assert len(calls) == len(table.log_u)
+    # an uncut profile's table comes from the sweep alone
+    assert quad_calls == []
+
+
+@st.composite
+def uncut_profiles(draw, kind):
+    """(q, alpha): a built-in profile of the kind that declares its tail,
+    off the closed forms."""
+    alpha = draw(st.floats(0.05, 1.95))
+    if kind == "poly":
+        q = PolyTempered(draw(st.floats(0.5, 4.0)))
+    elif kind == "exp":
+        q = ExpTempered(a=draw(st.floats(0.0, 2.0)),
+                        c1=draw(st.floats(0.25, 4.0)))
+    else:
+        q = Relativistic(draw(st.sampled_from([1, 2])),
+                         draw(st.floats(0.1, 1.9)))
+        assume(not charexp._closed_psi(q, alpha))
+    return q, alpha
+
+
+@pytest.mark.parametrize("kind", ["poly", "exp", "relativistic"])
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_sweep_matches_psi_quad(kind, data):
+    # the node u = 1e-6 * 10^(k / 48), up to 1e3, of a fresh table, within
+    # psi_quad's own error estimate (and 1e-8 relative, the sweep's
+    # roundoff at small alpha)
+    q, alpha = data.draw(uncut_profiles(kind))
+    u = charexp.U_LO * 10.0 ** (data.draw(st.integers(0, 9 * 48)) / 48)
+    val = float(charexp.PsiTable(q, alpha)(np.array([u]))[0])
+    ref, err = psi_quad(q, alpha, u, with_error=True)
+    assert abs(val - ref) <= 1e-8 * ref + 2.0 * err
 
 
 @pytest.mark.parametrize("u", [math.nan, -math.inf], ids=["nan", "inf"])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from templevy import envelope
 from templevy.envelope import (
     EnvelopeSpec,
     evaluate,
@@ -164,6 +165,15 @@ def test_hypothesis_check_rejects_tail_exponent_below_alpha():
     checks = hypothesis_check(exp_model(1.5), spec)["checks"]
     assert checks["tail_upper"]["pass"]
     assert not checks["tail_upper_beta"]["pass"]
+
+
+@pytest.mark.parametrize("exponent, ok", [
+    (0.9, False), (0.95, False), (1.0, True), (1.2, True)])
+def test_tail_upper_fails_below_alpha(exponent, ok):
+    # nu(B(0,r)^c) ~ 2 r^-1 for poly_model(3, 1): r^0.9 times it grows
+    # without bound as r -> 0, though only to ~3 on the scan range
+    assert envelope._check_tail_upper(poly_model(3.0, 1.0),
+                                      exponent)["pass"] is ok
 
 
 def test_hypothesis_check_tail_converging_slowly_passes():

@@ -1,5 +1,6 @@
 """Levy model functionals: tail mass, ball mass, moments, gamma fit."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,3 +243,21 @@ def test_symmetric_atom_sets_load_and_pair(atom_set, data):
     heavier[i] *= 1.0 + 1e-6
     with pytest.raises(DomainError, match="not symmetric"):
         _atom_set_model(d, alpha, dirs, heavier, qs)
+
+
+def test_pairing_memory_is_linear_in_atoms():
+    # 1,024 directions and their antipodes in d = 2: pairing them holds no
+    # k x k matrix (one of 2,048^2 doubles is 32 MB)
+    ang = np.linspace(0.0, math.pi, 1024, endpoint=False)
+    ang = np.concatenate((ang, ang + math.pi))
+    sp = SpectralMeasure(d=2, directions=np.stack(
+        [np.cos(ang), np.sin(ang)], axis=1), weights=np.ones(2048))
+    tracemalloc.start()
+    try:
+        m = LevyModel(d=2, alpha=1.0, spectral=sp, profile=PolyTempered(3.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(m.pairs) == 1024
+    assert all(w == 2.0 for w, _, _ in m.pairs)
+    assert peak < 10 * 2 ** 20

@@ -89,6 +89,27 @@ def test_doubling_flags():
     assert not Relativistic(d=1, alpha=1.0).doubling
 
 
+@pytest.mark.parametrize("q", [
+    PolyTempered(2.5), ExpTempered(a=1.5, c1=0.7),
+    Relativistic(1, 0.5), Relativistic(2, 1.3)], ids=repr)
+def test_declared_scales(q):
+    # q0 is q(0+), and q(s) s^m e^(c s) settles as s -> inf
+    assert q.q0 == pytest.approx(float(q(np.array([1e-9]))[0]), rel=1e-6)
+    m, c = q.tail
+    s = np.array([100.0, 200.0])
+    r = q(s) * s ** m * np.exp(c * s)
+    assert r[1] == pytest.approx(r[0], rel=0.02)
+
+
+def test_cut_and_custom_declare_no_tail():
+    cut = Truncated(2.0, ExpTempered(a=0.0, c1=0.5))
+    assert cut.tail is None and cut.knees() == (1.0, 2.0, 2.0)
+    assert cut.q0 == pytest.approx(1.0, rel=1e-11)
+    custom = Custom(lambda s: 3.0 / (1.0 + s))
+    assert custom.tail is None and custom.knees() == (1.0,)
+    assert custom.q0 == pytest.approx(3.0, rel=1e-11)
+
+
 def test_tail_index():
     assert tail_index(Constant(1.0), 1.0) == pytest.approx(1.0)
     assert tail_index(ExpTempered(a=0.0, c1=1.0), 1.0) == pytest.approx(2.0)
