@@ -133,10 +133,13 @@ def psi_quad(q: RadialProfile, alpha: float, u: float,
         cosint, e2 = quad(wtil, A, V, weight="cos", wvar=1.0,
                           epsabs=1e-13, limlst=400, limit=400)
     val = u**alpha * (i1 - cosint) + mass
-    if not math.isfinite(val):
+    err = u**alpha * (e1 + e2) + e_mass
+    # |cos v| <= 1: the cosine integral cannot outweigh the mass it weighs
+    if not (math.isfinite(val)
+            and u**alpha * abs(cosint) <= mass * (1.0 + 1e-9) + err):
         raise NumericError("oscillatory radial integral did not converge",
                            estimate=u**alpha * i1 + mass)
-    return (val, u**alpha * (e1 + e2) + e_mass) if with_error else val
+    return (val, err) if with_error else val
 
 
 def _psi_exp(alpha: float, u: np.ndarray) -> np.ndarray:

@@ -202,6 +202,17 @@ def test_psi_long_cutoff_against_full_measure():
         oracle, rel=1e-12)
 
 
+def test_psi_quad_raises_where_qawf_overflows():
+    # QAWF returns the largest float, with an error of 4e-14, for this
+    # rising-then-tempered profile; the sweep has the value (mpmath:
+    # 21.975475058504653)
+    q, alpha, u = ExpTempered(a=3.0, c1=0.1), 0.7, 0.015399265260594912
+    with pytest.raises(NumericError, match="did not converge"):
+        psi_quad(q, alpha, u)
+    assert psi_vector(q, alpha, [u])[0] == pytest.approx(
+        21.975475058504653, rel=1e-10)
+
+
 def test_psi_cut_beyond_reliable_range_raises():
     with pytest.raises(NumericError, match="exceeds 1e\\+08"):
         psi_quad(Truncated(1e4, PolyTempered(3.0)), 1.0, 1e5)
