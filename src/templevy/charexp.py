@@ -358,11 +358,20 @@ def phi(model: LevyModel, xi, method: str = "auto") -> ExponentEvaluation:
     if closed and method != "quadrature":
         val = float(phi_on_points(model, x[None, :])[0])
         return ExponentEvaluation(tuple(x), val, "closed-form", 0.0)
-    val = err = 0.0
-    for w, q, th in model.pairs:
+    terms = np.zeros(len(model.pairs))
+    err = 0.0
+    for i, (w, q, th) in enumerate(model.pairs):
         v, e = psi_quad(q, model.alpha, float(x @ th), with_error=True)
-        val, err = val + w * v, err + w * e
-    return ExponentEvaluation(tuple(x), float(val), "quadrature", float(err))
+        terms[i], err = w * v, err + w * e
+    val = float(terms.sum())
+    if not model.spectral.is_atomic:
+        # the angular rule's own error: against the rules on every other
+        # and every fourth node (their +- pairs are every k-th pair, at k
+        # times the weight), in all their shifts; at a kink between nodes
+        # the two every-other rules can agree, the four coarser ones not
+        err += max(abs(val - k * float(terms[i::k].sum()))
+                   for k in (2, 4) for i in range(k))
+    return ExponentEvaluation(tuple(x), val, "quadrature", float(err))
 
 
 def _direction_set(model: LevyModel, n_extra: int = 8) -> np.ndarray:

@@ -142,22 +142,25 @@ def bounded_cell_masses(sm: SplitMeasure, grid: GridSpec) -> np.ndarray:
 
     Along each atom the cell [x - h/2, x + h/2] holds w (W(a) - W(b)) with
     its edges a < b taken as radii and clipped below at eps, W being the
-    model's tail table: the N + 1 edges cost one table lookup per profile,
-    at |edge| clipped below at eps, which serves the atoms at +1 and -1
-    alike.  The masses telescope to w W(eps) less the mass beyond the window.
+    model's tail table.  The cells at +-kh see the same radii: each +-
+    pair reads W once on the N/2 + 2 distinct ones, eps and (j - 1/2) h
+    for j = 1..N/2 + 1, and mirrors its half-pair masses onto the grid.
+    The origin cell holds both atoms of a pair; the cell at -L, whose
+    outer edge -L - h/2 has no partner, only the atom at -1.  The masses
+    telescope to w W(eps) less the mass beyond the window.
     """
     if grid.d != 1:
         raise DomainError("gridded big-jump measure is d=1 only")
-    edges = np.append(grid.x_axis(), grid.L) - grid.h / 2.0
-    masses = np.zeros(grid.N)
-    tails = {}
-    for w, q, th in sm.model.atoms():
-        if q not in tails:  # W at every |edge|, and W(eps) last
-            tails[q] = _tail_table(q, sm.model.alpha)(
-                np.append(np.maximum(np.abs(edges), sm.eps), sm.eps))
-        sign = float(th[0])  # +-1: the radii run up or down the grid
-        tail = np.where(sign * edges >= sm.eps, tails[q][:-1], tails[q][-1])
-        masses -= w * sign * np.diff(tail)
+    n2 = grid.N // 2
+    radii = np.maximum(np.arange(n2 + 1) * grid.h + grid.h / 2.0, sm.eps)
+    half = np.zeros(n2 + 1)  # one atom's cells at 0, h, ..., L
+    for w, q, _ in sm.model.pairs:
+        tail = _tail_table(q, sm.model.alpha)(np.append(sm.eps, radii))
+        half -= w / 2.0 * np.diff(tail)
+    masses = np.empty(grid.N)
+    masses[n2:] = half[:n2]
+    masses[:n2] = half[:0:-1]
+    masses[n2] *= 2.0
     return masses
 
 

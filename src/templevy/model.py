@@ -221,10 +221,14 @@ class LevyModel:
         return self.spectral.degenerate
 
     def profiles_and_weights(self):
-        """Pairs (weight, profile) per atom; density measures use one profile."""
-        if self.spectral.is_atomic:
-            return [(w, q) for w, q, _ in self.atoms()]
-        return [(self.spectral.total_mass, self.profile)]
+        """Pairs (summed weight, profile), one per distinct profile, in
+        order of first appearance; density measures use one profile."""
+        if not self.spectral.is_atomic:
+            return [(self.spectral.total_mass, self.profile)]
+        summed = {}
+        for w, q, _ in self.atoms():
+            summed[q] = summed.get(q, 0.0) + w
+        return [(w, q) for q, w in summed.items()]
 
     def atoms(self):
         """Triples (weight, profile, direction) over the spectral atom set."""

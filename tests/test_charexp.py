@@ -121,6 +121,22 @@ def test_phi_uniform_circle_density(alpha):
     np.testing.assert_allclose(phi_on_points(m, xi), oracle, rtol=1e-3)
 
 
+def test_phi_error_covers_the_angular_rule():
+    # the kink of |cos a|^alpha sits on a node at xi = (2, 0) and half a
+    # node off it at the second xi, where the two every-other rules agree
+    alpha = 0.5
+    sp = SpectralMeasure(d=2, density=lambda ang: np.ones_like(ang))
+    m = LevyModel(d=2, alpha=alpha, spectral=sp, profile=Constant(1.0))
+    ang_int = (2.0 * math.sqrt(math.pi) * gamma_fn((alpha + 1.0) / 2.0)
+               / gamma_fn(alpha / 2.0 + 1.0))
+    half = math.pi / 512
+    for xi in ([2.0, 0.0], [math.cos(half), math.sin(half)]):
+        oracle = (_c_alpha_gamma(alpha) * np.linalg.norm(xi) ** alpha
+                  * ang_int)
+        ev = phi(m, xi, method="quadrature")
+        assert abs(ev.value - oracle) <= ev.error
+
+
 def test_cut_exponent_below_full_relativistic():
     # the relativistic closed form holds for the whole measure only: the
     # cut exponent leaves out the jumps beyond eps and is strictly smaller

@@ -6,6 +6,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
+from templevy import density
+from templevy.charexp import phi_on_points
+from templevy.decomp import split
 from templevy.density import (
     CACHE_MAGIC,
     GridSpec,
@@ -154,3 +157,53 @@ def test_on_diagonal_scan_small_t_rate():
     # pure stable: p_t(0) t^{d/alpha} is constant in t
     scaled = [r[2] for r in rows]
     assert max(scaled) / min(scaled) < 1.0 + 1e-4
+
+
+def _full_grid_values(model, t, grid):
+    """The inversion on the whole dual grid, as a complex FFT of
+    exp(-t Phi) at every frequency (fft2 in d = 2), before the clip."""
+    xi = grid.xi_axis()
+    if grid.d == 2:
+        g1, g2 = np.meshgrid(xi, xi, indexing="ij")
+        xi = np.stack([g1, g2], axis=-1)
+    fhat = np.exp(-t * phi_on_points(model, xi))
+    scale = (math.pi / grid.L / (2.0 * math.pi)) ** grid.d
+    sgn = np.where(np.arange(grid.N) % 2 == 0, 1.0, -1.0)
+    if grid.d == 1:
+        return scale * sgn * np.fft.fft(sgn * fhat).real
+    ph = np.outer(sgn, sgn)
+    return scale * ph * np.fft.fft2(ph * fhat).real
+
+
+@pytest.mark.parametrize("model, t, grid", [
+    (cauchy_model(), 1.0, GridSpec(1, 2048.0, 2 ** 17)),
+    (poly_model(3.0, 1.0), 0.5, GridSpec(1, 256.0, 2 ** 16)),
+    (exp_model(1.5), 0.1, GridSpec(1, 64.0, 2 ** 15)),
+    (relativistic_model(1.0), 1.0, GridSpec(1, 128.0, 2 ** 14)),
+    (split(poly_model(3.0, 1.0), 0.5).small, 0.5, GridSpec(1, 20.0, 2 ** 12)),
+    (exp_model(1.5, d=2), 0.5, GridSpec(2, 32.0, 256)),
+    (exp_model(1.2, d=2), 1.0, GridSpec(2, 16.0, 512)),
+], ids=["cauchy", "poly3", "exp1.5", "relativistic", "small", "exp1.5-d2",
+        "exp1.2-d2"])
+def test_half_spectrum_inversion_matches_full_grid(model, t, grid):
+    fld = invert(model, t, grid)
+    ref = _full_grid_values(model, t, grid)
+    assert fld.min_raw == pytest.approx(float(ref.min()),
+                                        abs=1e-13 * float(ref.max()))
+    np.testing.assert_allclose(fld.values, np.clip(ref, 0.0, None), rtol=0,
+                               atol=1e-13 * float(ref.max()))
+
+
+@pytest.mark.parametrize("d, n", [(1, 2 ** 12), (2, 128)])
+def test_invert_reads_phi_on_the_half_spectrum(monkeypatch, d, n):
+    sizes = []
+
+    def counted(model, xi):
+        out = phi_on_points(model, xi)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(density, "phi_on_points", counted)
+    invert(exp_model(1.5, d=d), 0.5, GridSpec(d, 32.0, n))
+    # one point for the truncation estimate, then the half spectrum
+    assert sorted(sizes) == [1, n ** (d - 1) * (n // 2 + 1)]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from templevy.charexp import phi, phi_on_points, psi_vector
+from templevy import model as model_mod
 from templevy.errors import DomainError
 from templevy.model import (
     LevyModel,
@@ -26,6 +27,7 @@ from templevy.model import (
     relativistic_model,
     save_model,
     stable_model,
+    truncated_second_moment,
 )
 from templevy.profiles import (Constant, ExpTempered, PolyTempered,
                                Relativistic, Truncated)
@@ -261,3 +263,29 @@ def test_pairing_memory_is_linear_in_atoms():
     assert len(m.pairs) == 1024
     assert all(w == 2.0 for w, _, _ in m.pairs)
     assert peak < 10 * 2 ** 20
+
+
+def test_constructor_checks_once_per_profile(monkeypatch):
+    # 2,048 atoms of one profile in d = 2: nu_tail and the second moment
+    # sum the weights per profile, so the constructor makes one quadrature
+    calls = []
+
+    def counted(q, alpha, r):
+        calls.append(q)
+        return radial_second_moment(q, alpha, r)
+
+    monkeypatch.setattr(model_mod, "radial_second_moment", counted)
+    ang = 2.0 * math.pi * np.arange(2048) / 2048
+    sp = SpectralMeasure(d=2, directions=np.stack(
+        [np.cos(ang), np.sin(ang)], axis=1), weights=np.full(2048, 0.3))
+    q = PolyTempered(3.0)
+    m = LevyModel(d=2, alpha=1.2, spectral=sp, profile=q)
+    assert calls == [q]
+    assert m.profiles_and_weights() == [(pytest.approx(614.4, rel=1e-14), q)]
+    # the atom-by-atom sums, exactly rounded
+    w_tail = float(model_mod._tail_table(q, 1.2)(1.0))
+    assert nu_tail(m, 1.0) == pytest.approx(
+        math.fsum(0.3 * w_tail for _ in ang), rel=1e-14)
+    assert truncated_second_moment(m, 1.0) == pytest.approx(
+        math.fsum(0.3 * radial_second_moment(q, 1.2, 1.0) for _ in ang),
+        rel=1e-14)

@@ -199,7 +199,8 @@ def test_inverse_rebuilds_its_guide_when_the_table_grows(q):
 
 
 def _per_atom_cell_masses(sm, grid):
-    """bounded_cell_masses reading the table once per atom."""
+    """The cell masses atom by atom: each atom reads W at all N + 1 edges
+    and takes its cells as differences along its own ray."""
     edges = np.append(grid.x_axis(), grid.L) - grid.h / 2.0
     masses = np.zeros(grid.N)
     for w, q, th in sm.model.atoms():
@@ -218,3 +219,37 @@ def test_cell_masses_equal_per_atom_reads(model, t, n):
     grid = GridSpec(1, 2048.0, n)
     np.testing.assert_array_equal(bounded_cell_masses(sm, grid),
                                   _per_atom_cell_masses(sm, grid))
+
+
+_TWO_PROFILES = LevyModel(
+    d=1, alpha=1.2,
+    spectral=SpectralMeasure(d=1, directions=[[1.0], [-1.0], [-1.0], [1.0]],
+                             weights=[1.0, 1.0, 0.5, 0.5]),
+    atom_profiles=[PolyTempered(3.0), PolyTempered(3.0),
+                   ExpTempered(0.0, 2.0), ExpTempered(0.0, 2.0)])
+
+
+# h = 2L / N is a power of two at L = 2048 and not at L = 3 or 100
+@pytest.mark.parametrize("L", [3.0, 100.0, 2048.0])
+@pytest.mark.parametrize("eps", [0.01, 1.0])
+@pytest.mark.parametrize("model", [cauchy_model(), poly_model(3.0, 1.0),
+                                   exp_model(1.0), _TWO_PROFILES],
+                         ids=["cauchy", "poly3", "exp1", "two-profiles"])
+def test_cell_masses_on_distinct_radii_match_per_atom(model, eps, L):
+    sm = split(model, eps)
+    grid = GridSpec(1, L, 2 ** 15)
+    ref = _per_atom_cell_masses(sm, grid)
+    np.testing.assert_allclose(bounded_cell_masses(sm, grid), ref, rtol=0,
+                               atol=1e-15 * float(ref.max()))
+
+
+def test_cell_masses_mirror_exactly():
+    # h = 2.7 / 2^14 has no exact multiples, so the per-atom edges at +kh
+    # and -kh round apart; the cells at +-kh read the same radii here and
+    # hold the same mass, and only the cell at -L is unpaired
+    sm = split(_TWO_PROFILES, 0.01)
+    grid = GridSpec(1, 2.7, 2 ** 15)
+    masses = bounded_cell_masses(sm, grid)
+    np.testing.assert_array_equal(masses[1:], masses[1:][::-1])
+    assert masses.sum() == pytest.approx(
+        _per_atom_cell_masses(sm, grid).sum(), rel=1e-14)
