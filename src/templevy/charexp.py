@@ -342,26 +342,25 @@ def phi_on_points(model: LevyModel, xi: np.ndarray) -> np.ndarray:
 def phi(model: LevyModel, xi, method: str = "auto") -> ExponentEvaluation:
     """Evaluate Phi(xi).
 
-    method: "auto" picks a closed form when the measure is atomic and
-    every pair's psi has one, "quadrature" forces the adaptive oscillatory
-    integral once per +- pair, "closed" demands a closed form.
+    method: "auto" takes psi in closed form when every pair's psi has one,
+    "quadrature" forces the adaptive oscillatory integral once per +- pair,
+    "closed" demands a closed form.  On a density spectral measure the
+    error adds that of the angular rule.
     """
     if method not in ("auto", "quadrature", "closed"):
         raise DomainError(f"unknown method {method!r}: "
                           "use 'auto', 'quadrature' or 'closed'")
     x = np.asarray(xi, dtype=float).reshape(model.d)
-    # atoms whose psi all have closed forms: phi_on_points is exact
-    closed = model.spectral.is_atomic and all(
-        _closed_psi(q, model.alpha) is not None for _, q, _ in model.pairs)
-    if method == "closed" and not closed:
+    closed = [_closed_psi(q, model.alpha) for _, q, _ in model.pairs]
+    if method == "closed" and None in closed:
         raise DomainError("no closed form for this model")
-    if closed and method != "quadrature":
-        val = float(phi_on_points(model, x[None, :])[0])
-        return ExponentEvaluation(tuple(x), val, "closed-form", 0.0)
+    use_closed = method != "quadrature" and None not in closed
     terms = np.zeros(len(model.pairs))
     err = 0.0
     for i, (w, q, th) in enumerate(model.pairs):
-        v, e = psi_quad(q, model.alpha, float(x @ th), with_error=True)
+        u = float(x @ th)
+        v, e = ((closed[i](abs(u)), 0.0) if use_closed
+                else psi_quad(q, model.alpha, u, with_error=True))
         terms[i], err = w * v, err + w * e
     val = float(terms.sum())
     if not model.spectral.is_atomic:
@@ -371,7 +370,9 @@ def phi(model: LevyModel, xi, method: str = "auto") -> ExponentEvaluation:
         # the two every-other rules can agree, the four coarser ones not
         err += max(abs(val - k * float(terms[i::k].sum()))
                    for k in (2, 4) for i in range(k))
-    return ExponentEvaluation(tuple(x), val, "quadrature", float(err))
+    return ExponentEvaluation(tuple(x), val,
+                              "closed-form" if use_closed else "quadrature",
+                              float(err))
 
 
 def _direction_set(model: LevyModel, n_extra: int = 8) -> np.ndarray:

@@ -80,7 +80,7 @@ def _cmd_decompose(args) -> int:
     finally:
         if args.out:
             out.close()
-    print(f"# eps={eps:.12g} lambda={sm.lam:.12g} order={cp.order} "
+    print(f"# eps={eps:.12g} lambda={sm.lam:.12g} "
           f"tail_bound={cp.tail_bound:.3g} overflow={cp.overflow:.3g}",
           file=sys.stderr)
     return 0

@@ -9,7 +9,8 @@ nubar with total mass lambda, whose semigroup is the compound Poisson law
            = e^(-t lambda) exp(t nubar)   (convolution exponential),
 
 computed on the grid as one exponential in frequency space by FFT, not as
-a truncated series.
+a truncated series.  Every convolution here, recompose's too, is a
+product of real FFTs on the grid zero-padded to 2N.
 
 The product identity p_t = p~_t * Pbar_t is the main quantitative check:
 both sides are computed by independent discretizations and compared.
@@ -21,8 +22,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.signal import fftconvolve
-from scipy.stats import poisson
 
 from .charexp import phi_on_points
 from .density import MAX_N, DensityField, GridSpec, _cutoff, invert
@@ -65,7 +64,6 @@ class CompoundPoissonField:
     lam: float
     atom_weight: float
     ac: np.ndarray = field(repr=False)
-    order: int
     tail_bound: float
     overflow: float
 
@@ -164,23 +162,17 @@ def bounded_cell_masses(sm: SplitMeasure, grid: GridSpec) -> np.ndarray:
     return masses
 
 
-def _poisson_order(mu: float, tol: float) -> int:
-    """Smallest N with P(Poisson(mu) > N) < tol."""
-    n = max(int(mu), 1)
-    while poisson.sf(n, mu) >= tol:
-        n += 1
-    return n
+def _padded_rfft(values: np.ndarray) -> np.ndarray:
+    """rfft of a field on [-L, L) zero-padded to 2N, x = 0 at index 0.
 
-
-def _nubar_hat(masses: np.ndarray) -> np.ndarray:
-    """rfft of the cell masses zero-padded to 2N, with x = 0 at index 0.
-
-    The padded grid has period 4L, so frequency m pi / L is bin 2|m|.
+    The padded grid has period 4L, so frequency m pi / L is bin 2|m|.  Two
+    fields span 2N - 1 points together: the product of their transforms
+    is their linear convolution, with no wrap.
     """
-    n2 = len(masses) // 2
+    n2 = len(values) // 2
     padded = np.zeros(4 * n2)
-    padded[:n2] = masses[n2:]
-    padded[-n2:] = masses[:n2]
+    padded[:n2] = values[n2:]
+    padded[-n2:] = values[:n2]
     return sfft.rfft(padded)
 
 
@@ -196,8 +188,8 @@ def compound_poisson(sm: SplitMeasure, t: float, grid: GridSpec,
 
     The a.c. part is e^(-t lam) IFFT(expm1(t nuhat)) on the grid padded to
     2N, cropped to the window: the transform carries every convolution
-    power of nubar.  `order` is the power above which the Poisson weights
-    sum below `tol`.  `tail_bound` bounds the mass deficit plus the L1
+    power of nubar (recompose convolves on the same padded transform,
+    _padded_rfft).  `tail_bound` bounds the mass deficit plus the L1
     error on the window against the exact lattice law: the cropped mass,
     the mass folded back by the period 4L (Chebyshev, |S| >= 3L), and the
     mass of nubar beyond the window.
@@ -211,15 +203,15 @@ def compound_poisson(sm: SplitMeasure, t: float, grid: GridSpec,
     atom = math.exp(-mu)
     if mu == 0.0:
         return CompoundPoissonField(grid=grid, t=t, lam=lam, atom_weight=1.0,
-                                    ac=np.zeros(grid.N), order=0,
-                                    tail_bound=0.0, overflow=0.0)
+                                    ac=np.zeros(grid.N), tail_bound=0.0,
+                                    overflow=0.0)
     masses = bounded_cell_masses(sm, grid)
     overflow = lam - float(masses.sum())
     if overflow > max(tol, 1e-6 * lam) and overflow > 1e-3:
         raise GridError(
             f"big-jump mass {overflow:.3e} falls outside the grid")
     # e^(-mu) (exp(t nuhat) - 1), in place on the transform
-    spec = _nubar_hat(masses)
+    spec = _padded_rfft(masses)
     spec *= t
     if mu < 700.0:
         # |t nuhat| <= mu: expm1 cannot overflow, and keeps small mu exact
@@ -240,19 +232,19 @@ def compound_poisson(sm: SplitMeasure, t: float, grid: GridSpec,
     tail = max(cropped, 0.0) + fold + t * max(overflow, 0.0)
     ac /= grid.h
     return CompoundPoissonField(grid=grid, t=t, lam=lam, atom_weight=atom,
-                                ac=ac, order=_poisson_order(mu, tol),
-                                tail_bound=tail, overflow=overflow)
+                                ac=ac, tail_bound=tail, overflow=overflow)
 
 
 def recompose(local: DensityField, cp: CompoundPoissonField) -> DensityField:
-    """p_t = e^(-t lambda) p~_t + p~_t * (a.c. part of Pbar_t)."""
+    """p_t = e^(-t lambda) p~_t + p~_t * (a.c. part of Pbar_t), the
+    convolution a product of the fields' padded transforms."""
     if local.grid != cp.grid:
         raise DomainError("local density and compound Poisson grids differ")
     if local.t != cp.t:
         raise DomainError("mismatched times")
     g = local.grid
-    n2 = g.N // 2
-    conv = fftconvolve(local.values, cp.ac)[n2:n2 + g.N] * g.h
+    spec = _padded_rfft(local.values) * _padded_rfft(cp.ac)
+    conv = _window(sfft.irfft(spec, 2 * g.N)) * g.h
     vals = np.clip(cp.atom_weight * local.values + conv, 0.0, None)
     mass = float(vals.sum()) * g.h
     return DensityField(grid=g, t=local.t, values=vals, mass=mass,
@@ -277,7 +269,7 @@ def frequency_identity_defect(sm: SplitMeasure, t: float,
     phit = phi_on_points(sm.small, xi)
     # frequency m pi / L is bin 2|m| of the padded transform
     m = np.arange(-(grid.N // 2), grid.N // 2, step)
-    coshat = _nubar_hat(bounded_cell_masses(sm, grid)).real[2 * np.abs(m)]
+    coshat = _padded_rfft(bounded_cell_masses(sm, grid)).real[2 * np.abs(m)]
     fbar = np.exp(t * (coshat - sm.lam))
     direct = np.exp(-t * phi_on_points(sm.model, xi))
     return float(np.max(np.abs(np.exp(-t * phit) * fbar - direct)))
@@ -297,7 +289,7 @@ def convolution_ball_check(sm: SplitMeasure, n_max: int, x_set,
     m = sm.model
     if grid is None:
         grid = GridSpec(1, 256.0, 2 ** 15)
-    nuhat = _nubar_hat(bounded_cell_masses(sm, grid))
+    nuhat = _padded_rfft(bounded_cell_masses(sm, grid))
     ax = grid.x_axis()
     a = m.alpha
     q = m.profiles_and_weights()[0][1]

@@ -237,7 +237,7 @@ def _check_phi_two_sided(model: LevyModel, spec: EnvelopeSpec) -> dict:
 def _check_ball_lower(model: LevyModel, spec: EnvelopeSpec) -> dict:
     """nu(B(x, r)) >= c r^gamma |x|^(-alpha-gamma) q(|x|) on the cone."""
     a = model.alpha
-    dirs = spec.directions or [th for th in model.spectral.directions]
+    dirs = spec.directions or model.spectral.probe_directions
     worst = math.inf
     for th in dirs:
         th = np.asarray(th, dtype=float)

@@ -61,15 +61,9 @@ def scan_points(model: LevyModel, radii=None) -> np.ndarray:
     """Scan points along each spectral direction (plus the origin)."""
     radii = np.asarray(radii if radii is not None else DEFAULT_RADII,
                        dtype=float)
-    dirs = np.asarray(model.spectral.directions) \
-        if model.spectral.is_atomic else _density_dirs(model)
+    dirs = model.spectral.probe_directions
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, model.d)
     return np.vstack([np.zeros((1, model.d)), pts])
-
-
-def _density_dirs(model: LevyModel, n: int = 8) -> np.ndarray:
-    ang = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
 def _scan_grid(model: LevyModel, t_min: float, x_max: float) -> GridSpec:

@@ -118,6 +118,12 @@ class SpectralMeasure:
         val, _ = quad(lambda a: float(self.density(np.array([a]))[0]), 0.0, 2 * math.pi, limit=200)
         return float(val)
 
+    @property
+    def probe_directions(self) -> np.ndarray:
+        """The atoms, or 8 evenly spaced nodes of the angular rule."""
+        return self.atom_directions[::1 if self.is_atomic
+                                    else ANGULAR_NODES // 8]
+
     def direction_matrix(self) -> np.ndarray:
         """Second moment matrix sum w_i theta_i theta_i^T over the atom set."""
         th = self.atom_directions

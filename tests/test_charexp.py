@@ -107,34 +107,46 @@ def test_phi_on_points_shape_d1():
         phi_on_points(m, 2.0))
 
 
+def _uniform_circle(alpha):
+    """The uniform circle under q = 1, and Phi at xi in closed form."""
+    sp = SpectralMeasure(d=2, density=lambda ang: np.ones_like(ang))
+    m = LevyModel(d=2, alpha=alpha, spectral=sp, profile=Constant(1.0))
+    ang_int = (2.0 * math.sqrt(math.pi) * gamma_fn((alpha + 1.0) / 2.0)
+               / gamma_fn(alpha / 2.0 + 1.0))
+    c = _c_alpha_gamma(alpha) * ang_int
+    return m, lambda xi: c * np.linalg.norm(xi, axis=-1) ** alpha
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_phi_uniform_circle_density(alpha):
     # g = 1 on the circle, q = 1: Phi(xi) = c_alpha |xi|^alpha
     # * int_0^{2 pi} |cos a|^alpha da
-    sp = SpectralMeasure(d=2, density=lambda ang: np.ones_like(ang))
-    m = LevyModel(d=2, alpha=alpha, spectral=sp, profile=Constant(1.0))
-    ang_int = (2.0 * math.sqrt(math.pi) * gamma_fn((alpha + 1.0) / 2.0)
-               / gamma_fn(alpha / 2.0 + 1.0))
+    m, oracle = _uniform_circle(alpha)
     xi = np.array([[2.0, 0.0], [0.3, -0.4], [-3.0, 7.0]])
-    r = np.linalg.norm(xi, axis=1)
-    oracle = _c_alpha_gamma(alpha) * r ** alpha * ang_int
-    np.testing.assert_allclose(phi_on_points(m, xi), oracle, rtol=1e-3)
+    np.testing.assert_allclose(phi_on_points(m, xi), oracle(xi), rtol=1e-3)
+
+
+#: the kink of |cos a|^alpha sits on a node at xi = (2, 0) and half a
+#: node off it at the second xi, where the two every-other rules agree
+_KINK_XI = ([2.0, 0.0], [math.cos(math.pi / 512), math.sin(math.pi / 512)])
 
 
 def test_phi_error_covers_the_angular_rule():
-    # the kink of |cos a|^alpha sits on a node at xi = (2, 0) and half a
-    # node off it at the second xi, where the two every-other rules agree
-    alpha = 0.5
-    sp = SpectralMeasure(d=2, density=lambda ang: np.ones_like(ang))
-    m = LevyModel(d=2, alpha=alpha, spectral=sp, profile=Constant(1.0))
-    ang_int = (2.0 * math.sqrt(math.pi) * gamma_fn((alpha + 1.0) / 2.0)
-               / gamma_fn(alpha / 2.0 + 1.0))
-    half = math.pi / 512
-    for xi in ([2.0, 0.0], [math.cos(half), math.sin(half)]):
-        oracle = (_c_alpha_gamma(alpha) * np.linalg.norm(xi) ** alpha
-                  * ang_int)
+    m, oracle = _uniform_circle(0.5)
+    for xi in _KINK_XI:
         ev = phi(m, xi, method="quadrature")
-        assert abs(ev.value - oracle) <= ev.error
+        assert abs(ev.value - oracle(xi)) <= ev.error
+
+
+def test_phi_on_a_density_measure_takes_closed_forms(quad_calls):
+    # every pair's psi has a closed form: no quadrature, and the error is
+    # the angular rule's
+    m, oracle = _uniform_circle(0.5)
+    for xi in _KINK_XI:
+        ev = phi(m, xi)
+        assert ev.method == "closed-form"
+        assert abs(ev.value - oracle(xi)) <= ev.error
+    assert quad_calls == []
 
 
 def test_cut_exponent_below_full_relativistic():
@@ -248,7 +260,7 @@ def quad_calls(monkeypatch):
     calls = []
     quad = charexp.psi_quad
     monkeypatch.setattr(charexp, "psi_quad",
-                        lambda *a: calls.append(a) or quad(*a))
+                        lambda *a, **kw: calls.append(a) or quad(*a, **kw))
     return calls
 
 

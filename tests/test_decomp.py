@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.signal import fftconvolve
 
 from templevy.decomp import (
-    _poisson_order,
     bounded_cell_masses,
     compound_poisson,
     convolution_ball_check,
@@ -64,18 +64,6 @@ def test_default_eps_regimes():
     m = exp_model(1.0)           # beta = 2
     assert default_eps(m, 0.25) == pytest.approx(0.25)       # t^{1/alpha}
     assert default_eps(m, 4.0) == pytest.approx(2.0)         # t^{1/beta}
-
-
-def test_poisson_order():
-    # smallest n with P(N > n) < tol for N ~ Poisson(2)
-    assert _poisson_order(2.0, 1e-10) == 16
-    # brute-force check of both sides of the threshold
-    def tail(n, mu=2.0):
-        k = np.arange(n + 1)
-        cdf = math.exp(-mu) * np.sum(mu ** k / np.array(
-            [math.factorial(int(j)) for j in k]))
-        return 1.0 - cdf
-    assert tail(16) < 1e-10 < tail(15)
 
 
 def test_bounded_cell_masses_total():
@@ -143,6 +131,23 @@ def test_recompose_matches_direct():
     # mass is short exactly by the big-jump tail outside the window,
     # which the compound-Poisson field reports in its tail bound
     assert abs(together.mass - 1.0) <= cp.tail_bound + 1e-5
+
+
+@pytest.mark.parametrize("n", [2 ** 15, 2 ** 17])
+@pytest.mark.parametrize("m", [cauchy_model(), poly_model(3.0, 1.0),
+                               exp_model(1.0)], ids=["cauchy", "poly3", "exp1"])
+def test_recompose_is_the_linear_convolution(m, n):
+    # the padded transform has period 2N > 2N - 1, the span of the linear
+    # convolution, so nothing wraps
+    t = 0.5
+    g = GridSpec(1, 2048.0, n)
+    sm = split(m, default_eps(m, t))
+    local = local_density(sm, t, g)
+    cp = compound_poisson(sm, t, g)
+    conv = fftconvolve(local.values, cp.ac)[n // 2:n // 2 + n] * g.h
+    ref = np.clip(cp.atom_weight * local.values + conv, 0.0, None)
+    rec = recompose(local, cp).values
+    assert np.max(np.abs(rec - ref)) <= 1e-15 * ref.max()
 
 
 def test_compound_poisson_total_mass():

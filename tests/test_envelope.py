@@ -16,7 +16,8 @@ from templevy.envelope import (
     spec_to_dict,
 )
 from templevy.errors import DomainError, RegimeError
-from templevy.model import exp_model, poly_model, relativistic_model, stable_model
+from templevy.model import (LevyModel, SpectralMeasure, exp_model, poly_model,
+                            relativistic_model, stable_model)
 from templevy.profiles import Constant, ExpTempered, PolyTempered
 
 
@@ -193,6 +194,17 @@ def test_hypothesis_check_relativistic_lower():
                         directions=((1.0,), (-1.0,)))
     rep = hypothesis_check(m, spec)
     assert rep["pass"]
+
+
+def test_hypothesis_check_lower_on_a_density_measure():
+    # a lower spec without directions probes a density measure along the
+    # directions of the harness scan
+    sp = SpectralMeasure(d=2, density=lambda ang: np.ones_like(ang))
+    m = LevyModel(d=2, alpha=1.0, spectral=sp, profile=PolyTempered(3.0))
+    spec = EnvelopeSpec(side="lower", regime="small_t", d=2, alpha=1.0,
+                        gamma=2.0, profile=PolyTempered(3.0))
+    ball = hypothesis_check(m, spec)["checks"]["ball_lower"]
+    assert ball["pass"] and 0.0 < ball["inf_ratio"] < math.inf
 
 
 def test_relativistic_lower_profile_shape():

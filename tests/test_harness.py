@@ -16,8 +16,8 @@ from templevy.harness import (
     verify_lower,
     verify_upper,
 )
-from templevy.model import (exp_model, model_to_dict, poly_model,
-                            relativistic_model)
+from templevy.model import (LevyModel, SpectralMeasure, exp_model,
+                            model_to_dict, poly_model, relativistic_model)
 from templevy.profiles import PolyTempered
 
 
@@ -26,6 +26,17 @@ def test_scan_points_shape():
     # origin plus both directions at each default radius
     assert pts.shape == (1 + 2 * len(DEFAULT_RADII), 1)
     assert np.any(np.all(pts == 0.0, axis=1))
+
+
+def test_scan_points_on_a_density_measure():
+    # every 64th node of the angular rule: the 8 angles 2 pi k / 8
+    sp = SpectralMeasure(d=2, density=lambda ang: np.ones_like(ang))
+    m = LevyModel(d=2, alpha=1.0, spectral=sp, profile=PolyTempered(3.0))
+    ang = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+    dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    radii = np.array([0.5, 2.0])
+    np.testing.assert_array_equal(
+        scan_points(m, radii)[1:], (radii[:, None, None] * dirs).reshape(-1, 2))
 
 
 def test_empty_suite_exits_zero(tmp_path):

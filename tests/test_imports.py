@@ -7,7 +7,10 @@ Checked with the stdlib ast module, no linter.
 """
 import ast
 import dataclasses
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -98,6 +101,19 @@ def test_detector_flags_an_unused_private_name():
     trees = {"a.py": ast.parse("_K = 1\n_J = 2\ndef _f():\n    return _J\n"),
              "b.py": ast.parse("from a import _f\n")}
     assert _unused_private_names(trees) == ["a.py: _K (line 1)"]
+
+
+def test_import_loads_no_scipy_signal_or_stats():
+    # convolutions go through scipy.fft; scipy.signal and scipy.stats cost
+    # import time and nothing uses them
+    code = ("import sys, templevy; print(sorted({'scipy.signal', "
+            "'scipy.stats'} & set(sys.modules)))")
+    src = str(pathlib.Path(templevy.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
 
 
 def _integrate_imports(tree: ast.Module) -> list:
