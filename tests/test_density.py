@@ -1,8 +1,10 @@
 """Fourier inversion of exp(-t Phi): grids, pointwise values, caching."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
@@ -11,6 +13,7 @@ from templevy.charexp import phi_on_points
 from templevy.decomp import split
 from templevy.density import (
     CACHE_MAGIC,
+    MAX_N,
     GridSpec,
     auto_grid,
     density_at,
@@ -22,12 +25,15 @@ from templevy.density import (
 )
 from templevy.errors import DomainError, GridError
 from templevy.model import (
+    LevyModel,
+    SpectralMeasure,
     cauchy_model,
     exp_model,
     poly_model,
     relativistic_model,
     stable_model,
 )
+from templevy.profiles import ExpTempered, PolyTempered
 
 
 def _cauchy_pdf(t, x):
@@ -175,6 +181,25 @@ def _full_grid_values(model, t, grid):
     return scale * ph * np.fft.fft2(ph * fhat).real
 
 
+def _d2_model(directions, weights, profiles, alpha=1.2):
+    """A d = 2 atomic model with one profile per atom."""
+    return LevyModel(d=2, alpha=alpha,
+                     spectral=SpectralMeasure(d=2, directions=directions,
+                                              weights=weights),
+                     atom_profiles=profiles)
+
+
+#: +-e1 and +-e2 with unlike profiles and weights: p_t(x1, x2) is a product
+#: whose factors differ, so a transposed outer product would not match
+UNLIKE_AXES = _d2_model([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                        [1.0, 1.0, 0.5, 0.5],
+                        [PolyTempered(3.0)] * 2 + [ExpTempered(0.0, 2.0)] * 2)
+#: the axes turned by 0.3: no pair on an axis, so Phi is no sum of axis terms
+_C, _S = math.cos(0.3), math.sin(0.3)
+OBLIQUE = _d2_model([[_C, _S], [-_C, -_S], [-_S, _C], [_S, -_C]],
+                    [1.0] * 4, [PolyTempered(3.0)] * 4)
+
+
 @pytest.mark.parametrize("model, t, grid", [
     (cauchy_model(), 1.0, GridSpec(1, 2048.0, 2 ** 17)),
     (poly_model(3.0, 1.0), 0.5, GridSpec(1, 256.0, 2 ** 16)),
@@ -183,8 +208,10 @@ def _full_grid_values(model, t, grid):
     (split(poly_model(3.0, 1.0), 0.5).small, 0.5, GridSpec(1, 20.0, 2 ** 12)),
     (exp_model(1.5, d=2), 0.5, GridSpec(2, 32.0, 256)),
     (exp_model(1.2, d=2), 1.0, GridSpec(2, 16.0, 512)),
+    (UNLIKE_AXES, 1.0, GridSpec(2, 32.0, 512)),
+    (OBLIQUE, 0.5, GridSpec(2, 32.0, 512)),
 ], ids=["cauchy", "poly3", "exp1.5", "relativistic", "small", "exp1.5-d2",
-        "exp1.2-d2"])
+        "exp1.2-d2", "unlike-axes-d2", "oblique-d2"])
 def test_half_spectrum_inversion_matches_full_grid(model, t, grid):
     fld = invert(model, t, grid)
     ref = _full_grid_values(model, t, grid)
@@ -194,8 +221,14 @@ def test_half_spectrum_inversion_matches_full_grid(model, t, grid):
                                atol=1e-13 * float(ref.max()))
 
 
-@pytest.mark.parametrize("d, n", [(1, 2 ** 12), (2, 128)])
-def test_invert_reads_phi_on_the_half_spectrum(monkeypatch, d, n):
+@pytest.mark.parametrize("model, grid, points", [
+    (exp_model(1.5), GridSpec(1, 32.0, 2 ** 12), 2 ** 11 + 1),
+    # pairs on the axes: the two half axes, (m pi/L, 0) and (0, m pi/L)
+    (exp_model(1.5, d=2), GridSpec(2, 32.0, 128), 2 * 65),
+    (OBLIQUE, GridSpec(2, 16.0, 128), 128 * 65),
+], ids=["1-4096", "2-128", "2-128-oblique"])
+def test_invert_reads_phi_on_the_half_spectrum(monkeypatch, model, grid,
+                                               points):
     sizes = []
 
     def counted(model, xi):
@@ -204,6 +237,57 @@ def test_invert_reads_phi_on_the_half_spectrum(monkeypatch, d, n):
         return out
 
     monkeypatch.setattr(density, "phi_on_points", counted)
-    invert(exp_model(1.5, d=d), 0.5, GridSpec(d, 32.0, n))
+    invert(model, 0.5, grid)
     # one point for the truncation estimate, then the half spectrum
-    assert sorted(sizes) == [1, n ** (d - 1) * (n // 2 + 1)]
+    assert sorted(sizes) == [1, points]
+
+
+def test_axis_field_in_d2_peaks_near_its_size():
+    model, t = exp_model(1.0, d=2), 0.1
+    assert auto_grid(model, t).N == MAX_N[2]
+    tracemalloc.start()
+    try:
+        fld = invert(model, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 32 MB field: no grid-sized Phi temporaries, no 2-D transform
+    assert fld.values.nbytes == 8 * MAX_N[2] ** 2
+    assert peak < 2.5 * fld.values.nbytes
+
+
+def test_ringing_names_the_grid_cap():
+    model, t = exp_model(0.5, 0.0, 1.0, d=2), 0.1
+    assert auto_grid(model, t).N == MAX_N[2]
+    with pytest.raises(GridError, match=rf"cap MAX_N\[2\] = {MAX_N[2]}"):
+        invert(model, t)
+    # below the cap a finer grid exists, and the message does not say cap
+    with pytest.raises(GridError, match="grid too coarse$"):
+        invert(model, t, GridSpec(2, 20.0, 256))
+
+
+AXIS_MODELS = {
+    "stable": lambda a: stable_model(a, d=2),
+    "exp": lambda a: exp_model(a, d=2),
+    "poly3": lambda a: poly_model(3.0, a, d=2),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(kind=st.sampled_from(sorted(AXIS_MODELS)),
+       alpha=st.floats(0.3, 1.95), log_t=st.floats(-2.0, 1.0))
+def test_axis_fields_in_d2_keep_mass_and_symmetry(kind, alpha, log_t):
+    """On auto_grid an axis model in d = 2 gives a field of mass 1 within
+    its error estimates, symmetric under x -> -x and x1 <-> x2, or raises a
+    GridError that names the cap that bound."""
+    model, t = AXIS_MODELS[kind](alpha), 10.0 ** log_t
+    try:
+        fld = invert(model, t)
+    except GridError as err:
+        assert f"MAX_N[2] = {MAX_N[2]}" in str(err)
+        return
+    v = fld.values
+    peak = float(v.max())
+    assert abs(fld.mass - 1.0) <= 1e-6 + fld.trunc_error + fld.alias_error
+    assert fld.symmetry_defect() <= 1e-12 * peak
+    assert float(np.max(np.abs(v - v.T))) <= 1e-12 * peak
