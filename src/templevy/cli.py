@@ -67,7 +67,7 @@ def _cmd_decompose(args) -> int:
     grid = _parse_grid(args.grid, model.d) if args.grid \
         else auto_grid(model, args.t)
     loc = decomp.local_density(sm, args.t, grid)
-    cp = decomp.compound_poisson(sm, args.t, grid, args.tol)
+    cp = decomp.compound_poisson(sm, args.t, grid)
     rec = decomp.recompose(loc, cp)
     direct = invert(model, args.t, grid)
     out = open(args.out, "w") if args.out else sys.stdout
@@ -155,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--t", type=float, required=True)
     q.add_argument("--eps", default="auto")
     q.add_argument("--grid", help="L,N")
-    q.add_argument("--tol", type=float, default=1e-10)
     q.add_argument("--out", help="CSV output path")
     q.set_defaults(fn=_cmd_decompose)
 

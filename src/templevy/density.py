@@ -153,11 +153,17 @@ class DensityField:
                      + f[0] * f[1] * v[i0[0] + 1, i0[1] + 1])
 
 
+def _axis_phi(model: LevyModel, cut: float) -> float:
+    """min over the axes e_i of Phi(cut e_i), where the grid is weakest:
+    for an axis model the diagonal point of the circle |xi| = cut has the
+    largest Phi on it."""
+    return float(phi_on_points(model, cut * np.eye(model.d)).min())
+
+
 def _trunc_estimate(model: LevyModel, t: float, grid: GridSpec) -> float:
     """Neglected spectral mass (1/2pi)^d int_{|xi|>Xi} exp(-t Phi)."""
     cut = grid.xi_cut
-    e = np.ones(model.d) / math.sqrt(model.d)
-    pc = float(phi_on_points(model, (cut * e)[None, :])[0])
+    pc = _axis_phi(model, cut)
     a = model.alpha
     decay = max(t * pc * a, 1.0)
     surface = 2.0 if model.d == 1 else 2.0 * math.pi * cut
@@ -231,11 +237,8 @@ def auto_grid(model: LevyModel, t: float) -> GridSpec:
     n = min(max(n, 256), n_cap)
     # the power-law inversion above misjudges the cutoff when it falls in
     # the quadratic regime of Phi; verify against the actual exponent
-    e = np.ones(model.d) / math.sqrt(model.d)
     while n < n_cap:
-        g = GridSpec(model.d, L, n)
-        xi_edge = (g.xi_cut * e)[None, :]
-        if t * float(phi_on_points(model, xi_edge)[0]) >= target:
+        if t * _axis_phi(model, GridSpec(model.d, L, n).xi_cut) >= target:
             break
         n *= 2
     return GridSpec(model.d, L, n)

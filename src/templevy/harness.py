@@ -153,7 +153,6 @@ def verify_lower(model: LevyModel, spec: EnvelopeSpec, t_set, radii=None,
 
 
 def verify_decomposition(model: LevyModel, t_set, tol: float = 1e-4,
-                         series_tol: float = 1e-10,
                          model_id: str = "model") -> VerificationReport:
     """Recompose-vs-direct sup-norm defect for each t (d = 1)."""
     if model.d != 1:
@@ -165,7 +164,7 @@ def verify_decomposition(model: LevyModel, t_set, tol: float = 1e-4,
         n = 2 ** 20 if t < 0.3 else 2 ** 17
         grid = GridSpec(1, 2048.0, n)
         loc = local_density(sm, t, grid)
-        cp = compound_poisson(sm, t, grid, series_tol)
+        cp = compound_poisson(sm, t, grid)
         rec = recompose(loc, cp)
         direct = invert(model, t, grid)
         defect = float(np.max(np.abs(rec.values - direct.values))

@@ -3,10 +3,13 @@
 A model is nu(D) = sum_i w_i * int_0^inf 1_D(s theta_i) s^(-1-alpha) q_i(s) ds
 for atomic spectral measures, or the analogous angular integral when the
 spectral measure has a bounded density on the sphere (d = 2 only).  A
-density is also discretized once into ANGULAR_NODES atoms, the one angular
-rule behind the exponent and the direction matrix; the ball and mass
-functionals integrate the density itself.  The measure is symmetric:
-LevyModel groups the atom set into +- pairs of equal weight.  Every
+density, which must not be negative, is discretized once into
+ANGULAR_NODES atoms, the one angular rule behind the exponent, the
+whole-sphere masses, the direction matrix and the sampler; only the ball
+masses integrate the density itself, since a ball's arc may be narrower
+than the rule's spacing.  The measure is symmetric: LevyModel groups the
+atom set into +- pairs of equal weight, LevyModel.pairs, the one view of
+it that the exponent, the nu masses and the sampler read.  Every
 radial mass, from the tails nu(B(0,r)^c) and ball masses to the big-jump
 cells of decomp and the sampler's radii, reads one cached TailTable of
 W(r) = int_r^inf s^(-1-alpha) q(s) ds per (profile, alpha).
@@ -98,8 +101,13 @@ class SpectralMeasure:
                 raise DomainError("density spectral measures supported in d=2 only")
             ang = np.linspace(0.0, 2 * math.pi, ANGULAR_NODES, endpoint=False)
             dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            w = np.asarray(self.density(ang), dtype=float) * (
-                2 * math.pi / ANGULAR_NODES)
+            g = np.asarray(self.density(ang), dtype=float)
+            bad = np.flatnonzero(~(g >= 0))
+            if bad.size:
+                i = bad[0]
+                raise DomainError("spectral density must not be negative: "
+                                  f"g({ang[i]:.12g}) = {g[i]:.6g}")
+            w = g * (2 * math.pi / ANGULAR_NODES)
         else:
             raise DomainError("spectral measure needs atoms or a density")
         object.__setattr__(self, "atom_directions", dirs)
@@ -113,10 +121,7 @@ class SpectralMeasure:
 
     @property
     def total_mass(self) -> float:
-        if self.is_atomic:
-            return float(np.sum(self.weights))
-        val, _ = quad(lambda a: float(self.density(np.array([a]))[0]), 0.0, 2 * math.pi, limit=200)
-        return float(val)
+        return float(np.sum(self.atom_weights))
 
     @property
     def probe_directions(self) -> np.ndarray:
@@ -182,7 +187,7 @@ class LevyModel:
         """
         w, th = self.spectral.atom_weights, self.spectral.atom_directions
         k = len(w)
-        profs = [q for _, q, _ in self.atoms()]
+        profs = self.atom_profiles or (self.profile,) * k
         first = {}
         kind = np.array([first.setdefault(q, i) for i, q in enumerate(profs)])
         sign = np.sign(th[np.arange(k), np.argmax(np.abs(th), axis=1)])
@@ -228,19 +233,11 @@ class LevyModel:
 
     def profiles_and_weights(self):
         """Pairs (summed weight, profile), one per distinct profile, in
-        order of first appearance; density measures use one profile."""
-        if not self.spectral.is_atomic:
-            return [(self.spectral.total_mass, self.profile)]
+        order of first appearance."""
         summed = {}
-        for w, q, _ in self.atoms():
-            summed[q] = summed.get(q, 0.0) + w
-        return [(w, q) for q, w in summed.items()]
-
-    def atoms(self):
-        """Triples (weight, profile, direction) over the spectral atom set."""
-        sp = self.spectral
-        profs = self.atom_profiles or (self.profile,) * len(sp.atom_weights)
-        return list(zip(sp.atom_weights, profs, sp.atom_directions))
+        for w, q, _ in self.pairs:
+            summed.setdefault(q, []).append(w)
+        return [(math.fsum(ws), q) for q, ws in summed.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +499,8 @@ def nu_ball(model: LevyModel, x, r: float) -> float:
         return float(wa - wb)
 
     if model.spectral.is_atomic:
-        return sum(w * chord_mass(q, th) for w, q, th in model.atoms())
+        return sum(w / 2 * (chord_mass(q, th) + chord_mass(q, -th))
+                   for w, q, th in model.pairs)
     # density measure, d = 2: outer angular quadrature
     g = model.spectral.density
     per_angle = lambda a: float(g(np.array([a]))[0]) * chord_mass(

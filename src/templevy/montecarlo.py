@@ -3,10 +3,13 @@
 An increment over time t is drawn as the sum of a compound Poisson number
 of big jumps plus either nothing ("drop") or a centered Gaussian with the
 small-jump covariance t * int_{|y|<eps} y y^T nu(dy) ("gaussian"
-substitution).  The big jumps are thinned by atom: atom i with weight w_i
-and tail table W_i makes its own Poisson(t w_i W_i(eps)) number of jumps
-along its direction, each with one uniform U and radius
-R = W_i^-1(U W_i(eps)) > eps exactly, so P(R > s) = W_i(s)/W_i(eps).
+substitution).  The big jumps are thinned per +- pair of model.pairs, for
+atoms and density measures alike (a density through its 512-node rule,
+the measure that Phi and invert read): a pair of weight w_i and tail
+table W_i gives its atoms theta_i and -theta_i, each of weight w_i / 2,
+their own Poisson(t w_i / 2 W_i(eps)) numbers of jumps along their
+directions, each with one uniform U and radius R = W_i^-1(U W_i(eps)) >
+eps exactly, so P(R > s) = W_i(s)/W_i(eps).
 Jumps are summed JUMP_CHUNK at a time, so memory stays bounded however
 many a batch holds.  Meant for statistical cross-validation of the
 computed densities.
@@ -55,18 +58,14 @@ class SamplerConfig:
             raise DomainError("mode must be 'gaussian' or 'drop'")
 
 
-def _require_atoms(model: LevyModel) -> None:
-    if not model.spectral.is_atomic:
-        raise DomainError("the sampler needs an atomic spectral measure "
-                          "(jump directions are drawn from its atoms)")
-
-
 def _atom_tail_masses(model: LevyModel, eps: float) -> list:
-    """Per atom: its weight w, tail table W, W(eps) and direction."""
+    """Per atom theta and -theta of each pair: its weight w / 2, the tail
+    table W, W(eps) and its direction."""
     out = []
-    for w, q, theta in model.atoms():
+    for w, q, theta in model.pairs:
         table = _tail_table(q, model.alpha)
-        out.append((w, table, float(table(eps)), theta))
+        tail = float(table(eps))
+        out += [(w / 2, table, tail, theta), (w / 2, table, tail, -theta)]
     return out
 
 
@@ -78,7 +77,6 @@ def sample_big_jump_sum(config: SamplerConfig, rng=None) -> np.ndarray:
 
 def _big_jump_sums(config: SamplerConfig, rng, count: int) -> np.ndarray:
     m = config.model
-    _require_atoms(m)
     sums = np.zeros((count, m.d))
     for w, table, tail, theta in _atom_tail_masses(m, config.eps):
         # the atom's own Poisson process of jumps: its jumps
@@ -104,9 +102,8 @@ def _big_jump_sums(config: SamplerConfig, rng, count: int) -> np.ndarray:
 
 def small_jump_covariance(model: LevyModel, eps: float) -> np.ndarray:
     """int_{|y| < eps} y y^T nu(dy), a d x d matrix."""
-    _require_atoms(model)
     cov = np.zeros((model.d, model.d))
-    for w, q, th in model.atoms():
+    for w, q, th in model.pairs:  # theta theta^T serves both atoms
         cov += w * radial_second_moment(q, model.alpha, eps) * np.outer(th, th)
     return cov
 

@@ -116,24 +116,17 @@ class PolyTempered(RadialProfile):
 
 @dataclass(frozen=True)
 class ExpTempered(RadialProfile):
-    """q(s) = (1+s)^a exp(-c1 s).
-
-    c2 records the (possibly slacker) upper decay rate used by envelope
-    specifications; evaluation always uses c1.
-    """
+    """q(s) = (1+s)^a exp(-c1 s)."""
 
     #: q(s)/q(2s) = e^(c1 s) (1+s)^{-a}... is unbounded: not doubling
     doubling = False
 
     a: float = 0.0
     c1: float = 1.0
-    c2: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.c2 is None:
-            object.__setattr__(self, "c2", self.c1)
-        if self.c1 <= 0 or self.c2 <= 0 or self.a < 0:
-            raise DomainError("ExpTempered requires a >= 0 and c1, c2 > 0")
+        if self.c1 <= 0 or self.a < 0:
+            raise DomainError("ExpTempered requires a >= 0 and c1 > 0")
         # exp(-c1 s) is 0 past s_zero, where (1+s)^a may still overflow
         object.__setattr__(self, "_s_zero", 750.0 / self.c1)
 
@@ -277,7 +270,7 @@ def profile_to_dict(q: RadialProfile) -> dict:
     if isinstance(q, PolyTempered):
         return {"kind": "poly", "m": q.m}
     if isinstance(q, ExpTempered):
-        return {"kind": "exp", "a": q.a, "c1": q.c1, "c2": q.c2}
+        return {"kind": "exp", "a": q.a, "c1": q.c1}
     if isinstance(q, Truncated):
         return {"kind": "truncated", "s0": q.s0,
                 "profile": profile_to_dict(q.q)}
@@ -293,11 +286,9 @@ def profile_from_dict(spec: dict) -> RadialProfile:
     if kind == "poly":
         return PolyTempered(float(spec["m"]))
     if kind == "exp":
-        return ExpTempered(
-            float(spec.get("a", 0.0)),
-            float(spec.get("c1", 1.0)),
-            float(spec["c2"]) if "c2" in spec else None,
-        )
+        # older files may carry a "c2" that no output read: it is ignored
+        return ExpTempered(float(spec.get("a", 0.0)),
+                           float(spec.get("c1", 1.0)))
     if kind == "truncated":
         return Truncated(float(spec["s0"]), profile_from_dict(
             spec.get("profile", {"kind": "constant"})))

@@ -197,7 +197,8 @@ def test_phi_quadrature_error_covers_its_miss():
 
 
 def test_psi_finite_cutoff_per_period_oracle():
-    # direct summation over half-periods of the oscillation
+    # direct summation over half-periods of the oscillation, with
+    # 1 - cos(us) as 2 sin^2(us/2), free of cancellation near s = 0
     for q, alpha, u, upper in (
             (PolyTempered(1.0), 1.2, 0.7, 2.0),
             (PolyTempered(1.0), 1.2, 15.0, 0.1),
@@ -205,7 +206,8 @@ def test_psi_finite_cutoff_per_period_oracle():
             (PolyTempered(1.0), 1.2, 300.0, 1.0),
             (PolyTempered(3.0), 0.3, 2054.0, 0.1),
             (ExpTempered(c1=1.0), 1.0, 226.0, 1.0)):
-        f = lambda s: (1 - math.cos(u * s)) * s ** (-1 - alpha) * float(q(s))
+        f = lambda s: (2.0 * math.sin(u * s / 2.0) ** 2 * s ** (-1 - alpha)
+                       * float(q(s)))
         edges = [0.0]
         k = 1
         while edges[-1] < upper:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad, quad
+from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
 from templevy.decomp import (
@@ -234,10 +234,16 @@ def test_convolution_ball_oracle_n2():
     def f(s):  # density of nubar on the line (both atoms)
         return abs(s) ** -2.0 if abs(s) > 1.0 else 0.0
 
-    oracle, _ = dblquad(
-        lambda z, y: f(y) * f(z) if abs(y + z - x) < r else 0.0,
-        -60.0, 60.0, lambda y: x - r - y, lambda y: x + r - y,
-        epsabs=1e-10, epsrel=1e-8)
+    def inner(y):  # nubar(B(x - y, r)), split where f jumps
+        lo, hi = x - r - y, x + r - y
+        return quad(f, lo, hi, points=[p for p in (-1.0, 1.0) if lo < p < hi],
+                    epsabs=1e-13, epsrel=1e-10)[0]
+
+    # over the whole line, split where f jumps and where inner has kinks
+    edges = sorted([-np.inf, -1.0, 1.0, x - r - 1.0, x - r + 1.0,
+                    x + r - 1.0, x + r + 1.0, np.inf])
+    oracle = sum(quad(lambda y: f(y) * inner(y), a, b, epsabs=1e-13,
+                      epsrel=1e-10)[0] for a, b in zip(edges, edges[1:]))
     assert row["ball"] == pytest.approx(oracle, rel=1e-4)
 
 

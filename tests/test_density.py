@@ -238,8 +238,33 @@ def test_invert_reads_phi_on_the_half_spectrum(monkeypatch, model, grid,
 
     monkeypatch.setattr(density, "phi_on_points", counted)
     invert(model, 0.5, grid)
-    # one point for the truncation estimate, then the half spectrum
-    assert sorted(sizes) == [1, points]
+    # one point per axis for the truncation estimate, then the half spectrum
+    assert sorted(sizes) == [grid.d, points]
+
+
+@pytest.mark.parametrize("alpha, c1, t, n", [
+    (1.5, 0.8, 0.1, None), (1.0, 1.0, 0.1, 512), (1.2, 1.0, 0.1, 256),
+    (0.5, 1.0, 1.0, 256), (1.0, 2.0, 0.3, 1024)])
+def test_trunc_error_bounds_the_neglected_mass_in_d2(alpha, c1, t, n):
+    # exp(-t Phi) = a(xi_1) a(xi_2) for an axis model: outside the square
+    # [-Xi, Xi]^2 lies (2 A T - T^2) / (2 pi)^2, with A the integral of
+    # a = exp(-t Phi_1) over the line and T its part beyond |xi_1| = Xi
+    model = exp_model(alpha, 0.0, c1, d=2)
+    grid = auto_grid(model, t)
+    if n is not None:
+        grid = GridSpec(2, grid.L, n)
+    line = exp_model(alpha, 0.0, c1)
+    a = lambda u: math.exp(-t * float(phi_on_points(line, [[u]])[0]))
+    cut = grid.xi_cut
+    inner, beyond = (2.0 * quad(a, lo, hi, epsabs=0.0, epsrel=1e-10,
+                                limit=200)[0]
+                     for lo, hi in ((0.0, cut), (cut, math.inf)))
+    whole = inner + beyond
+    neglected = (2.0 * whole * beyond - beyond ** 2) / (2.0 * math.pi) ** 2
+    # the estimate invert attaches, read without the field: the coarse
+    # grids here fail the ringing check
+    trunc = density._trunc_estimate(model, t, grid)
+    assert neglected <= trunc <= 100.0 * neglected
 
 
 def test_axis_field_in_d2_peaks_near_its_size():

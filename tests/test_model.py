@@ -185,6 +185,13 @@ def test_model_rejects_asymmetric_density():
         LevyModel(d=2, alpha=1.0, spectral=sp, profile=PolyTempered(3.0))
 
 
+def test_spectral_measure_rejects_negative_density():
+    # symmetric, so pairing would pass it, with Phi(0, 5) < 0 for poly m = 3
+    first = 2.0 * math.pi * 73 / 512  # the first rule angle with g < 0
+    with pytest.raises(DomainError, match=f"negative: g\\({first:.12g}\\)"):
+        SpectralMeasure(d=2, density=lambda a: 0.2 + np.cos(2 * a))
+
+
 def test_legacy_closed_form_key_is_ignored():
     # a file that names a closed form its profile does not have
     doc = model_to_dict(poly_model(3.0, 1.0))

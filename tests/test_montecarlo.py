@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from templevy import montecarlo
+from templevy.charexp import phi, stable_constant
 from templevy.density import GridSpec, invert
 from templevy.errors import DomainError
 from templevy.model import (LevyModel, SpectralMeasure, cauchy_model,
-                            nu_tail, poly_model)
-from templevy.profiles import ExpTempered, PolyTempered
+                            nu_tail, poly_model, stable_model)
+from templevy.profiles import Constant, ExpTempered, PolyTempered
 from templevy.montecarlo import (
     SamplerConfig,
     jump_counts,
@@ -89,21 +90,57 @@ def test_small_jump_covariance_value():
     assert cov[0, 0] == pytest.approx(0.5, rel=1e-10)
 
 
-def _density_model():
-    return LevyModel(d=2, alpha=1.2, profile=PolyTempered(3.0),
-                     spectral=SpectralMeasure(
-                         d=2, density=lambda a: np.ones_like(a)))
+def _density_model(profile, density=np.ones_like, alpha=1.2):
+    return LevyModel(d=2, alpha=alpha, profile=profile,
+                     spectral=SpectralMeasure(d=2, density=density))
 
 
-def test_small_jump_covariance_rejects_density_measure():
-    with pytest.raises(DomainError, match="atomic spectral measure"):
-        small_jump_covariance(_density_model(), 0.1)
+def test_density_measure_first_coordinate_ks():
+    # the uniform circle with q = 1 is rotation invariant, so the first
+    # coordinate is 1-D stable with Phi_1(u) = Phi((u, 0))
+    alpha, t = 1.2, 0.5
+    m = _density_model(Constant(1.0), alpha=alpha)
+    x = np.sort(sample_many(SamplerConfig(m, t=t, eps=0.05, count=20000,
+                                          seed=42))[:, 0])
+    ref = stable_model(alpha, weight=phi(m, (1.0, 0.0)).value
+                       / (2.0 * stable_constant(alpha)))
+    fld = invert(ref, t, GridSpec(1, 256.0, 2 ** 15))
+    cdf = np.interp(x, fld.grid.x_axis(), np.cumsum(fld.values) * fld.grid.h)
+    emp = (np.arange(len(x)) + 0.5) / len(x)
+    assert np.max(np.abs(emp - cdf)) < 0.02
 
 
-def test_sample_many_rejects_density_measure():
-    cfg = SamplerConfig(_density_model(), t=0.5, eps=0.1, count=10)
-    with pytest.raises(DomainError, match="atomic spectral measure"):
-        sample_many(cfg)
+def test_density_measure_small_jump_covariance():
+    # the 512-node rule sums cos^2 exactly: pi eps^(2-alpha) / (2-alpha) I
+    alpha, eps = 1.2, 0.05
+    cov = small_jump_covariance(_density_model(Constant(1.0), alpha=alpha),
+                                eps)
+    np.testing.assert_allclose(
+        cov, math.pi * eps ** (2 - alpha) / (2 - alpha) * np.eye(2),
+        rtol=1e-13, atol=1e-15)
+
+
+def test_density_measure_jump_counts_mean():
+    m = _density_model(PolyTempered(3.0))
+    eps, t, n = 0.05, 0.5, 20000
+    lam = nu_tail(m, eps)
+    counts = jump_counts(SamplerConfig(m, t=t, eps=eps, seed=11), count=n)
+    assert abs(counts.mean() - t * lam) <= 3.0 * math.sqrt(t * lam / n)
+
+
+@pytest.mark.parametrize("profile", [Constant(1.0), PolyTempered(3.0)],
+                         ids=["stable", "poly3"])
+def test_density_measure_characteristic_function(profile):
+    # E cos<xi, X> against exp(-t Phi(xi)) for a density that is not
+    # rotation invariant; Var cos<xi, X> = (1 + f(2 xi)) / 2 - f(xi)^2
+    m = _density_model(profile, density=lambda a: 1.0 + 0.5 * np.cos(2 * a))
+    t, n = 0.5, 20000
+    x = sample_many(SamplerConfig(m, t=t, eps=0.02, count=n, seed=42))
+    for xi in ([0.5, 0.0], [0.0, 0.5], [0.35, 0.35], [-0.2, 0.6]):
+        xi = np.array(xi)
+        f, f2 = (math.exp(-t * phi(m, k * xi).value) for k in (1, 2))
+        se = math.sqrt(((1.0 + f2) / 2.0 - f * f) / n)
+        assert abs(np.cos(x @ xi).mean() - f) <= 3.0 * se
 
 
 def test_drop_mode_pure_jumps():

@@ -122,11 +122,17 @@ def test_tail_index():
 
 def test_profile_serialization_roundtrip():
     for q in (Constant(2.5), PolyTempered(3.0),
-              ExpTempered(a=1.0, c1=2.0, c2=1.5), Truncated(s0=4.0),
+              ExpTempered(a=1.0, c1=2.0), Truncated(s0=4.0),
               Relativistic(d=2, alpha=0.7)):
         back = profile_from_dict(profile_to_dict(q))
         s = np.logspace(-2, 1, 20)
         np.testing.assert_allclose(back(s), q(s), rtol=1e-14)
+
+
+def test_legacy_exp_c2_key_is_ignored():
+    # older files carry a "c2" that changed no output
+    doc = {"kind": "exp", "a": 0.5, "c1": 0.8, "c2": 0.4}
+    assert profile_from_dict(doc) == ExpTempered(0.5, 0.8)
 
 
 def test_cut_serialization_keeps_its_base():

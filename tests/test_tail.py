@@ -203,7 +203,10 @@ def _per_atom_cell_masses(sm, grid):
     and takes its cells as differences along its own ray."""
     edges = np.append(grid.x_axis(), grid.L) - grid.h / 2.0
     masses = np.zeros(grid.N)
-    for w, q, th in sm.model.atoms():
+    m = sm.model
+    w_all, th_all = m.spectral.atom_weights, m.spectral.atom_directions
+    for w, q, th in zip(w_all, m.atom_profiles or (m.profile,) * len(w_all),
+                        th_all):
         sign = float(th[0])
         tail = _tail_table(q, sm.model.alpha)(np.maximum(sign * edges, sm.eps))
         masses -= w * sign * np.diff(tail)
