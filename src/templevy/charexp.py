@@ -343,17 +343,14 @@ def phi(model: LevyModel, xi, method: str = "auto") -> ExponentEvaluation:
     """Evaluate Phi(xi).
 
     method: "auto" takes psi in closed form when every pair's psi has one,
-    "quadrature" forces the adaptive oscillatory integral once per +- pair,
-    "closed" demands a closed form.  On a density spectral measure the
-    error adds that of the angular rule.
+    "quadrature" forces the adaptive oscillatory integral once per +- pair.
+    On a density spectral measure the error adds that of the angular rule.
     """
-    if method not in ("auto", "quadrature", "closed"):
+    if method not in ("auto", "quadrature"):
         raise DomainError(f"unknown method {method!r}: "
-                          "use 'auto', 'quadrature' or 'closed'")
+                          "use 'auto' or 'quadrature'")
     x = np.asarray(xi, dtype=float).reshape(model.d)
     closed = [_closed_psi(q, model.alpha) for _, q, _ in model.pairs]
-    if method == "closed" and None in closed:
-        raise DomainError("no closed form for this model")
     use_closed = method != "quadrature" and None not in closed
     terms = np.zeros(len(model.pairs))
     err = 0.0
@@ -375,30 +372,30 @@ def phi(model: LevyModel, xi, method: str = "auto") -> ExponentEvaluation:
                               float(err))
 
 
-def _direction_set(model: LevyModel, n_extra: int = 8) -> np.ndarray:
-    """Spectral directions plus a deterministic spread of extra directions."""
+def _direction_set(model: LevyModel) -> np.ndarray:
+    """Spectral directions plus a deterministic spread of 8 more."""
     dirs = []
     if model.spectral.is_atomic:
         dirs.extend(model.spectral.directions)
     if model.d == 1:
         dirs.append(np.array([1.0]))
     elif model.d == 2:
-        ang = np.linspace(0.0, math.pi, n_extra, endpoint=False)
+        ang = np.linspace(0.0, math.pi, 8, endpoint=False)
         dirs.extend(np.stack([np.cos(ang), np.sin(ang)], axis=1))
     else:
         rng = np.random.default_rng(0)
-        v = rng.standard_normal((n_extra, model.d))
+        v = rng.standard_normal((8, model.d))
         dirs.extend(v / np.linalg.norm(v, axis=1, keepdims=True))
     return np.unique(np.round(np.array(dirs), 12), axis=0)
 
 
 def check_lower_growth(model: LevyModel, exponent: float,
-                       radii=None, n_radii: int = 40) -> float:
+                       radii=None) -> float:
     """inf over a direction x log-radius grid of Phi(xi) / |xi|^exponent."""
     if model.degenerate:
         raise DegeneracyError("degenerate spectral measure: inf would vanish")
     if radii is None:
-        radii = np.exp(np.linspace(math.log(1e-2), math.log(1e2), n_radii))
+        radii = np.exp(np.linspace(math.log(1e-2), math.log(1e2), 40))
     radii = np.asarray(radii, dtype=float)
     dirs = _direction_set(model)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, model.d)
@@ -407,11 +404,11 @@ def check_lower_growth(model: LevyModel, exponent: float,
     return float(np.min(vals / denom))
 
 
-def second_moment(model: LevyModel, s_probe: float = 1e3,
-                  s_check: float = 1e6) -> float:
-    """int |y|^2 nu(dy), raising DomainError when the integral diverges."""
-    total = truncated_second_moment(model, s_probe)
-    check = truncated_second_moment(model, s_check)
+def second_moment(model: LevyModel) -> float:
+    """int |y|^2 nu(dy), raising DomainError when the integral diverges:
+    the moment within radius 1e6 must settle on that within 1e3."""
+    total = truncated_second_moment(model, 1e3)
+    check = truncated_second_moment(model, 1e6)
     if check > total * (1.0 + 1e-6) + 1e-12:
         raise DomainError("infinite second moment (profile decays too slowly)")
     return check

@@ -32,10 +32,9 @@ def _cmd_phi(args) -> int:
         pts = np.array([[float(v) for v in x.split(",")]
                         for x in args.xi])
     else:
-        grid = _parse_grid(args.grid, model.d)
-        ax = grid.xi_axis()
-        pts = ax[:, None] if model.d == 1 else np.stack(
-            np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, model.d)
+        ax = _parse_grid(args.grid, model.d).xi_axis()
+        pts = np.stack(np.meshgrid(*(ax,) * model.d, indexing="ij"),
+                       axis=-1).reshape(-1, model.d)
     vals = phi_on_points(model, pts)
     for x, v in zip(pts.reshape(-1, model.d), np.asarray(vals).ravel()):
         print(",".join(f"{c:.17g}" for c in x) + f",{v:.17g}")

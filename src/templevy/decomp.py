@@ -117,19 +117,11 @@ def local_moment(sm: SplitMeasure, t: float, n: int,
     if grid is None:
         grid = local_auto_grid(sm, t, extent_mult=30.0)
     fld = local_density(sm, t, grid)
-    ax = grid.x_axis()
-    if grid.d == 1:
-        r2 = ax**2
-        w = fld.values
-    else:
-        g1, g2 = np.meshgrid(ax, ax, indexing="ij")
-        r2 = g1**2 + g2**2
-        w = fld.values
-    contrib = r2 ** n * w * grid.h ** grid.d
+    r2 = sum(g**2 for g in np.meshgrid(*(grid.x_axis(),) * grid.d,
+                                       indexing="ij"))
+    contrib = r2 ** n * fld.values * grid.h ** grid.d
     moment = float(contrib.sum())
-    outer = np.abs(ax) > 0.9 * grid.L
-    tail = float(contrib[outer].sum()) if grid.d == 1 else \
-        float(contrib[np.sqrt(r2) > 0.9 * grid.L].sum())
+    tail = float(contrib[np.sqrt(r2) > 0.9 * grid.L].sum())
     if tail > 0.01 * moment:
         raise GridError("grid too small: moment tail correction exceeds 1%")
     return moment
@@ -334,9 +326,6 @@ def local_lower_check(model: LevyModel, t_set, a: float = 1.0) -> list:
     for t in sorted(t_set):
         sm = split(model, a * t ** (1.0 / model.alpha))
         fld = local_density(sm, t)
-        if model.d == 1:
-            p0 = float(fld.values[fld.grid.N // 2])
-        else:
-            p0 = float(fld.values[fld.grid.N // 2, fld.grid.N // 2])
+        p0 = float(fld.values[(fld.grid.N // 2,) * model.d])
         rows.append((float(t), t ** (model.d / model.alpha) * p0))
     return rows

@@ -9,19 +9,23 @@ adaptive (Fourier-weighted) quadrature.  The Levy measure is symmetric,
 so Phi is real and even: a grid reads Phi on the half spectrum only,
 xi_d = m pi / L for m = 0..N/2 on the last axis, and one real inverse
 FFT (irfftn) divided by h^d gives the continuous transform on the
-grid, centred by fftshift.  In d = 2, when every +- pair of the model lies
-on a coordinate axis (each direction has exactly one nonzero entry, as in
-every d = 2 factory model), Phi(xi) = Phi(xi_1, 0) + Phi(0, xi_2) and the
-semigroup is a product, p_t(x) = p1(x_1) p2(x_2): Phi is read on the two
-half axes only, each is inverted by a 1-D irfft, and the field is their
-outer product.  Oblique atoms and density spectral measures take the
-2-D transform.  Both spectral-truncation and spatial-aliasing
-error estimates are attached to every field.  The small-jump law of a
+grid, centred by fftshift.  When every +- pair of the model lies on a
+coordinate axis (each direction has exactly one nonzero entry: every
+d = 1 model and every d = 2 factory model), Phi(xi) is the sum of the
+Phi(xi_i e_i) and the semigroup is a product, p_t(x) = prod_i p_i(x_i):
+Phi is read on the d half axes only, each is inverted by a 1-D irfft, and
+the field is their outer product, with a d = 1 field as its one factor.
+Oblique atoms and density spectral measures in d = 2 take the 2-D
+transform.  Every other field operation is written once for every d,
+the dimension being an index tuple or a loop bound.  Both
+spectral-truncation and spatial-aliasing error estimates are attached
+to every field.  The small-jump law of a
 split measure is a model of its own (decomp.split cuts every profile at
 eps) and goes through the same invert.
 """
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import warnings
@@ -128,29 +132,26 @@ class DensityField:
 
     def symmetry_defect(self) -> float:
         """max |p(x) - p(-x)| over the grid (excluding the unpaired edge)."""
-        v = self.values
-        if self.grid.d == 1:
-            return float(np.max(np.abs(v[1:] - v[1:][::-1])))
-        w = v[1:, 1:]
-        return float(np.max(np.abs(w - w[::-1, ::-1])))
+        w = self.values[(slice(1, None),) * self.grid.d]
+        return float(np.max(np.abs(w - np.flip(w))))
 
     def at(self, x) -> float:
-        """Interpolated value (linear d=1, bilinear d=2)."""
+        """Multilinear interpolation: the 2^d nodes around x, contracted
+        one axis at a time (linear in d = 1, bilinear in d = 2)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         g = self.grid
-        if np.any(np.abs(x) >= g.L - g.h):
+        if x.shape != (g.d,):
+            raise DomainError(f"a point needs d = {g.d} coordinates, "
+                              f"not {x.size}")
+        if (np.abs(x) >= g.L - g.h).any():
             raise DomainError("point outside the grid")
         idx = (x + g.L) / g.h
         i0 = np.floor(idx).astype(int)
-        f = idx - i0
-        if g.d == 1:
-            return float((1 - f[0]) * self.values[i0[0]]
-                         + f[0] * self.values[i0[0] + 1])
-        v = self.values
-        return float((1 - f[0]) * (1 - f[1]) * v[i0[0], i0[1]]
-                     + f[0] * (1 - f[1]) * v[i0[0] + 1, i0[1]]
-                     + (1 - f[0]) * f[1] * v[i0[0], i0[1] + 1]
-                     + f[0] * f[1] * v[i0[0] + 1, i0[1] + 1])
+        # Python scalars: numpy scalars cost about a third more per call
+        v = self.values[tuple(slice(i, i + 2) for i in i0.tolist())]
+        for f in (idx - i0).tolist():
+            v = (1 - f) * v[0] + f * v[1]
+        return float(v)
 
 
 def _axis_phi(model: LevyModel, cut: float) -> float:
@@ -187,13 +188,13 @@ def invert(model: LevyModel, t: float, grid: GridSpec = None) -> DensityField:
     # transform is one real inverse FFT, over h^d for the continuous one
     n, step = grid.N, math.pi / grid.L
     xi = np.arange(n // 2 + 1) * step
-    product = grid.d == 2 and all(
-        np.count_nonzero(theta) == 1 for _, _, theta in model.pairs)
+    product = all(np.count_nonzero(theta) == 1 for _, _, theta in model.pairs)
     if product:
-        # every pair on an axis: Phi(xi) = Phi(xi_1, 0) + Phi(0, xi_2), so
-        # p_t is p1(x_1) p2(x_2), one row of xi per axis (psi(0) = 0)
-        xi = np.eye(2)[:, None, :] * xi[:, None]
-    elif grid.d == 2:
+        # every pair on an axis (always so in d = 1): Phi(xi) is the sum of
+        # Phi(xi_i e_i), so p_t is the product of the p_i(x_i), one row of
+        # xi per axis (psi(0) = 0)
+        xi = np.eye(grid.d)[:, None, :] * xi[:, None]
+    else:
         xi = np.stack(np.meshgrid(np.fft.fftfreq(n, 1.0 / n) * step, xi,
                                   indexing="ij", copy=False), axis=-1)
     fhat = phi_on_points(model, xi)
@@ -205,7 +206,7 @@ def invert(model: LevyModel, t: float, grid: GridSpec = None) -> DensityField:
     v = np.fft.fftshift(v, axes=axes)  # x = 0 to index N/2
     v /= grid.h ** k
     if product:
-        v = np.multiply.outer(v[0], v[1])  # axis 0 is x_1
+        v = functools.reduce(np.multiply.outer, v)  # axis 0 is x_1
     mn = float(v.min())
     if mn < -RINGING_TOL * max(float(v.max()), 1e-300):
         cap = (f", and N is at the cap MAX_N[{grid.d}] = {n}"
@@ -216,7 +217,7 @@ def invert(model: LevyModel, t: float, grid: GridSpec = None) -> DensityField:
     # the copy its perfbench timings were taken with
     v = np.clip(v, 0.0, None, out=v if grid.d == 2 else None)
     # aliasing estimate: edge value approximates the folded tail density
-    edge = float(v[0]) if grid.d == 1 else float(max(v[0].max(), v[:, 0].max()))
+    edge = max(float(np.take(v, 0, axis=i).max()) for i in range(grid.d))
     return DensityField(grid=grid, t=t, values=v,
                         mass=float(v.sum()) * grid.h ** grid.d,
                         trunc_error=trunc, alias_error=2.0 * edge, min_raw=mn)
@@ -285,10 +286,10 @@ def on_diagonal_scan(model: LevyModel, t_set) -> list:
     rows = []
     for t in sorted(t_set):
         if model.d == 1:
-            p0 = density_at(model, t, 0.0)
+            p0 = density_at(model, t, 0.0)  # pointwise exists in d = 1 only
         else:
             fld = invert(model, t)
-            p0 = float(fld.values[fld.grid.N // 2, fld.grid.N // 2])
+            p0 = float(fld.values[(fld.grid.N // 2,) * model.d])
         rows.append((float(t), p0,
                      p0 * t ** (model.d / model.alpha),
                      p0 * t ** (model.d / beta)))
@@ -333,13 +334,10 @@ def field_to_csv(fld: DensityField, out) -> None:
         with open(out, "w") as f:
             field_to_csv(fld, f)
         return
-    ax = fld.grid.x_axis()
-    if fld.grid.d == 1:
-        out.write("x,p\n")
-        for x, p in zip(ax, fld.values):
-            out.write(f"{x:.17g},{p:.17g}\n")
-    else:
-        out.write("x1,x2,p\n")
-        for i, x1 in enumerate(ax):
-            for j, x2 in enumerate(ax):
-                out.write(f"{x1:.17g},{x2:.17g},{fld.values[i, j]:.17g}\n")
+    d = fld.grid.d
+    out.write("x,p\n" if d == 1
+              else "".join(f"x{i + 1}," for i in range(d)) + "p\n")
+    cols = np.meshgrid(*(fld.grid.x_axis(),) * d, indexing="ij")
+    np.savetxt(out, np.column_stack([c.ravel() for c in cols]
+                                    + [fld.values.ravel()]),
+               fmt="%.17g", delimiter=",")

@@ -219,15 +219,16 @@ class Custom(RadialProfile):
         return np.asarray(self.func(np.asarray(s, dtype=float)), dtype=float)
 
 
-def doubling_constant(q: RadialProfile, s_min: float, s_max: float, n: int = 400):
-    """Measure the doubling constant K = sup q(s)/q(2s) on a log grid.
+def doubling_constant(q: RadialProfile, s_min: float, s_max: float):
+    """Measure the doubling constant K = sup q(s)/q(2s) on a log grid of
+    400 nodes.
 
     Returns (K, eta) with eta = log2 K.  Profiles that vanish inside
     [s_min, 2 s_max] (hard truncation) are rejected.
     """
     if not (0 < s_min < s_max):
         raise DomainError("need 0 < s_min < s_max")
-    grid = np.exp(np.linspace(math.log(s_min), math.log(s_max), n))
+    grid = np.exp(np.linspace(math.log(s_min), math.log(s_max), 400))
     num = q(grid)
     den = q(2.0 * grid)
     if np.any(den <= 0) or np.any(num <= 0):

@@ -400,6 +400,18 @@ def test_check_two_sided_poly():
     assert sup_r / inf_r < 20.0
 
 
+def test_growth_checks_in_d2_probe_directions_off_the_axes():
+    # the probe set adds 8 evenly spaced directions to the axis atoms
+    m = exp_model(1.5, d=2)
+    dirs = charexp._direction_set(m)
+    assert len(dirs) == 10
+    assert np.any(np.all(np.abs(dirs) > 0.5, axis=1))  # a diagonal
+    inf_g = check_lower_growth(m, exponent=2.0, radii=np.logspace(-3, 0, 25))
+    assert 0.0 < inf_g < math.inf
+    inf_r, sup_r = check_two_sided(m, radii=np.logspace(-2, 2, 40))
+    assert 0.0 < inf_r <= sup_r < math.inf
+
+
 def test_check_two_sided_rejects_infinite_second_moment():
     with pytest.raises(DomainError):
         check_two_sided(stable_model(1.0))

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from templevy.charexp import phi_on_points
 from templevy.cli import main
-from templevy.density import auto_grid
+from templevy.density import GridSpec, auto_grid
 from templevy.envelope import EnvelopeSpec, spec_to_dict
 from templevy.model import cauchy_model, model_to_dict, poly_model, save_model
 from templevy.profiles import PolyTempered
@@ -25,6 +26,22 @@ def test_phi_subcommand(model_path, capsys):
     cells = out[-1].split(",")
     assert float(cells[0]) == 3.0
     assert float(cells[-1]) == pytest.approx(3.0 * math.pi, rel=1e-8)
+
+
+@pytest.mark.parametrize("model", [cauchy_model(), poly_model(3.0, 1.5, d=2)],
+                         ids=["d1", "d2"])
+def test_phi_grid_prints_every_dual_node(model, tmp_path, capsys):
+    mp = tmp_path / "model.json"
+    save_model(model, mp)
+    assert main(["phi", "--model", str(mp), "--grid", "8,64"]) == 0
+    rows = np.array([[float(c) for c in line.split(",")] for line in
+                     capsys.readouterr().out.strip().splitlines()])
+    ax = GridSpec(model.d, 8.0, 64).xi_axis()
+    pts = np.stack(np.meshgrid(*(ax,) * model.d, indexing="ij"),
+                   axis=-1).reshape(-1, model.d)
+    assert rows.shape == (64 ** model.d, model.d + 1)
+    np.testing.assert_array_equal(rows[:, :-1], pts)
+    np.testing.assert_array_equal(rows[:, -1], phi_on_points(model, pts))
 
 
 def test_density_pointwise(model_path, capsys):

@@ -12,6 +12,7 @@ from templevy.decomp import (
     convolution_ball_check,
     default_eps,
     frequency_identity_defect,
+    local_auto_grid,
     local_density,
     local_lower_check,
     local_moment,
@@ -48,8 +49,7 @@ def test_split_rate_small_eps():
 def test_small_model_cuts_every_profile():
     sm = split(relativistic_model(1.0), 0.5)
     # the cut measure has no closed form: its exponent is the cut psi
-    with pytest.raises(DomainError):
-        phi(sm.small, [2.0], method="closed")
+    assert phi(sm.small, [2.0]).method == "quadrature"
     assert sm.small.profile == Truncated(0.5, sm.model.profile)
     assert [w for w, _ in sm.small.profiles_and_weights()] == [
         w for w, _ in sm.model.profiles_and_weights()]
@@ -256,6 +256,28 @@ def test_convolution_ball_ratio_span():
             by_n.setdefault(r["n"], []).append(r["ratio"] ** (1.0 / r["n"]))
     vals = [v for lst in by_n.values() for v in lst]
     assert max(vals) / min(vals) < 10.0
+
+
+def test_local_moment_in_d2_is_twice_its_marginal():
+    # |x|^2 = x_1^2 + x_2^2 under a product law whose factors are the 1-D
+    # small-jump law (each axis pair weighs 2, as the d = 1 pair does)
+    t, L, n = 1.0, 40.0, 1024
+    m2 = local_moment(split(poly_model(3.0, 1.5, d=2), 0.3), t, 1,
+                      GridSpec(2, L, n))
+    m1 = local_moment(split(poly_model(3.0, 1.5), 0.3), t, 1,
+                      GridSpec(1, L, n))
+    assert m2 == pytest.approx(2.0 * m1, rel=1e-9)
+
+
+def test_local_lower_check_in_d2_is_the_square_of_the_d1_centre():
+    t_set = [0.5, 2.0]
+    rows = local_lower_check(exp_model(1.0, d=2), t_set)
+    for t, (t_row, scaled) in zip(t_set, rows):
+        g = local_auto_grid(split(exp_model(1.0, d=2), t), t)
+        p1 = local_density(split(exp_model(1.0), t), t,
+                           GridSpec(1, g.L, g.N)).values[g.N // 2]
+        assert t_row == t
+        assert scaled == pytest.approx(t ** 2 * p1 ** 2, rel=1e-12, abs=0.0)
 
 
 def test_local_lower_check_bounded():

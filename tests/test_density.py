@@ -103,6 +103,17 @@ def test_at_outside_grid_raises():
         fld.at(np.array([15.999]))
 
 
+def test_at_needs_one_coordinate_per_axis():
+    # one coordinate per axis: a d = 1 field does not read x_1 of a 2-D point
+    f1 = invert(cauchy_model(), 1.0, GridSpec(1, 16.0, 1024))
+    f2 = invert(poly_model(3.0, 1.5, d=2), 1.0, GridSpec(2, 20.0, 64))
+    with pytest.raises(DomainError, match="d = 1 coordinates, not 2"):
+        f1.at([0.5, 0.5])
+    with pytest.raises(DomainError, match="d = 2 coordinates, not 1"):
+        f2.at(0.5)
+    assert f1.at(0.5) == f1.at([0.5])
+
+
 def test_chapman_kolmogorov():
     # p_{2t} = p_t * p_t
     m = poly_model(3.0, 1.0)
@@ -149,6 +160,41 @@ def test_field_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 256 + 1
     assert lines[0].split(",")[-1] == "p"
+
+
+def test_field_csv_in_d2_writes_every_node(tmp_path):
+    fld = invert(poly_model(3.0, 1.5, d=2), 1.0, GridSpec(2, 20.0, 64))
+    path = tmp_path / "field.csv"
+    field_to_csv(fld, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x1,x2,p"
+    assert len(lines) == 64 ** 2 + 1
+    ax = fld.grid.x_axis()
+    for i, j in ((0, 0), (0, 63), (17, 40), (32, 32), (63, 5)):
+        row = [float(c) for c in lines[1 + 64 * i + j].split(",")]
+        assert row == [ax[i], ax[j], fld.values[i, j]]
+
+
+def test_at_on_an_axis_field_in_d2_is_the_product_of_its_marginals():
+    # p_t(x) = p1(x_1) p1(x_2), and bilinear interpolation of an outer
+    # product is the product of the linear interpolations
+    t, L, n = 0.5, 20.0, 512
+    f2 = invert(exp_model(1.0, d=2), t, GridSpec(2, L, n))
+    f1 = invert(exp_model(1.0), t, GridSpec(1, L, n))
+    rng = np.random.default_rng(7)
+    for x in rng.uniform(-3.0, 3.0, (40, 2)):
+        assert f2.at(x) == pytest.approx(f1.at(x[0]) * f1.at(x[1]),
+                                         rel=1e-15, abs=0.0)
+
+
+def test_on_diagonal_scan_in_d2_is_the_square_of_the_d1_centre():
+    m2, m1 = exp_model(1.0, d=2), exp_model(1.0)
+    t_set = [0.5, 2.0]
+    for t, row in zip(t_set, on_diagonal_scan(m2, t_set)):
+        g = auto_grid(m2, t)
+        p1 = invert(m1, t, GridSpec(1, g.L, g.N)).values[g.N // 2]
+        assert row[1] == pytest.approx(p1 ** 2, rel=1e-12, abs=0.0)
+        assert row[2] == pytest.approx(row[1] * t ** 2, rel=1e-12)
 
 
 def test_two_dimensional_inversion_mass():

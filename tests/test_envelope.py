@@ -140,6 +140,34 @@ def test_hypothesis_check_constant_beta2_fails_integrability():
     assert not rep["checks"]["beta_integrability"]["pass"]
 
 
+@pytest.mark.parametrize("profile", [
+    PolyTempered(3.0), PolyTempered(1.5), PolyTempered(1.2),
+    ExpTempered(0.5, 2.0)], ids=["poly3", "poly1.5", "poly1.2", "exp"])
+def test_beta_integrability_passes_convergent_tails(profile):
+    # int_1^inf (1+s)^-m ds converges for every m > 1
+    spec = EnvelopeSpec(side="upper", regime="large_t", d=1, alpha=1.0,
+                        gamma=1.0, profile=profile, beta=2.0)
+    check = envelope._check_beta_integrability(exp_model(1.0), spec)
+    assert check["pass"]
+    assert check["tail_index"] == 2.0 and check["beta"] == 2.0
+
+
+def test_beta_integrability_fails_a_divergent_power_tail():
+    # (1+s)^-1 at beta - alpha = 1: the integral grows like log s
+    spec = EnvelopeSpec(side="upper", regime="large_t", d=1, alpha=1.0,
+                        gamma=1.0, profile=PolyTempered(1.0), beta=2.0)
+    assert not envelope._check_beta_integrability(exp_model(1.0),
+                                                   spec)["pass"]
+
+
+def test_hypothesis_check_poly15_large_t_upper_passes():
+    spec = EnvelopeSpec(side="upper", regime="large_t", d=1, alpha=1.0,
+                        gamma=1.0, profile=PolyTempered(1.5), beta=2.0)
+    rep = hypothesis_check(poly_model(1.5, 1.0), spec)
+    assert rep["checks"]["beta_integrability"]["pass"]
+    assert rep["pass"]
+
+
 def test_hypothesis_check_rejects_undominated_profile():
     # Cauchy's q = 1 over (1+s)^-3 is (1+s)^3: finite on every finite scan
     # range, but it keeps growing when the range is doubled

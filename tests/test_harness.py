@@ -108,6 +108,21 @@ def test_suite_large_t_check_keeps_its_range(tmp_path):
     assert result["refinement_delta"] < 1e-3
 
 
+def test_suite_writes_decomposition_rows(tmp_path):
+    # t >= 0.3 runs on the 2^17 grid
+    config = {"suite_id": "decomp", "checks": [{
+        "kind": "decomposition", "model": model_to_dict(exp_model(1.0)),
+        "t_set": [1.0]}]}
+    code, bundle = run_suite(config, out_dir=tmp_path)
+    assert code == 0 and bundle["results"][0]["verdict"] == "PASS"
+    lines = (tmp_path / "scan_0_decomposition_model0.csv").read_text(
+        ).splitlines()
+    assert lines[0] == "t,eps,rel_defect,mass_defect"
+    t, eps, defect, mass_defect = map(float, lines[1].split(","))
+    assert len(lines) == 2 and t == 1.0
+    assert defect == bundle["results"][0]["statistic"] <= 1e-4
+
+
 def test_scan_grid_names_its_cap():
     # a scan too wide for the spacing raises instead of coarsening h
     with pytest.raises(GridError, match=f"MAX_N = {MAX_N[1]}"):

@@ -1,7 +1,8 @@
 """Every module-level import and private name in the package is used.
 
 Also: no function takes an `upper` cut radius; a cut is a profile.  The
-model classes take no option beyond the measure itself.
+model classes take no option beyond the measure itself.  No warning
+filter drops every category, and no handler catches every exception.
 
 Checked with the stdlib ast module, no linter.
 """
@@ -177,6 +178,45 @@ def test_detector_flags_an_upper_parameter():
                      "def g(x, *, upper):\n    pass\n"
                      "def h(x, s0):\n    pass\n")
     assert _upper_parameters(tree) == ["f (line 1)", "g (line 3)"]
+
+
+def _swallowed(tree: ast.Module) -> list:
+    """Warning filters that name no category, `except Exception` and bare
+    `except:` clauses, with lines."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("simplefilter", "filterwarnings"):
+            named = len(node.args) > (1 if node.func.attr == "simplefilter"
+                                      else 2) or any(
+                k.arg == "category" for k in node.keywords)
+            if not named:
+                found.append(f"{node.func.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ExceptHandler) and (
+                node.type is None or isinstance(node.type, ast.Name)
+                and node.type.id in ("Exception", "BaseException")):
+            found.append(f"except (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_swallowed_warnings_or_errors(path):
+    assert _swallowed(ast.parse(path.read_text())) == []
+
+
+def test_detector_flags_swallowed_warnings_and_errors():
+    tree = ast.parse(
+        "import warnings\n"
+        "warnings.simplefilter('ignore')\n"
+        "warnings.simplefilter('ignore', RuntimeWarning)\n"
+        "warnings.filterwarnings('ignore', 'msg')\n"
+        "warnings.filterwarnings('ignore', category=UserWarning)\n"
+        "try:\n    pass\nexcept Exception:\n    pass\n"
+        "try:\n    pass\nexcept:\n    pass\n"
+        "try:\n    pass\nexcept ValueError:\n    pass\n")
+    assert _swallowed(tree) == ["simplefilter (line 2)",
+                                "filterwarnings (line 4)",
+                                "except (line 8)", "except (line 12)"]
 
 
 @pytest.mark.parametrize("cls, names", [

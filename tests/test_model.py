@@ -165,6 +165,19 @@ def _line_model(weights, profiles, alpha=1.0):
                                               weights=np.array(weights)))
 
 
+def test_atom_profiles_round_trip_keeps_phi():
+    m = LevyModel(d=2, alpha=1.3, atom_profiles=[
+        PolyTempered(3.0), PolyTempered(3.0), ExpTempered(0.5, 2.0),
+        ExpTempered(0.5, 2.0)], spectral=SpectralMeasure(
+            d=2, directions=np.kron(np.eye(2), [[1.0], [-1.0]]),
+            weights=np.array([1.0, 1.0, 0.5, 0.5])))
+    back = model_from_dict(model_to_dict(m))
+    assert back.atom_profiles == m.atom_profiles and back.profile is None
+    xi = np.array([[0.3, -1.1], [2.0, 0.7], [-7.5, 40.0]])
+    np.testing.assert_array_equal(phi_on_points(back, xi),
+                                  phi_on_points(m, xi))
+
+
 def test_model_rejects_one_profile_per_side():
     # balanced spectral weights, but nu(-D) != nu(D)
     with pytest.raises(DomainError, match=r"atom 0 at \[1.0\]"):
@@ -198,8 +211,7 @@ def test_legacy_closed_form_key_is_ignored():
     doc["closed_form"] = "relativistic"
     m = model_from_dict(doc)
     assert phi(m, [2.0]).value == pytest.approx(1.5640855, rel=1e-6)
-    with pytest.raises(DomainError, match="no closed form"):
-        phi(m, [2.0], method="closed")
+    assert phi(m, [2.0]).method == "quadrature"
     assert "closed_form" not in model_to_dict(relativistic_model(1.0))
 
 
