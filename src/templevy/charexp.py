@@ -15,15 +15,20 @@ power law of its first node.  A profile that declares q(0+) and its tail
 (every built-in one but a cut) takes all its nodes from one FFTLog sweep
 (_sweep): psi_q is a Mellin convolution, so one inverse FFT gives it on
 the whole log-u grid, and a larger |u| sweeps again on a wider window.
+A cut of such a profile or of Constant (profiles.Truncated, the
+small-jump part of a split measure) takes all its nodes from the cut
+rule (_cut_psi): one vectorized Gauss rule on (0, s0] up to u s0 = 1e4,
+and beyond that psi_q - W_q(s0) plus the cosine tail by parts; it too
+fills every node anew when it grows.
 
-Otherwise, and for phi(method="quadrature"), psi is evaluated by adaptive
-quadrature in v = u s (psi_quad): the singular head v < 1 by a smoothing
-substitution split at the profile's knees, the tail as the jump mass
-W(1/u) minus one cosine-weighted (QAWF) integral.  A profile cut at s0
-(profiles.Truncated, the small-jump part of a split measure) takes the
-mass W(1/u) - W(s0) of its base and the QAWO integral up to V = u s0;
-cuts with u s0 > 1e8 raise NumericError.  A cut table computes only its
-new nodes when it grows.
+Otherwise (Custom, and a cut of one), and for phi(method="quadrature"),
+psi is evaluated by adaptive quadrature in v = u s (psi_quad): the
+singular head v < 1 by a smoothing substitution split at the profile's
+knees, the tail as the jump mass W(1/u) minus one cosine-weighted (QAWF)
+integral.  A profile cut at s0 takes the mass W(1/u) - W(s0) of its base
+and the QAWO integral up to V = u s0; psi_quad raises NumericError for
+u s0 > 1e8.  A table filled by psi_quad computes only its new nodes when
+it grows.
 """
 from __future__ import annotations
 
@@ -245,13 +250,95 @@ def _sweep(q: RadialProfile, alpha: float, n: int):
             + q0 * rate ** a * _psi_exp(a, np.exp(lu) / rate))
 
 
+#: a cut table's nodes with u s0 up to CUT_RULE_V take the Gauss rule on
+#: (0, s0]; those beyond, psi_q - W_q(s0) + C(u) by parts
+CUT_RULE_V = 1e4
+#: the rule's panels: 16-point Gauss-Legendre, geometric (ratio e) from
+#: CUT_HEAD s0 up, uniform once u_max s exceeds CUT_SMOOTH
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+CUT_HEAD, CUT_SMOOTH = 1e-14, 1.5
+
+
+def _cut_psi(q: Truncated, alpha: float, n: int):
+    """psi of a cut on the first n table nodes, and the largest u s0 that
+    took the Gauss rule; psi is None for a base that declares no tail and
+    is not Constant (Custom), or whose sweep declines (SWEEP_MAX_N).
+
+    Up to V = u s0 = CUT_RULE_V, psi_cut(u) = int_0^s0 2 sin^2(u s / 2)
+    g(s) ds, g = s^(-1-alpha) q(s), with no cancellation at small u, by
+    one vectorized rule per decade of nodes, sized to its largest u: 16
+    points per panel, geometric panels in log s from s_min = CUT_HEAD s0
+    up to s_c = min(s0, CUT_SMOOTH / u_max), uniform panels of width at
+    most pi / u_max on [s_c, s0], and a panel edge at each of q's knees.
+    Below s_min, q = q(0+) and sin^2 x = x^2 leave the head q0 u^2
+    s_min^(2-alpha) / (2 (2 - alpha)).
+
+    Beyond, psi_cut = psi_q - W_q(s0) + C(u), C(u) = int_s0^inf cos(u s)
+    g(s) ds = -g(s0) sin V / u - g'(s0) cos V / u^2, by parts, within
+    2 |g''(s0)| / u^3; psi_q is the base's sweep (or closed form) on the
+    same nodes, and g' a central difference.
+    """
+    base, s0, a = q.q, q.s0, alpha
+    closed = _closed_psi(base, a)
+    if base.tail is None and closed is None:
+        return None, 0.0
+    u = np.exp(math.log(U_LO) + _STEP * np.arange(n))
+    vals = np.empty(n)
+    r = int(np.count_nonzero(u * s0 <= CUT_RULE_V))  # the rule's nodes
+    s_min = CUT_HEAD * s0
+    knees = [k for k in base.knees() if s_min < k < s0]
+    head = base.q0 * s_min ** (2.0 - a) / (2.0 * (2.0 - a))
+    for lo in range(0, r, PER_TEN):
+        ug = u[lo:min(lo + PER_TEN, r)]
+        s_c = min(s0, CUT_SMOOTH / ug[-1])
+        edges = np.unique(np.concatenate((
+            np.geomspace(s_min, s_c, math.ceil(math.log(s_c / s_min)) + 1),
+            np.linspace(s_c, s0, math.ceil((s0 - s_c) * ug[-1] / math.pi)
+                        + 1), knees)))
+        ea, eb = edges[:-1, None], edges[1:, None]
+        geo = eb <= s_c
+        # geometric panels take their nodes in log s, ds = s d(log s)
+        la, lb = np.log(ea), np.log(eb)
+        half = np.where(geo, lb - la, eb - ea) / 2.0
+        x = np.where(geo, la + lb, ea + eb) / 2.0 + half * _GL_X
+        s = np.where(geo, np.exp(x), x).ravel()
+        wg = (half * _GL_W * np.where(geo, 1.0, 1.0 / s.reshape(x.shape))
+              ).ravel() * 2.0 * s ** -a * base(s)
+        out = head * ug * ug
+        # rows of sin^2(u s / 2) a few MB at a time
+        step = max(1, (1 << 18) // len(s))
+        for i in range(0, len(ug), step):
+            m = np.multiply.outer(0.5 * ug[i:i + step], s)
+            np.sin(m, out=m)
+            m *= m
+            out[i:i + step] += m @ wg
+        vals[lo:lo + len(ug)] = out
+    if r < n:
+        uf = u[r:]
+        psi_q = closed(uf) if closed else _sweep(base, a, n)
+        if psi_q is None:
+            return None, 0.0
+        h = 1e-4 * s0
+        gs = np.array([s0 - h, s0, s0 + h])
+        g_m, g_0, g_p = gs ** (-1.0 - a) * base(gs)
+        V = uf * s0
+        c = (-g_0 * np.sin(V) / uf
+             - (g_p - g_m) / (2.0 * h) * np.cos(V) / (uf * uf))
+        vals[r:] = psi_q[-len(uf):] - _cut_mass(base, a, s0) + c
+    return vals, float(u[r - 1] * s0) if r else 0.0
+
+
 class PsiTable:
     """Log-log cubic spline of psi_q on the nodes from U_LO up to u_hi.
 
     u_hi starts at 10 and grows tenfold at a time when a larger |u| is
-    asked for.  A profile that declares its tail takes every node from
-    one sweep, done anew over the whole range as u_hi grows; the others
-    (a cut, Custom) compute only the new nodes, by psi_quad.
+    asked for.  Every node is filled anew over the whole range as u_hi
+    grows: from one sweep for a profile that declares its tail, from the
+    cut rule (_cut_psi) for a cut of a built-in profile.  The others
+    (Custom, and a cut of one) compute only the new nodes, by psi_quad.
+    filled_by records which it was ("sweep", "cut rule" or "quad") at
+    the last fill, and rule_v the largest u s0 that took the Gauss rule
+    (0 when none did).
     """
 
     def __init__(self, q: RadialProfile, alpha: float):
@@ -265,9 +352,15 @@ class PsiTable:
             self.u_hi *= 10.0
         n = PER_TEN * round(math.log10(self.u_hi / U_LO)) + 1
         lg = math.log(U_LO) + _STEP * np.arange(n)
-        vals = None if self.q.tail is None else _sweep(self.q, self.alpha, n)
+        vals, self.rule_v = None, 0.0
+        if self.q.tail is not None:
+            vals, self.filled_by = _sweep(self.q, self.alpha, n), "sweep"
+        elif isinstance(self.q, Truncated):
+            (vals, self.rule_v), self.filled_by = (
+                _cut_psi(self.q, self.alpha, n), "cut rule")
         keep = 0 if vals is not None else len(self.log_u)
         if vals is None:
+            self.filled_by = "quad"
             vals = np.array([psi_quad(self.q, self.alpha, math.exp(t))
                              for t in lg[keep:]])
         if np.any(vals <= 0):

@@ -19,7 +19,7 @@ from templevy.charexp import (
     second_moment,
     stable_constant,
 )
-from templevy.decomp import split
+from templevy.decomp import default_eps, split
 from templevy.density import invert
 from templevy.errors import DegeneracyError, DomainError, NumericError
 from templevy.model import (
@@ -32,7 +32,7 @@ from templevy.model import (
     relativistic_model,
     stable_model,
 )
-from templevy.profiles import (Constant, ExpTempered, PolyTempered,
+from templevy.profiles import (Constant, Custom, ExpTempered, PolyTempered,
                                Relativistic, Truncated)
 
 
@@ -282,7 +282,9 @@ def test_psi_vector_matches_scalar(fresh_tables, q, alpha):
 
 
 def test_cut_table_grows_by_new_nodes(fresh_tables, quad_calls):
-    q, alpha = Truncated(0.5, PolyTempered(3.0)), 1.0
+    # a cut of a Custom base has no cut rule: psi_quad fills its nodes
+    base = Custom(lambda s: (1.0 + s) ** -3.0)
+    q, alpha = Truncated(0.5, base), 1.0
     psi_vector(q, alpha, np.logspace(-2, 1, 4))
     table = fresh_tables(q, alpha)
     assert table.u_hi == 10.0
@@ -291,6 +293,24 @@ def test_cut_table_grows_by_new_nodes(fresh_tables, quad_calls):
     assert len(table.log_u) == 11 * 48 + 1
     # every node is computed once, however often the table grows
     assert len(quad_calls) == len(table.log_u)
+    assert table.filled_by == "quad"
+
+
+@pytest.mark.parametrize("model", [cauchy_model(), poly_model(3.0, 1.0),
+                                   exp_model(1.0)],
+                         ids=["cauchy", "poly3", "exp1"])
+def test_split_cut_tables_make_no_quadrature(fresh_tables, quad_calls,
+                                             model):
+    # the cut profiles of verify_decomposition's nine (model, t) cases,
+    # read up to u = 1e3 (their grids reach |xi| = 804)
+    for t in (0.1, 0.5, 1.0):
+        small = split(model, default_eps(model, t)).small
+        for _, q, _ in small.pairs:
+            psi_vector(q, model.alpha, np.logspace(-6, 3, 10))
+            table = fresh_tables(q, model.alpha)
+            assert (table.filled_by, table.u_hi) == ("cut rule", 1e3)
+            assert table.rule_v == pytest.approx(1e3 * q.s0)
+    assert quad_calls == []
 
 
 def test_one_table_per_model_across_times(fresh_tables, quad_calls):
@@ -331,6 +351,49 @@ def test_sweep_matches_psi_quad(kind, data):
     val = float(charexp.PsiTable(q, alpha)(np.array([u]))[0])
     ref, err = psi_quad(q, alpha, u, with_error=True)
     assert abs(val - ref) <= 1e-8 * ref + 2.0 * err
+
+
+@st.composite
+def cut_profiles(draw, kind):
+    """(Truncated(s0, q), alpha): a built-in base q of the kind, Constant
+    included, cut at s0 in [0.01, 10]."""
+    if kind == "constant":
+        q, alpha = Constant(draw(st.floats(0.5, 2.0))), draw(
+            st.floats(0.05, 1.95))
+    else:
+        q, alpha = draw(uncut_profiles(kind))
+    return Truncated(10.0 ** draw(st.floats(-2.0, 1.0)), q), alpha
+
+
+@pytest.mark.parametrize("kind", ["constant", "poly", "exp", "relativistic"])
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_cut_table_matches_psi_quad(kind, data):
+    # a node up to u = 1e5 of a fresh cut table, or one of the five about
+    # u s0 = CUT_RULE_V: the Gauss rule, the seam and the by-parts
+    # branch, within the bound of test_sweep_matches_psi_quad
+    q, alpha = data.draw(cut_profiles(kind))
+    seam = round(48 * math.log10(charexp.CUT_RULE_V / (q.s0 * charexp.U_LO)))
+    k = data.draw(st.one_of(st.integers(0, 11 * 48),
+                            st.integers(-2, 2).map(lambda j: seam + j)))
+    u = charexp.U_LO * 10.0 ** (min(k, 11 * 48) / 48)
+    val = float(charexp.PsiTable(q, alpha)(np.array([u]))[0])
+    ref, err = psi_quad(q, alpha, u, with_error=True)
+    assert abs(val - ref) <= 1e-8 * ref + 2.0 * err
+
+
+def test_cut_table_past_qawo_range_against_full_measure():
+    # u s0 = 1e9, where psi_quad raises: the table's node against the
+    # oracle of test_psi_long_cutoff_against_full_measure
+    q, alpha, u, upper = PolyTempered(0.5), 0.3, 1e8, 10.0
+    wtil = lambda v: v ** (-1.0 - alpha) * float(q(v / u))
+    beyond, _ = quad(wtil, u * upper, np.inf, weight="cos", wvar=1.0,
+                     epsabs=1e-13, limlst=400, limit=400)
+    oracle = (psi_quad(q, alpha, u) - radial_tail_mass(q, alpha, upper)
+              + u ** alpha * beyond)
+    table = charexp.PsiTable(Truncated(upper, q), alpha)
+    assert table(np.array([u]))[0] == pytest.approx(oracle, rel=1e-8)
+    assert table.filled_by == "cut rule"
 
 
 @pytest.mark.parametrize("u", [math.nan, -math.inf], ids=["nan", "inf"])

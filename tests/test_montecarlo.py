@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from templevy import montecarlo
-from templevy.charexp import phi, stable_constant
+from templevy.charexp import phi, phi_on_points, stable_constant
 from templevy.density import GridSpec, invert
 from templevy.errors import DomainError
 from templevy.model import (LevyModel, SpectralMeasure, cauchy_model,
@@ -43,12 +43,14 @@ def test_seeded_determinism():
 
 
 def test_chunking_leaves_draws_unchanged(monkeypatch):
-    # ~3300 jumps summed in one chunk, then in chunks of 7 that split draws
-    cfg = SamplerConfig(poly_model(3.0, 1.0), t=0.5, eps=0.05, mode="drop",
-                        count=300, seed=9)
-    whole = sample_many(cfg)
+    # ~3300 jumps summed in one chunk, then in chunks of 7 that split
+    # draws; in d = 2 each jump also picks one of the table's two pairs
+    cfgs = [SamplerConfig(poly_model(3.0, 1.0, d=d), t=0.5, eps=0.05,
+                          mode="drop", count=300, seed=9) for d in (1, 2)]
+    whole = [sample_many(cfg) for cfg in cfgs]
     monkeypatch.setattr(montecarlo, "JUMP_CHUNK", 7)
-    np.testing.assert_allclose(sample_many(cfg), whole, rtol=1e-12, atol=0)
+    for cfg, w in zip(cfgs, whole):
+        np.testing.assert_allclose(sample_many(cfg), w, rtol=1e-12, atol=0)
 
 
 def test_single_draw_shapes():
@@ -108,6 +110,27 @@ def test_density_measure_first_coordinate_ks():
     cdf = np.interp(x, fld.grid.x_axis(), np.cumsum(fld.values) * fld.grid.h)
     emp = (np.arange(len(x)) + 0.5) / len(x)
     assert np.max(np.abs(emp - cdf)) < 0.02
+
+
+def test_density_measure_first_coordinate_dkw_tempered():
+    # the uniform circle under PolyTempered(3): the first coordinate has
+    # the characteristic function exp(-t Phi((u, 0))); its CDF by
+    # Gil-Pelaez, 1/2 + int_0^inf sin(u x) f(u) / (pi u) du, on a grid of
+    # x (the integrand is even in u, so the trapezoid rule converges
+    # fast); the empirical CDF within the DKW bound at delta = 1e-3
+    m = _density_model(PolyTempered(3.0))
+    t, n, delta = 0.5, 20000, 1e-3
+    x = np.sort(sample_many(SamplerConfig(m, t=t, eps=0.05, count=n,
+                                          seed=42))[:, 0])
+    du = 0.005
+    u = du * np.arange(1, 2401)
+    f = np.exp(-t * phi_on_points(m, np.stack([u, 0.0 * u], axis=1)))
+    assert f[-1] < 1e-12
+    xs = np.linspace(x[0], x[-1], 4001)
+    cdf = 0.5 + (xs * du / 2.0 + np.sin(np.outer(xs, u)) @ (f / u) * du) / math.pi
+    F = np.interp(x, xs, cdf)
+    ks = max(np.max(np.arange(1, n + 1) / n - F), np.max(F - np.arange(n) / n))
+    assert ks <= math.sqrt(math.log(2.0 / delta) / (2.0 * n))
 
 
 def test_density_measure_small_jump_covariance():
