@@ -262,7 +262,8 @@ CUT_HEAD, CUT_SMOOTH = 1e-14, 1.5
 def _cut_psi(q: Truncated, alpha: float, n: int):
     """psi of a cut on the first n table nodes, and the largest u s0 that
     took the Gauss rule; psi is None for a base that declares no tail and
-    is not Constant (Custom), or whose sweep declines (SWEEP_MAX_N).
+    is not Constant (Custom), for a cut so small that s^-alpha would
+    overflow, or when the base's sweep declines (SWEEP_MAX_N).
 
     Up to V = u s0 = CUT_RULE_V, psi_cut(u) = int_0^s0 2 sin^2(u s / 2)
     g(s) ds, g = s^(-1-alpha) q(s), with no cancellation at small u, by
@@ -280,12 +281,14 @@ def _cut_psi(q: Truncated, alpha: float, n: int):
     """
     base, s0, a = q.q, q.s0, alpha
     closed = _closed_psi(base, a)
-    if base.tail is None and closed is None:
+    s_min = CUT_HEAD * s0
+    # s^-alpha must stay far from overflow at s_min (s0 below about 1e-116
+    # as alpha -> 2): such a cut, like a Custom base, is left to psi_quad
+    if base.tail is None and closed is None or -a * math.log(s_min) > 600.0:
         return None, 0.0
     u = np.exp(math.log(U_LO) + _STEP * np.arange(n))
     vals = np.empty(n)
     r = int(np.count_nonzero(u * s0 <= CUT_RULE_V))  # the rule's nodes
-    s_min = CUT_HEAD * s0
     knees = [k for k in base.knees() if s_min < k < s0]
     head = base.q0 * s_min ** (2.0 - a) / (2.0 * (2.0 - a))
     for lo in range(0, r, PER_TEN):

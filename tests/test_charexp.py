@@ -296,6 +296,16 @@ def test_cut_table_grows_by_new_nodes(fresh_tables, quad_calls):
     assert table.filled_by == "quad"
 
 
+def test_cut_far_below_overflow_falls_back_to_quadrature():
+    # at s0 = 1e-150 and alpha = 1.95, s^-alpha overflows near the rule's
+    # s_min = 1e-14 s0: psi_quad fills the table
+    q, alpha = Truncated(1e-150, PolyTempered(3.0)), 1.95
+    table = charexp.PsiTable(q, alpha)
+    assert table.filled_by == "quad"
+    assert table(np.array([1.0]))[0] == pytest.approx(
+        psi_quad(q, alpha, 1.0), rel=1e-10)
+
+
 @pytest.mark.parametrize("model", [cauchy_model(), poly_model(3.0, 1.0),
                                    exp_model(1.0)],
                          ids=["cauchy", "poly3", "exp1"])
