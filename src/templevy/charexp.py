@@ -9,26 +9,25 @@ of the one-dimensional oscillatory integral
 which has a closed form for constant q and for the relativistic kernel
 Relativistic(1, alpha) (psi_vector).  Grid fills go through a log-log
 cubic spline of psi, one per (profile, alpha) for the whole process, on
-48 log nodes per tenfold of u from u = 1e-6 up to the least power of ten
-(at least 10) that covers every |u| asked for; below 1e-6 it follows the
-power law of its first node.  A profile that declares q(0+) and its tail
-(every built-in one but a cut) takes all its nodes from one FFTLog sweep
-(_sweep): psi_q is a Mellin convolution, so one inverse FFT gives it on
-the whole log-u grid, and a larger |u| sweeps again on a wider window.
-A cut of such a profile or of Constant (profiles.Truncated, the
-small-jump part of a split measure) takes all its nodes from the cut
-rule (_cut_psi): one vectorized Gauss rule on (0, s0] up to u s0 = 1e4,
-and beyond that psi_q - W_q(s0) plus the cosine tail by parts; it too
-fills every node anew when it grows.
+48 log nodes per tenfold of u from U_LO = 1e-6 to U_HI = 1e10, all
+filled when the table is built; below U_LO it follows the power law of
+its first node, and a |u| above U_HI raises DomainError.  A profile that
+declares q(0+) and its tail (every built-in one but a cut) takes all its
+nodes from one FFTLog sweep (_sweep): psi_q is a Mellin convolution, so
+one inverse FFT gives it on the whole log-u grid.  A cut of any profile
+(profiles.Truncated, the small-jump part of a split measure) takes all
+its nodes from the cut rule (_cut_psi): one vectorized Gauss rule on
+(0, s0] up to u s0 = 1e3, and beyond that psi_q - W_q(s0) plus the
+cosine tail by parts, psi_q being the base's closed form, sweep or
+psi_quad on the same nodes.
 
-Otherwise (Custom, and a cut of one), and for phi(method="quadrature"),
-psi is evaluated by adaptive quadrature in v = u s (psi_quad): the
-singular head v < 1 by a smoothing substitution split at the profile's
-knees, the tail as the jump mass W(1/u) minus one cosine-weighted (QAWF)
-integral.  A profile cut at s0 takes the mass W(1/u) - W(s0) of its base
-and the QAWO integral up to V = u s0; psi_quad raises NumericError for
-u s0 > 1e8.  A table filled by psi_quad computes only its new nodes when
-it grows.
+Otherwise (an uncut Custom, a profile whose sweep declines, a cut below
+about s0 = 1e-116), and for phi(method="quadrature"), psi is evaluated by
+adaptive quadrature in v = u s (psi_quad): the singular head v < 1 by a
+smoothing substitution split at the profile's knees, the tail as the
+jump mass W(1/u) minus one cosine-weighted (QAWF) integral.  A profile
+cut at s0 takes the mass W(1/u) - W(s0) of its base and the QAWO
+integral up to V = u s0; psi_quad raises NumericError for u s0 > 1e8.
 """
 from __future__ import annotations
 
@@ -165,9 +164,13 @@ def _psi_exp(alpha: float, u: np.ndarray) -> np.ndarray:
     return -math.gamma(2.0 - alpha) / alpha * (er + u * ei)
 
 
-#: psi table nodes: U_LO * 10^(k / PER_TEN), k = 0, 1, ...
-U_LO, PER_TEN = 1e-6, 48
+#: psi table nodes: U_LO * 10^(k / PER_TEN), k = 0, 1, ..., up to U_HI
+U_LO, U_HI, PER_TEN = 1e-6, 1e10, 48
 _STEP = math.log(10.0) / PER_TEN
+_LOG_U = math.log(U_LO) + _STEP * np.arange(
+    PER_TEN * round(math.log10(U_HI / U_LO)) + 1)
+_U = np.exp(_LOG_U)
+_LOG_U.setflags(write=False)
 #: the sweep drops what falls below e^-SWEEP_DECAY of its scale: the
 #: samples beyond the ends of its window and the periodic images of psi
 SWEEP_DECAY = 36.0
@@ -178,9 +181,9 @@ SWEEP_MARGIN = 0.3
 SWEEP_MAX_N = 2 ** 17
 
 
-def _sweep(q: RadialProfile, alpha: float, n: int):
-    """psi_q on the first n table nodes from one FFTLog sweep, or None
-    when its window would be too wide (SWEEP_MAX_N).
+def _sweep(q: RadialProfile, alpha: float):
+    """psi_q on the table nodes from one FFTLog sweep, or None when its
+    window would be too wide (SWEEP_MAX_N).
 
     psi_q(u) = int K(us) f(s) ds/s, K = 1 - cos, f = s^-alpha q(s), is a
     Mellin convolution (Talman, J. Comput. Phys. 29, 1978; Hamilton,
@@ -195,8 +198,8 @@ def _sweep(q: RadialProfile, alpha: float, n: int):
     The bias b lies in the strip where a decays at both ends of the
     window and u^b psi_r at both ends of its period: b in (max(-2,
     -alpha - m), min(0, 1 - alpha)).  Inside it, SWEEP_MARGIN from its
-    ends, b balances the roundoff that u^-b amplifies at U_LO and at the
-    top node; and b <= -alpha, so that s^(-alpha-b) does not amplify the
+    ends, b balances the roundoff that u^-b amplifies at U_LO and at
+    U_HI; and b <= -alpha, so that s^(-alpha-b) does not amplify the
     rounding of q - q0 near s = 0.  The window covers where a exceeds
     e^-SWEEP_DECAY; its period is long enough for the images of u^b psi_r
     at u e^(+-period) to fall below that too.
@@ -205,9 +208,8 @@ def _sweep(q: RadialProfile, alpha: float, n: int):
     knees = q.knees()
     power = m if c == 0 else math.inf
     lo, hi = max(-2.0, -a - power), min(0.0, 1.0 - a)
-    # log(1 / U_LO) and log u at the top node
-    l_lo = -math.log(U_LO)
-    l_hi = _STEP * (n - 1) - l_lo
+    # log(1 / U_LO) and log U_HI
+    l_lo, l_hi = -math.log(U_LO), math.log(U_HI)
     gap = min(SWEEP_MARGIN, 0.5 * (hi - lo))
     b = min(max(-(2.0 * l_lo + a * l_hi) / (l_lo + l_hi), lo + gap),
             hi - gap, -a)
@@ -244,26 +246,36 @@ def _sweep(q: RadialProfile, alpha: float, n: int):
     mellin = np.exp(math.log(0.5 * math.pi) - loggamma(1.0 - z)
                     - np.log(-np.sin(0.5 * math.pi * z)))
     y = rfft(f) * mellin * np.exp(1j * eta * (x[-1] - x[0]))
-    lu = _STEP * np.arange(n) - l_lo
-    g = irfft(np.conj(y), N)[K:K + n]
-    return (np.exp(-b * lu) * g
-            + q0 * rate ** a * _psi_exp(a, np.exp(lu) / rate))
+    g = irfft(np.conj(y), N)[K:K + len(_U)]
+    return (np.exp(-b * _LOG_U) * g
+            + q0 * rate ** a * _psi_exp(a, _U / rate))
+
+
+def _node_psi(q: RadialProfile, alpha: float, first: int = 0):
+    """psi_q on the table nodes from the first-th on, and what gave it:
+    q's "closed form", else the "sweep" of a profile that declares its
+    tail, else "quad", psi_quad node by node."""
+    closed = _closed_psi(q, alpha)
+    if closed:
+        return closed(_U[first:]), "closed form"
+    vals = _sweep(q, alpha) if q.tail is not None else None
+    if vals is not None:
+        return vals[first:], "sweep"
+    return np.array([psi_quad(q, alpha, u) for u in _U[first:]]), "quad"
 
 
 #: a cut table's nodes with u s0 up to CUT_RULE_V take the Gauss rule on
 #: (0, s0]; those beyond, psi_q - W_q(s0) + C(u) by parts
-CUT_RULE_V = 1e4
+CUT_RULE_V = 1e3
 #: the rule's panels: 16-point Gauss-Legendre, geometric (ratio e) from
 #: CUT_HEAD s0 up, uniform once u_max s exceeds CUT_SMOOTH
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 CUT_HEAD, CUT_SMOOTH = 1e-14, 1.5
 
 
-def _cut_psi(q: Truncated, alpha: float, n: int):
-    """psi of a cut on the first n table nodes, and the largest u s0 that
-    took the Gauss rule; psi is None for a base that declares no tail and
-    is not Constant (Custom), for a cut so small that s^-alpha would
-    overflow, or when the base's sweep declines (SWEEP_MAX_N).
+def _cut_psi(q: Truncated, alpha: float):
+    """psi of a cut on the table nodes and the largest u s0 that took the
+    Gauss rule, or None for a cut so small that s^-alpha would overflow.
 
     Up to V = u s0 = CUT_RULE_V, psi_cut(u) = int_0^s0 2 sin^2(u s / 2)
     g(s) ds, g = s^(-1-alpha) q(s), with no cancellation at small u, by
@@ -275,19 +287,19 @@ def _cut_psi(q: Truncated, alpha: float, n: int):
     s_min^(2-alpha) / (2 (2 - alpha)).
 
     Beyond, psi_cut = psi_q - W_q(s0) + C(u), C(u) = int_s0^inf cos(u s)
-    g(s) ds = -g(s0) sin V / u - g'(s0) cos V / u^2, by parts, within
-    2 |g''(s0)| / u^3; psi_q is the base's sweep (or closed form) on the
-    same nodes, and g' a central difference.
+    g(s) ds = -g sin V / u - g' cos V / u^2 + g'' sin V / u^3
+    + g''' cos V / u^4 at s0, by parts, within 2 |g''''(s0)| / u^5; psi_q
+    is the base's on the same nodes (_node_psi), and g', g'' and g'''
+    central differences.
     """
     base, s0, a = q.q, q.s0, alpha
-    closed = _closed_psi(base, a)
     s_min = CUT_HEAD * s0
     # s^-alpha must stay far from overflow at s_min (s0 below about 1e-116
-    # as alpha -> 2): such a cut, like a Custom base, is left to psi_quad
-    if base.tail is None and closed is None or -a * math.log(s_min) > 600.0:
-        return None, 0.0
-    u = np.exp(math.log(U_LO) + _STEP * np.arange(n))
-    vals = np.empty(n)
+    # as alpha -> 2): such a cut is left to psi_quad
+    if -a * math.log(s_min) > 600.0:
+        return None
+    u = _U
+    vals = np.empty(len(u))
     r = int(np.count_nonzero(u * s0 <= CUT_RULE_V))  # the rule's nodes
     knees = [k for k in base.knees() if s_min < k < s0]
     head = base.q0 * s_min ** (2.0 - a) / (2.0 * (2.0 - a))
@@ -316,67 +328,51 @@ def _cut_psi(q: Truncated, alpha: float, n: int):
             m *= m
             out[i:i + step] += m @ wg
         vals[lo:lo + len(ug)] = out
-    if r < n:
-        uf = u[r:]
-        psi_q = closed(uf) if closed else _sweep(base, a, n)
-        if psi_q is None:
-            return None, 0.0
+    if r < len(u):
         h = 1e-4 * s0
-        gs = np.array([s0 - h, s0, s0 + h])
-        g_m, g_0, g_p = gs ** (-1.0 - a) * base(gs)
-        V = uf * s0
-        c = (-g_0 * np.sin(V) / uf
-             - (g_p - g_m) / (2.0 * h) * np.cos(V) / (uf * uf))
-        vals[r:] = psi_q[-len(uf):] - _cut_mass(base, a, s0) + c
+        gs = s0 + h * np.arange(-2.0, 3.0)
+        g2m, gm, g0, gp, g2p = gs ** (-1.0 - a) * base(gs)
+        d1 = (gp - gm) / (2.0 * h)
+        d2 = (gp - 2.0 * g0 + gm) / h ** 2
+        d3 = (g2p - 2.0 * gp + 2.0 * gm - g2m) / (2.0 * h ** 3)
+        w, V = 1.0 / u[r:], u[r:] * s0
+        sv, cv = np.sin(V), np.cos(V)
+        c = w * (-g0 * sv + w * (-d1 * cv + w * (d2 * sv + w * d3 * cv)))
+        vals[r:] = _node_psi(base, a, r)[0] - _cut_mass(base, a, s0) + c
     return vals, float(u[r - 1] * s0) if r else 0.0
 
 
 class PsiTable:
-    """Log-log cubic spline of psi_q on the nodes from U_LO up to u_hi.
+    """Log-log cubic spline of psi_q on the nodes from U_LO to U_HI.
 
-    u_hi starts at 10 and grows tenfold at a time when a larger |u| is
-    asked for.  Every node is filled anew over the whole range as u_hi
-    grows: from one sweep for a profile that declares its tail, from the
-    cut rule (_cut_psi) for a cut of a built-in profile.  The others
-    (Custom, and a cut of one) compute only the new nodes, by psi_quad.
-    filled_by records which it was ("sweep", "cut rule" or "quad") at
-    the last fill, and rule_v the largest u s0 that took the Gauss rule
-    (0 when none did).
+    Every node is filled once, when the table is built, and reading the
+    table changes nothing; a |u| above U_HI raises DomainError.  A cut
+    takes its nodes from the cut rule (_cut_psi); any other profile, and
+    a cut too small for the rule, from _node_psi: a closed form, else one
+    sweep, else psi_quad per node.  filled_by records which it was ("cut
+    rule", "closed form", "sweep" or "quad"), and rule_v the largest u s0
+    that took the Gauss rule (0 when none did).
     """
 
     def __init__(self, q: RadialProfile, alpha: float):
         self.q, self.alpha = q, alpha
-        self.log_u, self.log_psi, self.u_hi = np.empty(0), np.empty(0), 1.0
-        self._extend(10.0)
-
-    def _extend(self, umax: float) -> None:
-        """Grow u_hi tenfold until it covers umax, then fill the nodes."""
-        while self.u_hi < umax:
-            self.u_hi *= 10.0
-        n = PER_TEN * round(math.log10(self.u_hi / U_LO)) + 1
-        lg = math.log(U_LO) + _STEP * np.arange(n)
-        vals, self.rule_v = None, 0.0
-        if self.q.tail is not None:
-            vals, self.filled_by = _sweep(self.q, self.alpha, n), "sweep"
-        elif isinstance(self.q, Truncated):
-            (vals, self.rule_v), self.filled_by = (
-                _cut_psi(self.q, self.alpha, n), "cut rule")
-        keep = 0 if vals is not None else len(self.log_u)
-        if vals is None:
-            self.filled_by = "quad"
-            vals = np.array([psi_quad(self.q, self.alpha, math.exp(t))
-                             for t in lg[keep:]])
+        cut = _cut_psi(q, alpha) if isinstance(q, Truncated) else None
+        if cut is not None:
+            (vals, self.rule_v), self.filled_by = cut, "cut rule"
+        else:
+            (vals, self.filled_by), self.rule_v = _node_psi(q, alpha), 0.0
         if np.any(vals <= 0):
             raise NumericError("psi not positive on table range")
-        self.log_u = lg
-        self.log_psi = np.concatenate((self.log_psi[:keep], np.log(vals)))
+        self.log_u, self.log_psi = _LOG_U, np.log(vals)
+        self.log_psi.setflags(write=False)
         self._spline = CubicSpline(self.log_u, self.log_psi)
         self._slope = float(self._spline(self.log_u[0], 1))
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        if u.size and u.max() > self.u_hi:
-            self._extend(float(u.max()))
+        if u.size and u.max() > U_HI:
+            raise DomainError(f"u = {u.max():.6g} is above the psi tables' "
+                              f"range, U_HI = {U_HI:g}")
         out = np.zeros_like(u)
         pos = u > 0
         lu = np.log(u[pos])
@@ -485,19 +481,23 @@ def _direction_set(model: LevyModel) -> np.ndarray:
     return np.unique(np.round(np.array(dirs), 12), axis=0)
 
 
+def _radial_scan(model: LevyModel, dirs: np.ndarray, radii, n: int):
+    """Phi at every direction times every radius (by default n of them,
+    log-spaced on [1e-2, 1e2]), and |xi| per point."""
+    if radii is None:
+        radii = np.exp(np.linspace(math.log(1e-2), math.log(1e2), n))
+    radii = np.asarray(radii, dtype=float)
+    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, model.d)
+    return phi_on_points(model, pts), np.repeat(radii, len(dirs))
+
+
 def check_lower_growth(model: LevyModel, exponent: float,
                        radii=None) -> float:
     """inf over a direction x log-radius grid of Phi(xi) / |xi|^exponent."""
     if model.degenerate:
         raise DegeneracyError("degenerate spectral measure: inf would vanish")
-    if radii is None:
-        radii = np.exp(np.linspace(math.log(1e-2), math.log(1e2), 40))
-    radii = np.asarray(radii, dtype=float)
-    dirs = _direction_set(model)
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, model.d)
-    vals = phi_on_points(model, pts)
-    denom = np.repeat(radii, len(dirs)) ** exponent
-    return float(np.min(vals / denom))
+    vals, r = _radial_scan(model, _direction_set(model), radii, 40)
+    return float(np.min(vals / r ** exponent))
 
 
 def second_moment(model: LevyModel) -> float:
@@ -520,9 +520,9 @@ def check_two_sided(model: LevyModel, radii=None, s0: float = 0.5) -> tuple:
         raise DegeneracyError("degenerate spectral measure")
     # uniform angular nondegeneracy over s in (0, s0)
     s_grid = np.exp(np.linspace(math.log(1e-3 * s0), math.log(s0), 12))
-    pairs = model.pairs
+    pairs, dirs = model.pairs, _direction_set(model)
     # (eta . theta)^2 for every probe direction eta and pair theta
-    cos2 = (_direction_set(model) @ np.array([th for *_, th in pairs]).T) ** 2
+    cos2 = (dirs @ np.array([th for *_, th in pairs]).T) ** 2
     worst = math.inf
     for s in s_grid:
         acc = cos2 @ np.array([w * float(q(s)) for w, q, _ in pairs])
@@ -530,13 +530,6 @@ def check_two_sided(model: LevyModel, radii=None, s0: float = 0.5) -> tuple:
     if worst <= 0:
         raise DegeneracyError("angular second moment vanishes for some direction")
     second_moment(model)  # raises if infinite
-    if radii is None:
-        radii = np.exp(np.linspace(math.log(1e-2), math.log(1e2), 60))
-    radii = np.asarray(radii, dtype=float)
-    dirs = _direction_set(model)
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, model.d)
-    vals = phi_on_points(model, pts)
-    denom = np.minimum(np.repeat(radii, len(dirs)) ** 2,
-                       np.repeat(radii, len(dirs)) ** model.alpha)
-    ratios = vals / denom
+    vals, r = _radial_scan(model, dirs, radii, 60)
+    ratios = vals / np.minimum(r ** 2, r ** model.alpha)
     return float(np.min(ratios)), float(np.max(ratios))

@@ -26,6 +26,13 @@ def _parse_grid(text: str, d: int) -> GridSpec:
     return GridSpec(d, float(L), int(N))
 
 
+def _write_csv(path, header: str, rows: np.ndarray) -> None:
+    """rows under a header line, to the path or, when it is None, to
+    standard output."""
+    np.savetxt(path or sys.stdout, rows, fmt="%.17g", delimiter=",",
+               header=header, comments="")
+
+
 def _cmd_phi(args) -> int:
     model = load_model(args.model)
     if args.xi:
@@ -69,16 +76,10 @@ def _cmd_decompose(args) -> int:
     cp = decomp.compound_poisson(sm, args.t, grid)
     rec = decomp.recompose(loc, cp)
     direct = invert(model, args.t, grid)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        out.write("x,p_local,p_cp_ac,p_recomposed,p_direct,abs_diff\n")
-        for x, pl, pc, pr, pd in zip(grid.x_axis(), loc.values, cp.ac,
-                                     rec.values, direct.values):
-            out.write(f"{x:.17g},{pl:.17g},{pc:.17g},{pr:.17g},{pd:.17g},"
-                      f"{abs(pr - pd):.17g}\n")
-    finally:
-        if args.out:
-            out.close()
+    _write_csv(args.out, "x,p_local,p_cp_ac,p_recomposed,p_direct,abs_diff",
+               np.column_stack((grid.x_axis(), loc.values, cp.ac, rec.values,
+                                direct.values,
+                                np.abs(rec.values - direct.values))))
     print(f"# eps={eps:.12g} lambda={sm.lam:.12g} "
           f"tail_bound={cp.tail_bound:.3g} overflow={cp.overflow:.3g}",
           file=sys.stderr)
@@ -102,14 +103,8 @@ def _cmd_simulate(args) -> int:
                                    mode=args.mode, count=args.n,
                                    seed=args.seed)
     samples = montecarlo.sample_many(cfg)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        out.write(",".join(f"x{i+1}" for i in range(model.d)) + "\n")
-        for row in samples:
-            out.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    finally:
-        if args.out:
-            out.close()
+    _write_csv(args.out, ",".join(f"x{i + 1}" for i in range(model.d)),
+               samples)
     return 0
 
 

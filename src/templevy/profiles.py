@@ -63,11 +63,10 @@ class RadialProfile:
     q(0+) and ``tail`` = (m, c), with q(s) of order s^-m e^(-c s) as
     s -> inf (c = 0 for a power tail).  The FFTLog sweep behind the psi
     tables reads q0 and tail.  A cut leaves ``tail`` at None, since its
-    jump at s0 would ring in the sweep: a cut of a profile that declares
-    its tail, or of Constant, has its tables filled by the cut rule,
-    which reads the base's q0, knees and tail.  Custom declares no tail,
-    and it and its cuts have their tables filled by quadrature; Constant
-    has a closed form.
+    jump at s0 would ring in the sweep: a cut of any profile has its
+    tables filled by the cut rule, which reads the base's q0 and knees
+    and the base's own psi.  Custom declares no tail, and has its tables
+    filled by quadrature; Constant has a closed form.
     """
 
     #: whether q satisfies the doubling bound q(s) <= K q(2s)

@@ -273,7 +273,7 @@ def quad_calls(monkeypatch):
 ], ids=["poly3", "exp1", "poly3-cut"])
 def test_psi_vector_matches_scalar(fresh_tables, q, alpha):
     psi_vector(q, alpha, np.logspace(-2, 1, 4))
-    # the same table grows to cover u = 1e5
+    # the same table serves u up to 1e5
     u = np.logspace(-2, 5, 15)
     vec = psi_vector(q, alpha, u)
     assert fresh_tables.cache_info().misses == 1
@@ -281,19 +281,21 @@ def test_psi_vector_matches_scalar(fresh_tables, q, alpha):
         assert vi == pytest.approx(psi_quad(q, alpha, float(ui)), rel=1e-6)
 
 
-def test_cut_table_grows_by_new_nodes(fresh_tables, quad_calls):
-    # a cut of a Custom base has no cut rule: psi_quad fills its nodes
+def test_custom_cut_takes_the_cut_rule(fresh_tables, quad_calls):
+    # a cut of a Custom base takes the Gauss rule up to the seam; psi_quad
+    # gives its uncut base's psi once per node past it, and nowhere else
     base = Custom(lambda s: (1.0 + s) ** -3.0)
     q, alpha = Truncated(0.5, base), 1.0
-    psi_vector(q, alpha, np.logspace(-2, 1, 4))
+    vals = psi_vector(q, alpha, [1e2, 1e4])
     table = fresh_tables(q, alpha)
-    assert table.u_hi == 10.0
-    psi_vector(q, alpha, np.logspace(-2, 5, 15))
-    assert table.u_hi == 1e5
-    assert len(table.log_u) == 11 * 48 + 1
-    # every node is computed once, however often the table grows
-    assert len(quad_calls) == len(table.log_u)
-    assert table.filled_by == "quad"
+    assert table.filled_by == "cut rule"
+    assert len(table.log_u) == 16 * 48 + 1
+    nodes = np.exp(table.log_u)
+    past = nodes[nodes * q.s0 > table.rule_v]
+    assert [c[:2] for c in quad_calls] == [(base, alpha)] * len(past)
+    np.testing.assert_allclose([c[2] for c in quad_calls], past, rtol=1e-15)
+    for u, v in zip([1e2, 1e4], vals):
+        assert v == pytest.approx(psi_quad(q, alpha, u), rel=1e-8)
 
 
 def test_cut_far_below_overflow_falls_back_to_quadrature():
@@ -318,9 +320,39 @@ def test_split_cut_tables_make_no_quadrature(fresh_tables, quad_calls,
         for _, q, _ in small.pairs:
             psi_vector(q, model.alpha, np.logspace(-6, 3, 10))
             table = fresh_tables(q, model.alpha)
-            assert (table.filled_by, table.u_hi) == ("cut rule", 1e3)
-            assert table.rule_v == pytest.approx(1e3 * q.s0)
+            assert table.filled_by == "cut rule"
+            # the rule takes every node up to the seam, and none past it
+            assert (charexp.CUT_RULE_V / 10.0 ** (1.0 / 48.0) < table.rule_v
+                    <= charexp.CUT_RULE_V)
     assert quad_calls == []
+
+
+@pytest.mark.parametrize("q, alpha", [
+    (PolyTempered(3.0), 0.3),
+    (Truncated(0.05, ExpTempered(c1=2.0)), 1.4),
+], ids=["poly3", "exp2-cut"])
+def test_table_is_the_same_however_first_read(q, alpha):
+    # a table is filled once over its whole range: a first read at
+    # u = 0.1 or at u = 1e5 gives the same nodes, and reading changes none
+    low, high = charexp.PsiTable(q, alpha), charexp.PsiTable(q, alpha)
+    low(np.array([0.1]))
+    high(np.array([1e5]))
+    np.testing.assert_array_equal(low.log_psi, high.log_psi)
+    before = dict(vars(low))
+    log_u, log_psi = low.log_u.copy(), low.log_psi.copy()
+    low(np.logspace(-8, 10, 37))
+    assert vars(low) == before
+    assert all(vars(low)[k] is v for k, v in before.items())
+    np.testing.assert_array_equal(low.log_u, log_u)
+    np.testing.assert_array_equal(low.log_psi, log_psi)
+
+
+def test_tables_raise_above_u_hi():
+    assert psi_vector(PolyTempered(3.0), 1.0, [1e10])[0] > 0
+    with pytest.raises(DomainError, match="U_HI = 1e\\+10"):
+        psi_vector(PolyTempered(3.0), 1.0, [2e10])
+    with pytest.raises(DomainError, match="U_HI = 1e\\+10"):
+        phi_on_points(poly_model(3.0, 1.0), np.array([[1.0], [2e10]]))
 
 
 def test_one_table_per_model_across_times(fresh_tables, quad_calls):
@@ -392,18 +424,36 @@ def test_cut_table_matches_psi_quad(kind, data):
     assert abs(val - ref) <= 1e-8 * ref + 2.0 * err
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 1.5])
+def test_cut_tail_by_parts_matches_the_rule_past_the_seam(monkeypatch,
+                                                          alpha):
+    # on V = u s0 in (1e3, 1e4] the by-parts branch against the Gauss
+    # rule taken that far; two terms of the tail are off by 2e-10 here
+    for q in (Truncated(0.01, Constant(1.0)),
+              Truncated(1.0, PolyTempered(3.0))):
+        parts, _ = charexp._cut_psi(q, alpha)
+        with monkeypatch.context() as m:
+            m.setattr(charexp, "CUT_RULE_V", 1e4)
+            rule, _ = charexp._cut_psi(q, alpha)
+        V = np.exp(charexp._LOG_U) * q.s0
+        past = (V > 1e3) & (V <= 1e4)
+        np.testing.assert_allclose(parts[past], rule[past], rtol=1e-11)
+
+
 def test_cut_table_past_qawo_range_against_full_measure():
     # u s0 = 1e9, where psi_quad raises: the table's node against the
-    # oracle of test_psi_long_cutoff_against_full_measure
-    q, alpha, u, upper = PolyTempered(0.5), 0.3, 1e8, 10.0
-    wtil = lambda v: v ** (-1.0 - alpha) * float(q(v / u))
-    beyond, _ = quad(wtil, u * upper, np.inf, weight="cos", wvar=1.0,
-                     epsabs=1e-13, limlst=400, limit=400)
-    oracle = (psi_quad(q, alpha, u) - radial_tail_mass(q, alpha, upper)
-              + u ** alpha * beyond)
-    table = charexp.PsiTable(Truncated(upper, q), alpha)
-    assert table(np.array([u]))[0] == pytest.approx(oracle, rel=1e-8)
-    assert table.filled_by == "cut rule"
+    # oracle of test_psi_long_cutoff_against_full_measure, for a cut of a
+    # built-in base and of a Custom one
+    alpha, u, upper = 0.3, 1e8, 10.0
+    for q in (PolyTempered(0.5), Custom(lambda s: (1.0 + s) ** -0.5)):
+        wtil = lambda v: v ** (-1.0 - alpha) * float(q(v / u))
+        beyond, _ = quad(wtil, u * upper, np.inf, weight="cos", wvar=1.0,
+                         epsabs=1e-13, limlst=400, limit=400)
+        oracle = (psi_quad(q, alpha, u) - radial_tail_mass(q, alpha, upper)
+                  + u ** alpha * beyond)
+        table = charexp.PsiTable(Truncated(upper, q), alpha)
+        assert table(np.array([u]))[0] == pytest.approx(oracle, rel=1e-8)
+        assert table.filled_by == "cut rule"
 
 
 @pytest.mark.parametrize("u", [math.nan, -math.inf], ids=["nan", "inf"])

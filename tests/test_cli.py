@@ -83,9 +83,16 @@ def test_decompose_csv(tmp_path, capsys):
     code = main(["decompose", "--model", str(mp), "--t", "0.5",
                  "--grid", "128,8192", "--out", str(out_csv)])
     assert code == 0
-    header = out_csv.read_text().splitlines()[0]
+    text = out_csv.read_text()
+    header, *rows = text.splitlines()
     assert header.split(",") == ["x", "p_local", "p_cp_ac", "p_recomposed",
                                  "p_direct", "abs_diff"]
+    assert len(rows) == 8192 and text.endswith("\n")
+    # each value as f"{v:.17g}", which reads back exactly
+    for row in rows[::97]:
+        vals = [float(v) for v in row.split(",")]
+        assert row == ",".join(f"{v:.17g}" for v in vals)
+        assert vals[5] == abs(vals[3] - vals[4])
     err = capsys.readouterr().err
     assert "tail_bound=" in err and "overflow=" in err
 
@@ -116,14 +123,21 @@ def test_envelope_subcommand(tmp_path, capsys):
     assert val == pytest.approx(6.25e-4, rel=1e-10)
 
 
-def test_simulate_csv(model_path, tmp_path):
+def test_simulate_csv(model_path, tmp_path, capsys):
     out_csv = tmp_path / "samples.csv"
-    code = main(["simulate", "--model", model_path, "--t", "1.0",
-                 "--eps", "0.1", "--n", "50", "--seed", "1",
-                 "--out", str(out_csv)])
+    args = ["simulate", "--model", model_path, "--t", "1.0",
+            "--eps", "0.1", "--n", "50", "--seed", "1"]
+    code = main(args + ["--out", str(out_csv)])
     assert code == 0
-    rows = out_csv.read_text().strip().splitlines()
-    assert len(rows) == 50 + 1
+    text = out_csv.read_text()
+    rows = text.strip().splitlines()
+    assert len(rows) == 50 + 1 and rows[0] == "x1"
+    for row in rows[1:]:
+        assert row == ",".join(f"{float(v):.17g}" for v in row.split(","))
+    # without --out the same CSV goes to standard output
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_verify_subcommand(tmp_path):
