@@ -44,6 +44,7 @@ __all__ = [
     "DensityField",
     "auto_grid",
     "invert",
+    "values_at",
     "density_at",
     "on_diagonal_scan",
     "save_field",
@@ -56,6 +57,9 @@ CACHE_VERSION = 1
 
 #: fields clip ringing below zero only up to this fraction of the peak
 RINGING_TOL = 1e-9
+
+#: spectral nodes per block of values_at's matrix product
+BLOCK = 256
 
 #: largest number of grid points per axis, by dimension
 MAX_N = {1: 2 ** 22, 2: 2 ** 11}
@@ -171,33 +175,54 @@ def _trunc_estimate(model: LevyModel, t: float, grid: GridSpec) -> float:
     return surface * cut * math.exp(-t * pc) / decay / (2 * math.pi) ** model.d
 
 
+def _too_coarse(grid: GridSpec) -> str:
+    """The end of a GridError on resolution; it names the cap when N is at
+    or above it, where no finer grid is on offer."""
+    n_cap = MAX_N[grid.d]
+    cap = (f", and N = {grid.N} is at or above the cap MAX_N[{grid.d}] = "
+           f"{n_cap}" if grid.N >= n_cap else "")
+    return "grid too coarse" + cap
+
+
+def _check_grid(model: LevyModel, grid: GridSpec) -> None:
+    if model.d != grid.d:
+        raise GridError("grid dimension does not match the model")
+    if model.d == 2 and model.degenerate:
+        raise DegeneracyError("degenerate spectral measure in d=2: "
+                              "the density may not exist")
+
+
+def _half_phi(model: LevyModel, grid: GridSpec) -> tuple:
+    """(product, Phi) on the half spectrum, xi_d = m pi / L for m = 0..N/2
+    (the other axis in FFT order, m = fftfreq(N, 1/N)).
+
+    product: every pair lies on an axis (always so in d = 1), so Phi(xi)
+    is the sum of the Phi(xi_i e_i) and p_t the product of the p_i(x_i);
+    Phi is then read on the d half axes, one row per axis (psi(0) = 0).
+    """
+    n, step = grid.N, math.pi / grid.L
+    xi = np.arange(n // 2 + 1) * step
+    product = all(np.count_nonzero(theta) == 1 for _, _, theta in model.pairs)
+    if product:
+        xi = np.eye(grid.d)[:, None, :] * xi[:, None]
+    else:
+        xi = np.stack(np.meshgrid(np.fft.fftfreq(n, 1.0 / n) * step, xi,
+                                  indexing="ij", copy=False), axis=-1)
+    return product, phi_on_points(model, xi)
+
+
 def invert(model: LevyModel, t: float, grid: GridSpec = None) -> DensityField:
     """Density field p_t on the grid (auto-sized when grid is None)."""
     if t <= 0:
         raise DomainError("t must be positive")
     if grid is None:
         grid = auto_grid(model, t)
-    if model.d != grid.d:
-        raise GridError("grid dimension does not match the model")
-    if model.d == 2 and model.degenerate:
-        raise DegeneracyError("degenerate spectral measure in d=2: "
-                              "the density may not exist")
+    _check_grid(model, grid)
     trunc = _trunc_estimate(model, t, grid)
-    # exp(-t Phi) on the half spectrum, xi_d = m pi / L for m = 0..N/2
-    # (the other axis in FFT order): Phi is real and even, so the inverse
-    # transform is one real inverse FFT, over h^d for the continuous one
-    n, step = grid.N, math.pi / grid.L
-    xi = np.arange(n // 2 + 1) * step
-    product = all(np.count_nonzero(theta) == 1 for _, _, theta in model.pairs)
-    if product:
-        # every pair on an axis (always so in d = 1): Phi(xi) is the sum of
-        # Phi(xi_i e_i), so p_t is the product of the p_i(x_i), one row of
-        # xi per axis (psi(0) = 0)
-        xi = np.eye(grid.d)[:, None, :] * xi[:, None]
-    else:
-        xi = np.stack(np.meshgrid(np.fft.fftfreq(n, 1.0 / n) * step, xi,
-                                  indexing="ij", copy=False), axis=-1)
-    fhat = phi_on_points(model, xi)
+    # Phi is real and even, so the inverse transform is one real inverse
+    # FFT, over h^d for the continuous one
+    n = grid.N
+    product, fhat = _half_phi(model, grid)
     fhat *= -t  # in place: at N = 2^11 in d = 2 every copy costs 17 MB
     np.exp(fhat, out=fhat)
     k = 1 if product else grid.d  # transformed axes, the last k
@@ -209,10 +234,8 @@ def invert(model: LevyModel, t: float, grid: GridSpec = None) -> DensityField:
         v = functools.reduce(np.multiply.outer, v)  # axis 0 is x_1
     mn = float(v.min())
     if mn < -RINGING_TOL * max(float(v.max()), 1e-300):
-        cap = (f", and N is at the cap MAX_N[{grid.d}] = {n}"
-               if n == MAX_N[grid.d] else "")
         raise GridError(f"negative ringing {mn:.3e} exceeds tolerance: "
-                        f"grid too coarse{cap}")
+                        f"{_too_coarse(grid)}")
     # v is fresh, so d = 2 clips in place (32 MB at the cap); d = 1 keeps
     # the copy its perfbench timings were taken with
     v = np.clip(v, 0.0, None, out=v if grid.d == 2 else None)
@@ -221,6 +244,102 @@ def invert(model: LevyModel, t: float, grid: GridSpec = None) -> DensityField:
     return DensityField(grid=grid, t=t, values=v,
                         mass=float(v.sum()) * grid.h ** grid.d,
                         trunc_error=trunc, alias_error=2.0 * edge, min_raw=mn)
+
+
+def values_at(model: LevyModel, t_set, grid: GridSpec, points) -> np.ndarray:
+    """p_t at arbitrary points, one row per t of t_set, one column per point.
+
+    Each value is the trapezoid sum that invert's irfftn takes, read at
+    the point instead of at the nodes (at a node it is invert's value
+    before the clip): (2L)^-d sum_m w_m exp(-t Phi(xi_m)) cos(<xi_m, x>)
+    over invert's half spectrum, w_m = 2 but 1 where m_d is 0 or N/2.
+    Phi is read once and shared by every t.  Each t sums only the live
+    nodes, those before t Phi passes ln(N^d / eps) for good: every node
+    left out holds less than eps / N^d of the node at xi = 0, where
+    Phi = 0, so all of them together hold less than eps of p_t(0).
+    """
+    t = np.asarray(t_set, dtype=float).reshape(-1)
+    if not np.all(t > 0):
+        raise DomainError("t must be positive")
+    _check_grid(model, grid)
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] != grid.d:
+        raise DomainError(f"points need d = {grid.d} coordinates each")
+    if (np.abs(x) > grid.L).any():
+        raise DomainError("point outside the grid")
+    theta = x * (math.pi / grid.L)  # <xi_m, x> = <m, theta>
+    live = math.log(grid.N ** grid.d / np.finfo(float).eps) / t
+    product, phi = _half_phi(model, grid)
+    if product:
+        # one 1-D sum per axis, their product the value
+        out = functools.reduce(np.multiply, (
+            _line_sums(row, t, live, th) for row, th in zip(phi, theta.T)))
+    else:
+        out = _plane_sums(phi, t, live, theta)
+    return out / (2.0 * grid.L) ** grid.d
+
+
+def _phases(m: np.ndarray, theta: np.ndarray) -> tuple:
+    """cos and sin of m theta, one row per m, one column per theta."""
+    a = np.multiply.outer(m, theta)
+    return np.cos(a), np.sin(a)
+
+
+def _line_sums(phi: np.ndarray, t: np.ndarray, live: np.ndarray,
+               theta: np.ndarray) -> np.ndarray:
+    """sum_m w_m exp(-t phi_m) cos(m theta) for m = 0..M, w_m = 2 but 1
+    at both ends: one row per t, summed up to the last m with
+    phi_m <= live, one column per theta.
+
+    The prefixes of every t are cut into blocks of BLOCK nodes,
+    m = b BLOCK + j, and stacked: one matrix product with the table of
+    e^(i j theta) sums each block, and the phase e^(i b BLOCK theta)
+    puts it in place."""
+    tail_min = np.minimum.accumulate(phi[::-1])[::-1]
+    ends = np.searchsorted(tail_min, live, side="right")  # >= 1: phi_0 = 0
+    blocks = -(-ends // BLOCK)
+    terms = np.zeros(int(blocks.sum()) * BLOCK)
+    w = np.full(phi.size, 2.0)
+    w[[0, -1]] = 1.0
+    start = 0
+    for tk, end, nb in zip(t, ends, blocks):
+        seg = terms[start:start + end]
+        np.multiply(phi[:end], -tk, out=seg)
+        np.exp(seg, out=seg)
+        seg *= w[:end]
+        start += nb * BLOCK
+    cos_j, sin_j = _phases(np.arange(BLOCK), theta)
+    sums = terms.reshape(-1, BLOCK) @ np.hstack([cos_j, sin_j])
+    cos_b, sin_b = _phases(np.arange(int(blocks.max())) * BLOCK, theta)
+    b = np.concatenate([np.arange(nb) for nb in blocks])
+    k = theta.size
+    placed = cos_b[b] * sums[:, :k] - sin_b[b] * sums[:, k:]
+    return np.add.reduceat(placed, np.cumsum(blocks) - blocks, axis=0)
+
+
+def _plane_sums(phi: np.ndarray, t: np.ndarray, live: np.ndarray,
+                theta: np.ndarray) -> np.ndarray:
+    """sum_k w_k exp(-t phi_k) cos(<k, theta>) over the half plane of
+    _half_phi (k_1 in FFT order, w = 2 but 1 where k_2 is 0 or N/2), one
+    row per t, one column per point: cos(a + b) = cos a cos b -
+    sin a sin b makes it two matrix products per t.  A t sums only the
+    rows and columns that hold a node with phi <= live."""
+    n = phi.shape[0]
+    k1 = np.fft.fftfreq(n, 1.0 / n)
+    k2 = np.arange(phi.shape[1])
+    w = np.full(k2.size, 2.0)
+    w[[0, -1]] = 1.0
+    row_min, col_min = phi.min(axis=1), phi.min(axis=0)
+    out = np.empty((t.size, theta.shape[0]))
+    for i, (tk, lk) in enumerate(zip(t, live)):
+        rows = np.flatnonzero(row_min <= lk)
+        cols = np.flatnonzero(col_min <= lk)
+        f = np.exp(-tk * phi[np.ix_(rows, cols)]) * w[cols]
+        cos_1, sin_1 = _phases(k1[rows], theta[:, 0])
+        cos_2, sin_2 = _phases(k2[cols], theta[:, 1])
+        out[i] = ((cos_1 * (f @ cos_2)).sum(axis=0)
+                  - (sin_1 * (f @ sin_2)).sum(axis=0))
+    return out
 
 
 def auto_grid(model: LevyModel, t: float) -> GridSpec:

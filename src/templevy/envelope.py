@@ -24,8 +24,8 @@ from scipy.integrate import quad
 from .charexp import check_lower_growth, check_two_sided
 from .errors import DomainError, RegimeError
 from .model import LevyModel, gamma_estimate, nu_ball, nu_tail
-from .profiles import (ExpTempered, RadialProfile, profile_from_dict,
-                       profile_to_dict, tail_index)
+from .profiles import (Constant, ExpTempered, RadialProfile,
+                       profile_from_dict, profile_to_dict, tail_index)
 
 __all__ = [
     "EnvelopeSpec",
@@ -204,11 +204,18 @@ def _check_beta_integrability(model: LevyModel, spec: EnvelopeSpec) -> dict:
 
     A profile that declares its tail passes iff beta <= tail_index, which
     reads the rule off the tail: any beta for an exponential tail, beta <
-    alpha + m for a power tail s^-m.  Otherwise the integral on [1, 1e6]
-    must settle on its value on [1, 1e4]; it is taken in log s, one decade
-    at a time, so that QUADPACK sees the mass near s = 1.
+    alpha + m for a power tail s^-m.  A constant profile fails by rule:
+    s^(beta - alpha - 1) is not integrable at infinity for any beta >=
+    alpha, and a spec's beta is at least alpha.  Otherwise the integral
+    on [1, 1e6] must settle on its value on [1, 1e4]; it is taken in
+    log s, one decade at a time, so that QUADPACK sees the mass near
+    s = 1.
     """
     b, a = spec.beta, model.alpha
+    if isinstance(spec.profile, Constant):
+        return {"pass": False, "beta": b,
+                "reason": "a constant profile leaves s^(beta - alpha - 1) "
+                          "non-integrable on [1, inf) for every beta >= alpha"}
     if spec.profile.tail is not None:
         index = tail_index(spec.profile, a)
         return {"pass": b <= index, "beta": b, "tail_index": index}

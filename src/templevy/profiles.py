@@ -247,8 +247,11 @@ def tail_index(q: RadialProfile, alpha: float) -> float:
 
     Exponential-type decay (including truncation and the relativistic kernel)
     admits beta = 2; polynomial tempering (1+s)^(-m) admits anything below
-    alpha + m (a tiny guard keeps the integral strictly convergent); a constant
-    profile admits only beta = alpha.
+    alpha + m (a tiny guard keeps the integral strictly convergent).  A
+    constant profile returns alpha, the stable scaling exponent that
+    default_eps and on_diagonal_scan read; no beta is integrable for it,
+    since the integral of s^(beta-alpha-1) over [1, inf) diverges for every
+    beta >= alpha.
     """
     guard = 1e-9
     if isinstance(q, (ExpTempered, Truncated, Relativistic)):

@@ -22,6 +22,7 @@ from templevy.density import (
     load_field,
     on_diagonal_scan,
     save_field,
+    values_at,
 )
 from templevy.errors import DomainError, GridError
 from templevy.model import (
@@ -242,7 +243,8 @@ UNLIKE_AXES = _d2_model([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
                         [PolyTempered(3.0)] * 2 + [ExpTempered(0.0, 2.0)] * 2)
 #: the axes turned by 0.3: no pair on an axis, so Phi is no sum of axis terms
 _C, _S = math.cos(0.3), math.sin(0.3)
-OBLIQUE = _d2_model([[_C, _S], [-_C, -_S], [-_S, _C], [_S, -_C]],
+OBLIQUE_DIRECTIONS = [[_C, _S], [-_C, -_S], [-_S, _C], [_S, -_C]]
+OBLIQUE = _d2_model(OBLIQUE_DIRECTIONS,
                     [1.0] * 4, [PolyTempered(3.0)] * 4)
 
 
@@ -362,3 +364,54 @@ def test_axis_fields_in_d2_keep_mass_and_symmetry(kind, alpha, log_t):
     assert abs(fld.mass - 1.0) <= 1e-6 + fld.trunc_error + fld.alias_error
     assert fld.symmetry_defect() <= 1e-12 * peak
     assert float(np.max(np.abs(v - v.T))) <= 1e-12 * peak
+
+
+#: values_at's three cases: d = 1, an axis model in d = 2 (a product of
+#: 1-D sums) and two oblique +- pairs in d = 2 (a sum over the half plane)
+VALUES_AT_MODELS = {
+    "d1": lambda a: exp_model(a),
+    "axes-d2": lambda a: poly_model(3.0, a, d=2),
+    "oblique-d2": lambda a: _d2_model(OBLIQUE_DIRECTIONS, [1.0] * 4,
+                                      [ExpTempered(0.0, 1.0)] * 4, alpha=a),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(kind=st.sampled_from(sorted(VALUES_AT_MODELS)),
+       alpha=st.floats(0.3, 1.9), log_t=st.floats(-2.0, 1.0),
+       L=st.sampled_from([8.0, 32.0]), n=st.sampled_from([64, 128, 256]),
+       seed=st.integers(0, 2 ** 16))
+def test_values_at_nodes_are_inverts(kind, alpha, log_t, L, n, seed):
+    """At grid nodes values_at gives invert's values, ringing included:
+    the same trapezoid sum, without the FFT."""
+    model, t = VALUES_AT_MODELS[kind](alpha), 10.0 ** log_t
+    grid = GridSpec(model.d, L, n)
+    # the sums agree on coarse grids too, where invert refuses the field
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "RINGING_TOL", math.inf)
+        fld = invert(model, t, grid)
+    idx = np.random.default_rng(seed).integers(0, n, size=(256, model.d))
+    got = values_at(model, [t, 2.0 * t], grid, grid.x_axis()[idx])[0]
+    peak = float(fld.values.max())
+    np.testing.assert_allclose(np.maximum(got, 0.0), fld.values[tuple(idx.T)],
+                               rtol=0, atol=1e-13 * peak)
+
+
+def test_values_at_between_nodes_is_the_density():
+    # no interpolation: off the nodes the sum is p_t itself
+    model, grid = exp_model(1.5), GridSpec(1, 64.0, 2 ** 15)
+    x = np.array([0.0, 0.0137, 0.5003, 2.71828, 4.4321])
+    got = values_at(model, [0.1, 1.0], grid, x[:, None])
+    for row, t in zip(got, (0.1, 1.0)):
+        want = [density_at(model, t, xi) for xi in x]
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-9 * want[0])
+
+
+def test_values_at_checks_its_points():
+    model, grid = exp_model(1.5), GridSpec(1, 8.0, 256)
+    with pytest.raises(DomainError, match="outside the grid"):
+        values_at(model, [1.0], grid, [[8.5]])
+    with pytest.raises(DomainError, match="d = 1 coordinates"):
+        values_at(model, [1.0], grid, [[0.5, 0.5]])
+    with pytest.raises(DomainError, match="t must be positive"):
+        values_at(model, [1.0, 0.0], grid, [[0.5]])

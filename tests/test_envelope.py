@@ -140,6 +140,22 @@ def test_hypothesis_check_constant_beta2_fails_integrability():
     assert not rep["checks"]["beta_integrability"]["pass"]
 
 
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.5, 1.2), (1.5, 2.0)])
+def test_beta_integrability_fails_a_constant_profile_by_rule(monkeypatch,
+                                                             alpha, beta):
+    # int_1^inf s^(beta - alpha - 1) ds diverges for every beta >= alpha,
+    # beta = alpha included: no quadrature is needed to say so
+    def no_quad(*args, **kwargs):
+        raise AssertionError("quad called")
+
+    monkeypatch.setattr(envelope, "quad", no_quad)
+    spec = EnvelopeSpec(side="upper", regime="large_t", d=1, alpha=alpha,
+                        gamma=1.0, profile=Constant(1.0), beta=beta)
+    check = envelope._check_beta_integrability(stable_model(alpha), spec)
+    assert not check["pass"]
+    assert "constant profile" in check["reason"]
+
+
 @pytest.mark.parametrize("profile", [
     PolyTempered(3.0), PolyTempered(1.5), PolyTempered(1.2),
     ExpTempered(0.5, 2.0)], ids=["poly3", "poly1.5", "poly1.2", "exp"])

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from templevy.density import MAX_N
-from templevy.envelope import EnvelopeSpec, spec_to_dict
+from templevy import density, harness
+from templevy.density import MAX_N, GridSpec
+from templevy.envelope import EnvelopeSpec, relativistic_lower_profile, spec_to_dict
 from templevy.errors import GridError
 from templevy.harness import (
     DEFAULT_RADII,
@@ -17,8 +18,9 @@ from templevy.harness import (
     verify_upper,
 )
 from templevy.model import (LevyModel, SpectralMeasure, exp_model,
-                            model_to_dict, poly_model, relativistic_model)
-from templevy.profiles import PolyTempered
+                            model_to_dict, poly_model, relativistic_model,
+                            stable_model)
+from templevy.profiles import Constant, PolyTempered
 
 
 def test_scan_points_shape():
@@ -68,7 +70,6 @@ def test_verify_upper_report_fields():
 
 def test_verify_lower_relativistic():
     m = relativistic_model(1.0)
-    from templevy.envelope import relativistic_lower_profile
     spec = EnvelopeSpec(side="lower", regime="small_t", d=1, alpha=1.0,
                         gamma=1.0, profile=relativistic_lower_profile(1, 1.0),
                         directions=((1.0,), (-1.0,)))
@@ -78,7 +79,6 @@ def test_verify_lower_relativistic():
 
 
 def test_suite_with_failing_hypotheses(tmp_path):
-    from templevy.envelope import spec_to_dict
     from templevy.profiles import ExpTempered
     m = poly_model(3.0, 1.0)
     spec = EnvelopeSpec(side="upper", regime="small_t", d=1, alpha=1.0,
@@ -127,3 +127,62 @@ def test_scan_grid_names_its_cap():
     # a scan too wide for the spacing raises instead of coarsening h
     with pytest.raises(GridError, match=f"MAX_N = {MAX_N[1]}"):
         _scan_grid(poly_model(3.0, 1.0), 0.01, 1e5)
+
+
+def _upper_small(profile):
+    return EnvelopeSpec(side="upper", regime="small_t", d=1, alpha=1.0,
+                        gamma=1.0, profile=profile)
+
+
+def test_scan_raises_on_a_grid_that_rings():
+    # invert's field on this grid rings below -1e-9 of its peak at t = 0.25
+    with pytest.raises(GridError, match="grid too coarse"):
+        verify_upper(poly_model(3.0, 1.0), _upper_small(PolyTempered(3.0)),
+                     [0.25, 1.0], radii=np.logspace(-1, 1, 8),
+                     grid=GridSpec(1, 44.0, 512))
+
+
+def test_scan_raises_on_a_spectral_tail_the_grid_cuts():
+    # the Cauchy field at t = 0.01 on this grid peaks at 4.74, not at
+    # 1 / (pi t) = 31.8, with no negative node: invert passes it, but 0.72
+    # of the peak lies in the spectral tail past xi_cut
+    model, grid = stable_model(1.0), GridSpec(1, 20.0, 256)
+    fld = density.invert(model, 0.01, grid)
+    assert fld.min_raw > 0.0 and fld.trunc_error > 0.5 * fld.values.max()
+    with pytest.raises(GridError, match="spectral tail .* at t = 0.01"):
+        verify_upper(model, _upper_small(Constant(1.0)), [0.01],
+                     radii=np.logspace(-1, 0.6, 8), grid=grid)
+
+
+def test_scans_make_no_inverse_fft(monkeypatch):
+    # the scan reads p_t at its points from the half spectrum: neither
+    # invert nor an inverse FFT of a scan grid runs
+    def boom(*args, **kwargs):
+        raise AssertionError("inverse transform of a scan grid")
+
+    for mod, name in ((harness, "invert"), (density, "invert"),
+                      (np.fft, "irfftn"), (np.fft, "irfft")):
+        monkeypatch.setattr(mod, name, boom)
+    t_set = [0.25, 1.0]
+    up = verify_upper(poly_model(3.0, 1.0), _upper_small(PolyTempered(3.0)),
+                      t_set)
+    lo_spec = EnvelopeSpec(side="lower", regime="small_t", d=1, alpha=1.0,
+                           gamma=1.0,
+                           profile=relativistic_lower_profile(1, 1.0),
+                           directions=((1.0,), (-1.0,)))
+    lo = verify_lower(relativistic_model(1.0), lo_spec, t_set)
+    assert up.passed() and lo.passed()
+
+
+def test_scan_names_the_grid_cap_in_d2():
+    # two oblique +- pairs: the scan sums the half plane, and its grid is
+    # at MAX_N[2] = 2048, where no finer grid is on offer
+    c, s = np.cos(0.3), np.sin(0.3)
+    model = LevyModel(d=2, alpha=1.2, profile=PolyTempered(3.0),
+                      spectral=SpectralMeasure(
+                          d=2, directions=[[c, s], [-c, -s], [-s, c], [s, -c]],
+                          weights=[1.0] * 4))
+    spec = EnvelopeSpec(side="upper", regime="small_t", d=2, alpha=1.2,
+                        gamma=1.0, profile=PolyTempered(3.0))
+    with pytest.raises(GridError, match=rf"cap MAX_N\[2\] = {MAX_N[2]}"):
+        verify_upper(model, spec, [0.5, 1.0], radii=np.logspace(-1, 0.5, 6))
