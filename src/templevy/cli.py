@@ -89,10 +89,9 @@ def _cmd_decompose(args) -> int:
 def _cmd_envelope(args) -> int:
     with open(args.spec) as f:
         spec = envelope.spec_from_dict(json.load(f))
+    pts = [[float(v) for v in x.split(",")] for x in args.x]
     for t in args.t:
-        for x in args.x:
-            xv = [float(v) for v in x.split(",")]
-            v = envelope.evaluate(spec, t, np.array(xv))
+        for x, v in zip(args.x, envelope.evaluate(spec, t, pts)):
             print(f"{t:.17g}," + x + f",{v:.17g}")
     return 0
 

@@ -10,7 +10,11 @@ Phi) for t > 1; g is the spectral dimension exponent (1 for atomic
 direction sets, d for bounded spectral densities).  All constants are set
 to 1 here: the verification harness recovers them empirically as ratio
 statistics.  Lower envelopes apply only inside the cone over the
-admissible direction set A0.
+admissible direction set A0, a non-empty set of unit vectors.
+
+evaluate, in_cone and product_form take one point of shape (d,), giving
+a Python float (or bool), or an (n, d) array of points, giving an (n,)
+array; a point without d coordinates raises DomainError.
 """
 from __future__ import annotations
 
@@ -23,7 +27,8 @@ from scipy.integrate import quad
 
 from .charexp import check_lower_growth, check_two_sided
 from .errors import DomainError, RegimeError
-from .model import LevyModel, gamma_estimate, nu_ball, nu_tail
+from .model import (_UNIT_TOL, LevyModel, gamma_estimate, nu_ball,
+                    nu_tail)
 from .profiles import (Constant, ExpTempered, RadialProfile,
                        profile_from_dict, profile_to_dict, tail_index)
 
@@ -69,26 +74,73 @@ class EnvelopeSpec:
         if self.regime == "large_t":
             if self.beta is None or not self.alpha <= self.beta <= 2.0:
                 raise DomainError("large_t spec needs beta in [alpha, 2]")
+        if self.directions is not None:
+            dirs = _directions(self.directions, self.d)
+            object.__setattr__(self, "directions",
+                               tuple(map(tuple, dirs.tolist())))
 
 
-def in_cone(spec: EnvelopeSpec, x) -> bool:
-    """Whether x lies in the cone over A0 (vacuously true for uppers)."""
+def _directions(directions, d: int) -> np.ndarray:
+    """A0 as a (k, d) array of unit vectors; DomainError otherwise."""
+    try:
+        dirs = np.asarray(directions, dtype=float)
+    except (TypeError, ValueError):
+        dirs = None
+    if dirs is not None and dirs.shape[:1] == (0,):
+        raise DomainError("A0 (directions) must hold at least one direction")
+    if dirs is None or dirs.ndim != 2 or dirs.shape[1] != d:
+        raise DomainError(f"every direction of A0 needs d = {d} coordinates")
+    if not np.all(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= _UNIT_TOL):
+        raise DomainError(f"directions of A0 must be unit vectors "
+                          f"(|theta| within {_UNIT_TOL:g} of 1)")
+    return dirs
+
+
+def _points(spec: EnvelopeSpec, x) -> tuple:
+    """(x as an (n, d) array, its norms, whether x was one (d,) point)."""
+    try:
+        pts = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        pts = None
+    if pts is None or pts.ndim not in (1, 2) or pts.shape[-1] != spec.d:
+        raise DomainError(f"points need d = {spec.d} coordinates: shape "
+                          f"({spec.d},) or (n, {spec.d})")
+    if np.isnan(pts).any():
+        raise DomainError("points must not have nan coordinates")
+    one = pts.ndim == 1
+    pts = pts.reshape(-1, spec.d)
+    return pts, np.linalg.norm(pts, axis=1), one
+
+
+def _cone(spec: EnvelopeSpec, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Cone membership of each row of pts (norms r): the origin, or a unit
+    vector within CONE_TOL of some direction of A0."""
     if spec.directions is None:
-        return True
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        return True
-    xhat = x / r
-    return any(np.linalg.norm(xhat - np.asarray(th, dtype=float)) <= CONE_TOL
-               for th in spec.directions)
+        return np.ones(len(r), dtype=bool)
+    dirs = np.asarray(spec.directions)
+    xhat = pts / np.where(r > 0.0, r, 1.0)[:, None]
+    dist = np.linalg.norm(xhat[:, None, :] - dirs[None, :, :], axis=-1)
+    return (r == 0.0) | np.any(dist <= CONE_TOL, axis=1)
 
 
-def evaluate(spec: EnvelopeSpec, t: float, x) -> float:
+def in_cone(spec: EnvelopeSpec, x):
+    """Whether x lies in the cone over A0 (vacuously true for uppers).
+
+    x is one point of shape (d,), which gives a bool, or an (n, d) array
+    of points, which gives an (n,) boolean array.
+    """
+    pts, r, one = _points(spec, x)
+    inside = _cone(spec, pts, r)
+    return bool(inside[0]) if one else inside
+
+
+def evaluate(spec: EnvelopeSpec, t: float, x):
     """min(t^(-d/a), t^(1+(gamma-d)/a) |x|^(-alpha-gamma) q(|x|)).
 
     a is alpha for small_t (t in (0, 1]) and beta for large_t (t > 1).  A
-    lower envelope returns NOT_APPLICABLE outside the cone over A0.
+    lower envelope is NOT_APPLICABLE outside the cone over A0.  x is one
+    point of shape (d,), which gives a float, or an (n, d) array of
+    points, which gives an (n,) array.
     """
     if spec.regime == "small_t":
         if not 0.0 < t <= 1.0:
@@ -98,29 +150,37 @@ def evaluate(spec: EnvelopeSpec, t: float, x) -> float:
         if t <= 1.0:
             raise RegimeError("large-t envelope needs t > 1")
         a = spec.beta
-    if spec.side == "lower" and not in_cone(spec, x):
-        return NOT_APPLICABLE
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+    pts, r, one = _points(spec, x)
     diag = t ** (-spec.d / a)
-    if r == 0.0:
-        return diag
-    off = (t ** (1.0 + (spec.gamma - spec.d) / a)
-           * r ** (-spec.alpha - spec.gamma)
-           * float(spec.profile(r)))
-    return min(diag, off)
+    vals = np.full(len(r), diag)
+    off = r > 0.0
+    s = r[off]
+    # near the origin the off-diagonal term overflows and loses to diag;
+    # fmin keeps diag where that term is nan, as min(diag, nan) does
+    with np.errstate(over="ignore"):
+        vals[off] = np.fmin(diag, t ** (1.0 + (spec.gamma - spec.d) / a)
+                            * s ** (-spec.alpha - spec.gamma)
+                            * spec.profile(s))
+    if spec.side == "lower":
+        vals[~_cone(spec, pts, r)] = NOT_APPLICABLE
+    return float(vals[0]) if one else vals
 
 
-def product_form(spec: EnvelopeSpec, t: float, x) -> float:
-    """t^(-d/a) (1 + t^(-1/a) |x|)^(-alpha-gamma) q(|x|).
+def product_form(spec: EnvelopeSpec, t: float, x):
+    """t^(-d/a) (1 + t^(-1/a) |x|)^(-alpha-gamma) q(|x|), with q = 1 at
+    the origin; a float for one (d,) point, an (n,) array for (n, d).
 
     Comparable to the min form whenever q is doubling; used for ratio
     scans of the two shapes.
     """
     a = spec.alpha if spec.regime == "small_t" else spec.beta
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    qv = float(spec.profile(r)) if r > 0 else 1.0
-    return (t ** (-spec.d / a)
+    _, r, one = _points(spec, x)
+    qv = np.ones(len(r))
+    off = r > 0.0
+    qv[off] = spec.profile(r[off])
+    vals = (t ** (-spec.d / a)
             * (1.0 + t ** (-1.0 / a) * r) ** (-spec.alpha - spec.gamma) * qv)
+    return float(vals[0]) if one else vals
 
 
 def relativistic_lower_profile(d: int, alpha: float) -> ExpTempered:
@@ -292,17 +352,14 @@ def spec_to_dict(spec: EnvelopeSpec) -> dict:
     if spec.beta is not None:
         doc["beta"] = spec.beta
     if spec.directions is not None:
-        doc["directions"] = [list(map(float, np.atleast_1d(th)))
-                             for th in spec.directions]
+        doc["directions"] = [list(th) for th in spec.directions]
     return doc
 
 
 def spec_from_dict(doc: dict) -> EnvelopeSpec:
-    dirs = doc.get("directions")
     return EnvelopeSpec(
         side=doc["side"], regime=doc["regime"], d=int(doc["d"]),
         alpha=float(doc["alpha"]), gamma=float(doc["gamma"]),
         profile=profile_from_dict(doc["profile"]),
         beta=float(doc["beta"]) if "beta" in doc else None,
-        directions=tuple(tuple(map(float, th)) for th in dirs)
-        if dirs is not None else None)
+        directions=doc.get("directions"))

@@ -14,6 +14,10 @@ RINGING_TOL of the peak, or a value rings below -RINGING_TOL of it.  Once
 the tail check passes, the refined grid adds only nodes past the live
 prefix, below eps of p_t(0): without range extension the delta is 0 up
 to rounding, and on small-t checks it measures the doubled range.
+
+The envelope side is read by one envelope.evaluate call per t on the
+whole (n, d) scan_points array.  A lower check raises DomainError when no
+scan point but the origin lies in the cone over A0.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from . import envelope as env_mod
 from .decomp import compound_poisson, default_eps, local_density, recompose, split
 from .density import (MAX_N, RINGING_TOL, GridSpec, _trunc_estimate,
                       _too_coarse, auto_grid, invert, values_at)
-from .envelope import EnvelopeSpec, evaluate, hypothesis_check
+from .envelope import EnvelopeSpec, evaluate, hypothesis_check, in_cone
 from .errors import DomainError, GridError, RegimeError
 from .model import LevyModel, model_from_dict
 
@@ -88,7 +92,8 @@ def _scan_grid(model: LevyModel, t_min: float, x_max: float) -> GridSpec:
 
 def _ratio_scan(model: LevyModel, spec: EnvelopeSpec, t_set, radii,
                 grid: GridSpec) -> tuple:
-    """(rows, extremal-ratio pairs) for one resolution."""
+    """(rows, extremal ratios) for one resolution: one values_at call,
+    then one envelope evaluate call per t on the whole scan_points array."""
     pts = scan_points(model, radii)
     t_set = sorted(t_set)
     rows, ratios = [], []
@@ -104,17 +109,21 @@ def _ratio_scan(model: LevyModel, spec: EnvelopeSpec, t_set, radii,
         if vals.min() < -RINGING_TOL * peak:
             raise GridError(f"negative ringing {vals.min():.3e} at t = {t:g} "
                             f"exceeds tolerance: {_too_coarse(grid)}")
-        floor = DENSITY_FLOOR * peak
-        for x, p in zip(pts, np.maximum(vals, 0.0).tolist()):
-            e = evaluate(spec, float(t), x)
-            if math.isnan(e):
-                rows.append((float(t), *map(float, x), None, None, None))
-                continue
-            if p < floor:
-                rows.append((float(t), *map(float, x), p, e, None))
-                continue
-            ratios.append(p / e)
-            rows.append((float(t), *map(float, x), p, e, p / e))
+        p = np.maximum(vals, 0.0)
+        e = evaluate(spec, float(t), pts)
+        ratio = p / e
+        outside = np.isnan(e)
+        kept = ~outside & (p >= DENSITY_FLOOR * peak)
+        ratios.extend(ratio[kept].tolist())
+        # rows: None for p, env and ratio outside the cone, and for the
+        # ratio of a density below the floor
+        table = np.column_stack((np.full(len(p), float(t)), pts, p, e,
+                                 ratio)).tolist()
+        for i in np.flatnonzero(~kept):
+            table[i][-1] = None
+            if outside[i]:
+                table[i][-3:-1] = None, None
+        rows.extend(map(tuple, table))
     return rows, ratios
 
 
@@ -129,6 +138,12 @@ def _verify_envelope(kind: str, model: LevyModel, spec: EnvelopeSpec,
         raise DomainError(f"hypothesis check failed: {', '.join(failing)}")
     radii = np.asarray(radii if radii is not None else DEFAULT_RADII,
                        dtype=float)
+    # the cone is scale invariant, so this holds on the refined scan too
+    if spec.side == "lower" and not np.any(
+            in_cone(spec, scan_points(model, radii)[1:])):
+        raise DomainError("no scan point but the origin lies in the cone "
+                          "over A0: a lower verdict would rest on x = 0 "
+                          "alone")
     if grid is None:
         grid = _scan_grid(model, min(t_set), 2.0 * float(radii.max()))
     ext = max if kind == "upper" else min

@@ -8,7 +8,8 @@ import pytest
 from templevy.charexp import phi_on_points
 from templevy.cli import main
 from templevy.density import GridSpec, auto_grid
-from templevy.envelope import EnvelopeSpec, spec_to_dict
+from templevy.envelope import EnvelopeSpec, evaluate, spec_to_dict
+from templevy.errors import DomainError
 from templevy.model import cauchy_model, model_to_dict, poly_model, save_model
 from templevy.profiles import PolyTempered
 
@@ -121,6 +122,47 @@ def test_envelope_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     val = float(out.strip().splitlines()[-1].split(",")[-1])
     assert val == pytest.approx(6.25e-4, rel=1e-10)
+
+
+def test_envelope_reads_every_point_per_t(tmp_path, capsys):
+    spec = EnvelopeSpec(side="lower", regime="small_t", d=2, alpha=1.0,
+                        gamma=1.0, profile=PolyTempered(2.0),
+                        directions=((1.0, 0.0), (-1.0, 0.0)))
+    sp = tmp_path / "spec.json"
+    sp.write_text(json.dumps(spec_to_dict(spec)))
+    xs = ["0,0", "4.0,0", "1,1"]
+    assert main(["envelope", "--spec", str(sp), "--t", "0.25", "1",
+                 "--x", *xs]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 6
+    for line, (t, x) in zip(lines, [(t, x) for t in (0.25, 1.0) for x in xs]):
+        assert line.startswith(f"{t:.17g},{x},")
+        v = float(line.rsplit(",", 1)[1])
+        want = evaluate(spec, t, np.array([float(c) for c in x.split(",")]))
+        assert v == want or (math.isnan(v) and math.isnan(want))
+
+
+@pytest.mark.parametrize("xs", [["3,4"], ["1", "3,4"]], ids=["one", "mixed"])
+def test_envelope_rejects_points_of_the_wrong_dimension(tmp_path, xs):
+    # a d = 1 spec once read (3, 4) as |x| = 5
+    spec = EnvelopeSpec(side="upper", regime="small_t", d=1, alpha=1.0,
+                        gamma=1.0, profile=PolyTempered(2.0))
+    sp = tmp_path / "spec.json"
+    sp.write_text(json.dumps(spec_to_dict(spec)))
+    with pytest.raises(DomainError, match="d = 1 coordinates"):
+        main(["envelope", "--spec", str(sp), "--t", "0.25", "--x", *xs])
+
+
+def test_envelope_rejects_directions_off_the_sphere(tmp_path):
+    doc = spec_to_dict(EnvelopeSpec(side="lower", regime="small_t", d=1,
+                                    alpha=1.0, gamma=1.0,
+                                    profile=PolyTempered(2.0),
+                                    directions=((1.0,), (-1.0,))))
+    doc["directions"] = [[2.0], [-2.0]]
+    sp = tmp_path / "spec.json"
+    sp.write_text(json.dumps(doc))
+    with pytest.raises(DomainError, match="unit vectors"):
+        main(["envelope", "--spec", str(sp), "--t", "0.25", "--x", "1"])
 
 
 def test_simulate_csv(model_path, tmp_path, capsys):

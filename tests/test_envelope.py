@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from templevy import envelope
 from templevy.envelope import (
@@ -266,3 +267,119 @@ def test_spec_serialization_roundtrip():
     x = np.array([2.0])
     assert evaluate(back, 3.0, x) == pytest.approx(evaluate(spec, 3.0, x),
                                                    rel=1e-14)
+
+
+def test_spec_from_dict_rejects_malformed_directions():
+    doc = spec_to_dict(EnvelopeSpec(side="lower", regime="small_t", d=1,
+                                    alpha=1.0, gamma=1.0,
+                                    profile=PolyTempered(3.0),
+                                    directions=((1.0,), (-1.0,))))
+    for dirs, match in (([], "at least one"), ([1.0, -1.0], "coordinates"),
+                        ([[2.0], [-2.0]], "unit vectors")):
+        with pytest.raises(DomainError, match=match):
+            spec_from_dict({**doc, "directions": dirs})
+
+
+def _lower_small_d1(**kw):
+    return EnvelopeSpec(side="lower", regime="small_t", d=1, alpha=1.0,
+                        gamma=1.0, profile=PolyTempered(3.0), **kw)
+
+
+def test_spec_rejects_empty_directions():
+    with pytest.raises(DomainError, match="A0 .* at least one direction"):
+        _lower_small_d1(directions=())
+
+
+def test_spec_rejects_directions_without_d_coordinates():
+    with pytest.raises(DomainError, match="d = 1 coordinates"):
+        _lower_small_d1(directions=((1.0, 0.0), (-1.0, 0.0)))
+    with pytest.raises(DomainError, match="d = 2 coordinates"):
+        EnvelopeSpec(side="lower", regime="small_t", d=2, alpha=1.0,
+                     gamma=1.0, profile=PolyTempered(3.0),
+                     directions=((1.0, 0.0), (-1.0,)))
+
+
+def test_spec_rejects_directions_off_the_sphere():
+    # at norm 2 every point but the origin would fall outside the cone
+    for dirs in (((2.0,), (-2.0,)), ((1.0,), (math.nan,))):
+        with pytest.raises(DomainError, match="unit vectors"):
+            _lower_small_d1(directions=dirs)
+
+
+def test_spec_stores_directions_as_float_tuples():
+    spec = _lower_small_d1(directions=np.array([[1], [-1]]))
+    assert spec.directions == ((1.0,), (-1.0,))
+
+
+@pytest.mark.parametrize("fn", [
+    lambda spec, x: evaluate(spec, 0.5, x),
+    in_cone,
+    lambda spec, x: product_form(spec, 0.5, x),
+], ids=["evaluate", "in_cone", "product_form"])
+def test_points_need_d_coordinates(fn):
+    # a d = 1 spec once read (3, 4) as |x| = 5
+    spec = _lower_small_d1(directions=((1.0,), (-1.0,)))
+    for x in (np.array([3.0, 4.0]), np.ones((4, 2)), np.ones((2, 2, 1)),
+              np.float64(5.0), [[1.0], [2.0, 3.0]]):
+        with pytest.raises(DomainError, match="d = 1 coordinates"):
+            fn(spec, x)
+
+
+def test_points_must_not_be_nan():
+    # a nan point once read as the origin: the peak t^(-d/a) of an upper
+    spec = _upper_small(PolyTempered(3.0))
+    with pytest.raises(DomainError, match="nan"):
+        evaluate(spec, 0.5, np.array([[1.0], [math.nan]]))
+
+
+def test_one_point_gives_python_scalars():
+    spec = _lower_small_d1(directions=((1.0,),))
+    assert type(evaluate(spec, 0.5, np.array([2.0]))) is float
+    assert type(product_form(spec, 0.5, np.array([2.0]))) is float
+    assert in_cone(spec, np.array([2.0])) is True
+    assert in_cone(spec, np.array([-2.0])) is False
+    vals = evaluate(spec, 0.5, np.array([[0.0], [2.0], [-2.0]]))
+    assert vals.shape == (3,) and math.isnan(vals[2])
+    assert vals[0] == 0.5 ** -1.0
+
+
+def _specs(d: int, angles):
+    dirs = (tuple((float(c),) for c in np.sign(np.cos(angles))) if d == 1
+            else tuple((math.cos(a), math.sin(a)) for a in angles))
+    out = []
+    for side in ("upper", "lower"):
+        for regime, beta in (("small_t", None), ("large_t", 2.0)):
+            out.append(EnvelopeSpec(
+                side=side, regime=regime, d=d, alpha=1.3, gamma=1.0,
+                profile=ExpTempered(a=0.5, c1=2.0), beta=beta,
+                directions=dirs if side == "lower" else None))
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(d=st.sampled_from([1, 2]),
+       angles=st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=3),
+       log_r=st.lists(st.floats(-3.0, 1.7), min_size=1, max_size=6),
+       others=st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=8),
+       t_small=st.floats(0.01, 1.0), t_large=st.floats(1.01, 100.0))
+def test_point_arrays_match_per_point_calls(d, angles, log_r, others,
+                                           t_small, t_large):
+    # the origin, points on the rays of A0 and points anywhere (off the
+    # cone for most lower specs)
+    specs = _specs(d, angles)
+    rays = np.asarray(specs[-1].directions)
+    on = (10.0 ** np.asarray(log_r))[:, None, None] * rays[None, :, :]
+    pts = np.vstack([np.zeros((1, d)), on.reshape(-1, d),
+                     np.asarray(others[:len(others) // d * d]).reshape(-1, d)])
+    for spec in specs:
+        t = t_small if spec.regime == "small_t" else t_large
+        vals = evaluate(spec, t, pts)
+        one = np.array([evaluate(spec, t, x) for x in pts])
+        np.testing.assert_allclose(vals, one, rtol=1e-15, atol=0.0)
+        inside = in_cone(spec, pts)
+        np.testing.assert_array_equal(inside, [in_cone(spec, x) for x in pts])
+        np.testing.assert_array_equal(np.isnan(vals), ~inside)
+        np.testing.assert_array_equal(np.isnan(one), ~inside)
+        np.testing.assert_allclose(
+            product_form(spec, t, pts),
+            [product_form(spec, t, x) for x in pts], rtol=1e-15, atol=0.0)

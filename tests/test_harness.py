@@ -7,7 +7,7 @@ import pytest
 from templevy import density, harness
 from templevy.density import MAX_N, GridSpec
 from templevy.envelope import EnvelopeSpec, relativistic_lower_profile, spec_to_dict
-from templevy.errors import GridError
+from templevy.errors import DomainError, GridError
 from templevy.harness import (
     DEFAULT_RADII,
     TOOLKIT_VERSION,
@@ -20,7 +20,7 @@ from templevy.harness import (
 from templevy.model import (LevyModel, SpectralMeasure, exp_model,
                             model_to_dict, poly_model, relativistic_model,
                             stable_model)
-from templevy.profiles import Constant, PolyTempered
+from templevy.profiles import Constant, ExpTempered, PolyTempered
 
 
 def test_scan_points_shape():
@@ -186,3 +186,33 @@ def test_scan_names_the_grid_cap_in_d2():
                         gamma=1.0, profile=PolyTempered(3.0))
     with pytest.raises(GridError, match=rf"cap MAX_N\[2\] = {MAX_N[2]}"):
         verify_upper(model, spec, [0.5, 1.0], radii=np.logspace(-1, 0.5, 6))
+
+
+def test_scans_evaluate_once_per_t_and_resolution(monkeypatch):
+    # the envelope is read on the whole scan_points array per t: two t
+    # values on the grid and on its refinement make four calls
+    calls, evaluate = [], harness.evaluate
+
+    def counted(spec, t, x):
+        calls.append((t, np.shape(x)))
+        return evaluate(spec, t, x)
+
+    monkeypatch.setattr(harness, "evaluate", counted)
+    t_set = [0.25, 1.0]
+    rep = verify_upper(poly_model(3.0, 1.0), _upper_small(PolyTempered(3.0)),
+                       t_set, radii=np.logspace(-1, 1, 8))
+    assert rep.passed()
+    assert [t for t, _ in calls] == t_set * 2
+    assert [shape for _, shape in calls] == [(17, 1)] * 2 + [(33, 1)] * 2
+
+
+def test_lower_verdict_needs_a_scan_point_in_the_cone():
+    # A0 sits 0.01 rad off the axes the scan runs along: only x = 0 lies in
+    # its cone, where every lower spec holds
+    c, s = np.cos(0.01), np.sin(0.01)
+    spec = EnvelopeSpec(side="lower", regime="small_t", d=2, alpha=1.5,
+                        gamma=1.0, profile=ExpTempered(a=0.0, c1=1.0),
+                        directions=((c, s), (-c, -s)))
+    with pytest.raises(DomainError, match="cone over A0"):
+        verify_lower(exp_model(1.5, d=2), spec, [0.5, 1.0],
+                     radii=np.linspace(0.1, 3.0, 8))
