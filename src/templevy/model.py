@@ -12,14 +12,15 @@ atom set into +- pairs of equal weight, LevyModel.pairs, the one view of
 it that the exponent, the nu masses and the sampler read.  Every
 radial mass, from the tails nu(B(0,r)^c) and ball masses to the big-jump
 cells of decomp and the sampler's radii, reads one cached TailTable of
-W(r) = int_r^inf s^(-1-alpha) q(s) ds per (profile, alpha).
+W(r) = int_r^inf s^(-1-alpha) q(s) ds per (profile, alpha), filled once
+on fixed nodes.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -293,13 +294,21 @@ def radial_second_moment(q: RadialProfile, alpha: float, r: float) -> float:
     return v
 
 
-#: tail table nodes 10^(k / TAIL_PER_TEN): every power of ten is a node
-TAIL_PER_TEN = 128
+#: tail table nodes 10^(k / TAIL_PER_TEN) from R_LO to R_HI: every power
+#: of ten is a node
+TAIL_PER_TEN, R_LO, R_HI = 128, 1e-12, 1e8
 _STEP = math.log(10.0) / TAIL_PER_TEN
+_K_LO = TAIL_PER_TEN * round(math.log10(R_LO))
+#: the nodes' log r, shared by every table
+_Y = _STEP * np.arange(_K_LO, TAIL_PER_TEN * round(math.log10(R_HI)) + 1)
 #: W at or below this reads as 0 (exponential tails underflow past s ~ 700)
 _W_FLOOR = 1e-300
-#: the 8-point Gauss-Legendre rule applied on each node interval
+#: the 8-point Gauss-Legendre rule applied on each node interval: its
+#: weights, and its points' log s and s, node interval by node interval
 _RULE_X, _RULE_W = np.polynomial.legendre.leggauss(8)
+_RULE_Y = (_Y[:-1, None] + _STEP * (0.5 + 0.5 * _RULE_X)).ravel()
+_RULE_S = np.exp(_RULE_Y)
+_Y.setflags(write=False)
 
 
 class TailTable:
@@ -307,15 +316,16 @@ class TailTable:
 
     A constant profile uses its closed form, and a cut at s0 reads its
     base's table as (W_q(r) - W_q(s0))_+.  Otherwise W is a cubic Hermite
-    in (log r, log W) on the nodes 10^(k / TAIL_PER_TEN), with the exact
-    slopes d log W / d log r = -r^(-alpha) q(r) / W(r).  The
-    node values sum an 8-point Gauss-Legendre rule in log s between
-    neighbouring nodes onto radial_tail_mass at the top node, 1e8, above
-    which W follows the top slope.  The table starts at 1e-2 and grows
-    down a decade at a time when a smaller r is asked for.  The inverse
-    reads a guide, built on its first call after each growth: the exact
-    node coordinate at about four levels per node, evenly spaced in log W
-    over the nodes above the underflow floor.  Linear interpolation
+    in (log r, log W) on the fixed nodes 10^(k / TAIL_PER_TEN) from R_LO
+    to R_HI, with the exact slopes d log W / d log r = -r^(-alpha) q(r) /
+    W(r).  The node values sum an 8-point Gauss-Legendre rule in log s
+    between neighbouring nodes onto radial_tail_mass at the top node, R_HI;
+    above it W follows the top slope, and below R_LO the closed leg
+    W(R_LO) + q(0+) (r^(-alpha) - R_LO^(-alpha)) / alpha.  Every node is
+    filled once, when the table is built, and reading the table changes
+    nothing.  The inverse reads a guide, built on its first call: the
+    exact node coordinate at about four levels per node, evenly spaced in
+    log W over the nodes above the underflow floor.  Linear interpolation
     between them puts a share in its node interval, all but always at
     once.
     """
@@ -327,35 +337,26 @@ class TailTable:
             self.base = _tail_table(q.q, alpha)
             self.w_cut = float(self.base(q.s0))
         elif not isinstance(q, Constant):
-            self.k_lo = 8 * TAIL_PER_TEN
-            self.w = np.array([radial_tail_mass(q, alpha, 1e8)])
-            self._grow(1e-2)
+            f = np.exp(-alpha * _RULE_Y) * q(_RULE_S)  # q sees 1-d
+            inc = _STEP / 2 * f.reshape(-1, len(_RULE_W)) @ _RULE_W
+            w = np.append(np.cumsum(inc[::-1])[::-1], 0.0)
+            w += radial_tail_mass(q, alpha, R_HI)
+            if not math.isfinite(w[0]):
+                raise NumericError("radial tail mass is not finite",
+                                   estimate=float(w[0]))
+            w = np.maximum(w, _W_FLOOR)
+            self.q0, self.logw = float(q.q0), np.log(w)
+            # slopes per node step, for the cubic in t = (y - y_i) / step
+            self.slope = -_STEP * np.exp(-alpha * _Y) * q(np.exp(_Y)) / w
+            self.logw.setflags(write=False)
+            self.slope.setflags(write=False)
 
-    def _grow(self, r_min: float) -> None:
-        """Add whole decades of nodes below the table down to r_min."""
-        n = TAIL_PER_TEN * max(math.ceil(
-            self.k_lo / TAIL_PER_TEN - math.log10(r_min)), 0)
-        k = np.arange(self.k_lo - n, self.k_lo)
-        ys = _STEP * (k[:, None] + 0.5 + 0.5 * _RULE_X).ravel()
-        f = np.exp(-self.alpha * ys) * self.q(np.exp(ys))  # q sees 1-d
-        inc = _STEP / 2 * f.reshape(n, len(_RULE_W)) @ _RULE_W
-        w = np.concatenate((self.w[0] + np.cumsum(inc[::-1])[::-1], self.w))
-        if not math.isfinite(w[0]):
-            raise NumericError("radial tail mass is not finite",
-                               estimate=float(w[0]))
-        self.k_lo -= n
-        self.w, self.y = w, _STEP * np.arange(self.k_lo, self.k_lo + len(w))
-        self.logw = np.log(np.maximum(w, _W_FLOOR))
-        # slopes per node step, for the cubic in t = (y - y_i) / step
-        self.slope = -_STEP * np.exp(-self.alpha * self.y) * self.q(
-            np.exp(self.y)) / np.maximum(w, _W_FLOOR)
-        # log W on node interval i as f0 + t (m0 + t (c2 + t c3)), and the
-        # chord's slope m0 + c2 + c3
-        f0, m0, m1 = self.logw[:-1], self.slope[:-1], self.slope[1:]
-        d = np.diff(self.logw)
-        c2, c3 = 3 * d - 2 * m0 - m1, m0 + m1 - 2 * d
-        self.cubic = (f0, m0, c2, c3, m0 + c2 + c3)
-        self.guide = None
+    def _cubic(self, i):
+        """log W on node interval i as f0 + t (m0 + t (c2 + t c3))."""
+        # [1:][i] reads node i + 1 with no index array for i + 1
+        f0, m0, m1 = self.logw[i], self.slope[i], self.slope[1:][i]
+        d = self.logw[1:][i] - f0
+        return f0, m0, 3 * d - 2 * m0 - m1, m0 + m1 - 2 * d
 
     def __call__(self, r):
         """W at the radii r > 0."""
@@ -367,23 +368,30 @@ class TailTable:
             return np.maximum(self.base(r) - self.w_cut, 0.0)
         if isinstance(self.q, Constant):
             return self.q.c * r ** -self.alpha / self.alpha
-        if r_min < math.exp(self.y[0]):
-            self._grow(r_min)
-        x = np.log10(r) * TAIL_PER_TEN
-        i = np.clip(np.floor(x) - self.k_lo, 0, len(self.y) - 2).astype(int)
-        x -= i + self.k_lo  # offset in node i, free of k_lo: growth keeps W(r)
+        leg = r_min < R_LO
+        x = np.log10(np.maximum(r, R_LO) if leg else r) * TAIL_PER_TEN
+        i = np.clip(np.floor(x) - _K_LO, 0, len(_Y) - 2).astype(int)
+        x -= i + _K_LO  # offset in node interval i
         t = np.minimum(x, 1.0)  # above the top node: the top slope
-        f0, m0, c2, c3 = (c[i] for c in self.cubic[:4])
+        f0, m0, c2, c3 = self._cubic(i)
         f = f0 + t * (m0 + t * (c2 + t * c3)) + (x - t) * self.slope[-1]
-        return np.where(f > math.log(_W_FLOOR), np.exp(f), 0.0)
+        w = np.where(f > math.log(_W_FLOOR), np.exp(f), 0.0)
+        if leg:
+            a = self.alpha
+            with np.errstate(over="ignore"):
+                w += self.q0 / a * np.maximum(r ** -a - R_LO ** -a, 0.0)
+            if not math.isfinite(w.max()):
+                raise NumericError("radial tail mass is not finite",
+                                   estimate=float(w.max()))
+        return w
 
     def _newton(self, lw, i):
         """t in node interval i where its cubic meets log W = lw.
 
         Two Newton steps from the chord; past the top node, the top slope.
         """
-        f0, m0, c2, c3, chord = (c[i] for c in self.cubic)
-        t = (lw - f0) / chord
+        f0, m0, c2, c3 = self._cubic(i)
+        t = (lw - f0) / (m0 + c2 + c3)
         for _ in range(2):
             t -= (f0 - lw + t * (m0 + t * (c2 + t * c3))) / (
                 m0 + t * (2 * c2 + 3 * t * c3))
@@ -394,9 +402,10 @@ class TailTable:
                              t)
         return t
 
-    def _build_guide(self) -> None:
+    @cached_property
+    def guide(self) -> tuple:
         """Node coordinates at even steps of log W, ~4 per node."""
-        n = max(int(np.count_nonzero(self.w > _W_FLOOR)), 2) - 1
+        n = max(int(np.count_nonzero(self.logw > math.log(_W_FLOOR))), 2) - 1
         levels = np.linspace(self.logw[0], self.logw[n], 4 * n + 1)
         i = np.clip(np.searchsorted(-self.logw, -levels) - 1, 0, n - 1)
         x = i + self._newton(levels, i)
@@ -404,8 +413,8 @@ class TailTable:
         # at both ends of the table
         hi, lo = self.logw[:-1].copy(), self.logw[1:].copy()
         hi[0], lo[-1] = np.inf, -np.inf
-        self.guide = (levels[0], 4 * n / (levels[0] - levels[-1]),
-                      x, np.append(np.diff(x), 0.0), hi, lo)
+        return (levels[0], 4 * n / (levels[0] - levels[-1]),
+                x, np.append(np.diff(x), 0.0), hi, lo)
 
     def _interval(self, lw):
         """The node interval i holding each log W = lw.
@@ -413,8 +422,6 @@ class TailTable:
         The guide's linear interpolant finds it all but always at once; a
         share it misses steps one node at a time.
         """
-        if self.guide is None:
-            self._build_guide()
         g0, per_level, x, dx, hi, lo = self.guide
         p = np.minimum((g0 - lw) * per_level, len(x) - 1)
         j = p.astype(int)
@@ -427,23 +434,36 @@ class TailTable:
             i -= down
 
     def inverse(self, w):
-        """The radius r with W(r) = w > 0.
+        """The radius r with W(r) = w, for shares 0 < w < inf.
 
         The guide gives each log w its node interval with no search, and
-        two Newton steps on that interval's cubic, from its chord, give r.
+        two Newton steps on that interval's cubic, from its chord, give r;
+        a share above W(R_LO) solves the closed leg.  A share that is not
+        positive and finite raises DomainError, and one whose radius
+        underflows to 0 NumericError.
         """
         w = np.asarray(w, dtype=float)
+        if w.size and not (w.min() > 0 and w.max() < math.inf):  # also nan
+            bad = w[~((w > 0) & (w < math.inf))].flat[0]
+            raise DomainError(f"share {bad} of W is not positive and finite")
         a = self.alpha
         if isinstance(self.q, Truncated):
             return self.base.inverse(w + self.w_cut)
         if isinstance(self.q, Constant):
-            return (a * w / self.q.c) ** (-1.0 / a)
-        lw = np.log(w)
-        if lw.size and lw.max() > self.logw[0]:
-            # log W rises at least as fast as -alpha log r: grow to there
-            self(math.exp(self.y[0] - (lw.max() - self.logw[0]) / a))
-        i = self._interval(lw)
-        return np.exp(self.y[i] + _STEP * self._newton(lw, i))
+            r = (a * w / self.q.c) ** (-1.0 / a)
+        else:
+            w0 = math.exp(self.logw[0])
+            leg = w.size and w.max() > w0  # some r below R_LO: the closed leg
+            lw = np.log(np.minimum(w, w0) if leg else w)
+            i = self._interval(lw)
+            r = np.exp(_Y[i] + _STEP * self._newton(lw, i))
+            if leg:
+                r = np.where(w > w0, (R_LO ** -a + np.maximum(w - w0, 0.0)
+                                      * (a / self.q0)) ** (-1.0 / a), r)
+        if r.size and not r.min() > 0:
+            raise NumericError(f"the radius of share {w[r == 0].flat[0]} "
+                               "underflows to 0")
+        return r
 
 
 #: one tail table per (q, alpha) for the whole process
@@ -455,16 +475,12 @@ _tail_table = lru_cache(maxsize=256)(TailTable)
 
 def nu_tail(model: LevyModel, r: float) -> float:
     """nu(B(0,r)^c)."""
-    if r <= 0:
-        raise DomainError("r must be positive")
     return sum(w * float(_tail_table(q, model.alpha)(r))
                for w, q in model.profiles_and_weights())
 
 
 def truncated_second_moment(model: LevyModel, r: float) -> float:
     """int_{|y|<r} |y|^2 nu(dy)."""
-    if r <= 0:
-        raise DomainError("r must be positive")
     return sum(w * radial_second_moment(q, model.alpha, r)
                for w, q in model.profiles_and_weights())
 

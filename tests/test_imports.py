@@ -3,6 +3,7 @@
 Also: no function takes an `upper` cut radius; a cut is a profile.  The
 model classes take no option beyond the measure itself.  No warning
 filter drops every category, and no handler catches every exception.
+The psi and tail tables are values: only `__init__` writes to them.
 
 Checked with the stdlib ast module, no linter.
 """
@@ -227,3 +228,70 @@ def test_model_fields_are_the_measure(cls, names):
     # symmetry is checked, and closed forms follow from the profiles: a
     # knob that switches either comes back only through this test
     assert {f.name for f in dataclasses.fields(cls) if f.init} == names
+
+
+#: classes whose instances are filled once, when built
+VALUE_CLASSES = ("PsiTable", "TailTable")
+
+
+def _writes_self(target) -> bool:
+    """Whether an assignment target is an attribute of self, or an item or
+    attribute of one."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(map(_writes_self, target.elts))
+    if isinstance(target, ast.Starred):
+        return _writes_self(target.value)
+    root = target
+    while isinstance(root, (ast.Attribute, ast.Subscript)):
+        root = root.value
+    return root is not target and isinstance(root, ast.Name) \
+        and root.id == "self"
+
+
+def _writes_after_init(tree: ast.Module) -> list:
+    """Writes to self in a method of a value class other than __init__,
+    with lines.  A cached_property stores its value without one."""
+    found = []
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name in VALUE_CLASSES):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__":
+                continue
+            for node in ast.walk(fn):
+                targets = (node.targets if isinstance(node, ast.Assign) else
+                           [node.target] if isinstance(
+                               node, (ast.AugAssign, ast.AnnAssign)) else [])
+                if any(map(_writes_self, targets)):
+                    found.append(f"{cls.name}.{fn.name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_tables_are_values(path):
+    # a table read in one place may not change what another has read
+    assert _writes_after_init(ast.parse(path.read_text())) == []
+
+
+def test_detector_flags_a_table_written_after_init():
+    tree = ast.parse(
+        "from functools import cached_property\n"
+        "class TailTable:\n"
+        "    def __init__(self):\n"
+        "        self.w = [0.0]\n"
+        "    @cached_property\n"
+        "    def guide(self):\n"
+        "        g = list(self.w)\n"
+        "        g[0] = 1.0\n"
+        "        return g\n"
+        "    def grow(self):\n"
+        "        self.k_lo -= 1\n"
+        "        self.w, y = [1.0], 2\n"
+        "        self.w[0] = 2.0\n"
+        "        other.guide = None\n"
+        "class Other:\n"
+        "    def grow(self):\n"
+        "        self.w = None\n")
+    assert _writes_after_init(tree) == ["TailTable.grow (line 11)",
+                                        "TailTable.grow (line 12)",
+                                        "TailTable.grow (line 13)"]

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from templevy.decomp import bounded_cell_masses, default_eps, split
 from templevy.density import GridSpec
-from templevy.errors import DomainError
-from templevy.model import (_STEP, LevyModel, SpectralMeasure, TailTable,
-                            _tail_table, cauchy_model, exp_model, poly_model,
-                            radial_tail_mass)
+from templevy.errors import DomainError, NumericError
+from templevy.model import (_STEP, _Y, R_LO, LevyModel, SpectralMeasure,
+                            TailTable, _tail_table, cauchy_model, exp_model,
+                            poly_model, radial_tail_mass)
 from templevy.profiles import (Constant, ExpTempered, PolyTempered,
                                Relativistic, Truncated)
 
@@ -98,21 +98,52 @@ def test_table_follows_top_slope(r):
         radial_tail_mass(q, 1.0, r), rel=1e-6, abs=0.0)
 
 
+def _arrays(table):
+    """Copies of every array a table holds, its guide's included."""
+    held = dict(vars(table))
+    held.update((f"guide[{k}]", v) for k, v in enumerate(held.pop("guide", ())))
+    return {k: v.copy() for k, v in held.items() if isinstance(v, np.ndarray)}
+
+
 @pytest.mark.parametrize("q", [PolyTempered(0.5), ExpTempered(0.0, 1.0)])
-def test_table_values_stay_put_when_it_grows(q):
+def test_reading_a_table_changes_nothing(q):
     # a cut reads W(s0) of its base once, so the base's values may not
-    # change in the last bit when the base later grows downwards
+    # change when it is read anywhere, below R_LO and above R_HI included
     table = TailTable(q, 0.47)
     r = np.geomspace(1e-2, 1e3, 1001)
-    before = table(r)
-    table(np.array([1e-9]))
-    np.testing.assert_array_equal(table(r), before)
+    before, w = _arrays(table), table(r)
+    for far in (1e-300, 1e-14, 1e11):
+        table(np.array([far]))
+    assert _arrays(table).keys() == before.keys()
+    for k, v in before.items():
+        np.testing.assert_array_equal(_arrays(table)[k], v)
+    table.inverse(w[w > 0])  # builds the guide
+    before = _arrays(table)
+    table.inverse(np.array([float(table(1e-20)), float(w[0])]))
+    for k, v in before.items():
+        np.testing.assert_array_equal(_arrays(table)[k], v)
+    np.testing.assert_array_equal(table(r), w)
 
 
 @pytest.mark.parametrize("r", [0.0, -1.0, np.nan])
 def test_table_rejects_non_positive_radius(r):
     with pytest.raises(DomainError, match="not positive"):
         _tail_table(PolyTempered(3.0), 1.0)(np.array([1.0, r]))
+
+
+@pytest.mark.parametrize("q", [PolyTempered(3.0), Constant(1.0),
+                               Truncated(1.0, ExpTempered(0.0, 1.0))])
+@pytest.mark.parametrize("w", [0.0, -1.0, np.nan, np.inf])
+def test_inverse_rejects_shares_that_are_not_positive_and_finite(q, w):
+    with pytest.raises(DomainError, match=f"share {w} "):
+        _tail_table(q, 1.0).inverse(np.array([1.0, w]))
+
+
+@pytest.mark.parametrize("q", [ExpTempered(0.0, 1.0), Constant(1.0)])
+def test_inverse_raises_where_the_radius_underflows(q):
+    # r^-0.05 = 0.05 w = 5e298 puts r at 1e-5970
+    with pytest.raises(NumericError, match="underflows"):
+        _tail_table(q, 0.05).inverse(np.array([1.0, 1e300]))
 
 
 @PROPERTY
@@ -153,7 +184,7 @@ def _searched_inverse(table, w):
     if isinstance(table.q, Constant):
         return (table.alpha * w / table.q.c) ** (-1.0 / table.alpha)
     lw = np.log(w)
-    i = np.clip(np.searchsorted(-table.logw, -lw) - 1, 0, len(table.y) - 2)
+    i = np.clip(np.searchsorted(-table.logw, -lw) - 1, 0, len(_Y) - 2)
     f0, m0, m1 = table.logw[i], table.slope[i], table.slope[i + 1]
     d = table.logw[i + 1] - f0
     c2, c3 = 3 * d - 2 * m0 - m1, m0 + m1 - 2 * d
@@ -164,7 +195,7 @@ def _searched_inverse(table, w):
     with np.errstate(divide="ignore"):
         top = 1.0 + (lw - table.logw[-1]) / table.slope[-1]
     t = np.where(lw < table.logw[-1], top, t)
-    return np.exp(table.y[i] + _STEP * t)
+    return np.exp(_Y[i] + _STEP * t)
 
 
 # radii up to 1e10 also reach the top slope above the last node, 1e8
@@ -182,20 +213,26 @@ def test_inverse_matches_searched_inverse(qa, log_r):
                                rtol=1e-12)
 
 
-@pytest.mark.parametrize("q", [PolyTempered(3.0), ExpTempered(0.5, 1.0)])
-def test_inverse_rebuilds_its_guide_when_the_table_grows(q):
-    # a table of its own, still starting at 1e-2
-    table = TailTable(q, 1.2)
-    early = table(np.array([0.02, 0.5, 3.0]))
-    r_early = table.inverse(early)  # builds the guide
-    # W(1e-6) lies above the table: the inverse grows it by four decades
-    deep = np.array([radial_tail_mass(q, 1.2, 1e-6)])
-    r_deep = table.inverse(deep)
-    assert table.y[0] < np.log(1e-6)
-    np.testing.assert_allclose(r_deep, [1e-6], rtol=1e-8)
-    np.testing.assert_allclose(table(r_deep), deep, rtol=1e-9)
-    np.testing.assert_allclose(table.inverse(early), r_early, rtol=1e-12)
-    np.testing.assert_allclose(table(table.inverse(early)), early, rtol=1e-9)
+@pytest.mark.parametrize("alpha", [0.05, 1.2, 1.99])
+@pytest.mark.parametrize("q", [PolyTempered(5.0), ExpTempered(2.0, 2.0),
+                               Relativistic(1, 1.2)])
+def test_leg_below_r_lo(q, alpha):
+    # below R_LO, W is the closed leg of q(0+), and inverse solves it
+    table = _tail_table(q, alpha)
+    r = R_LO * np.array([1e-1, 1e-3, 1e-6])
+    w = table(r)
+    for ri, wi in zip(r, w):
+        assert wi == pytest.approx(radial_tail_mass(q, alpha, ri),
+                                   rel=1e-10, abs=0.0)
+    assert np.all(w > float(table(R_LO)))
+    np.testing.assert_allclose(table(table.inverse(w)), w, rtol=1e-9)
+    np.testing.assert_allclose(table.inverse(w), r, rtol=1e-9)
+
+
+def test_leg_raises_where_w_overflows():
+    # W(1e-300) at alpha = 1.5 is about 1e450
+    with pytest.raises(NumericError, match="not finite"):
+        _tail_table(PolyTempered(3.0), 1.5)(np.array([1.0, 1e-300]))
 
 
 def _per_atom_cell_masses(sm, grid):
