@@ -165,14 +165,17 @@ def _axis_phi(model: LevyModel, cut: float) -> float:
     return float(phi_on_points(model, cut * np.eye(model.d)).min())
 
 
-def _trunc_estimate(model: LevyModel, t: float, grid: GridSpec) -> float:
-    """Neglected spectral mass (1/2pi)^d int_{|xi|>Xi} exp(-t Phi)."""
+def _trunc_estimate(model: LevyModel, t, grid: GridSpec):
+    """Neglected spectral mass (1/2pi)^d int_{|xi|>Xi} exp(-t Phi), at a
+    float t, or a list of one per t of a sequence, on one read of Phi at
+    the cutoff."""
     cut = grid.xi_cut
     pc = _axis_phi(model, cut)
     a = model.alpha
-    decay = max(t * pc * a, 1.0)
     surface = 2.0 if model.d == 1 else 2.0 * math.pi * cut
-    return surface * cut * math.exp(-t * pc) / decay / (2 * math.pi) ** model.d
+    est = [surface * cut * math.exp(-tk * pc) / max(tk * pc * a, 1.0)
+           / (2 * math.pi) ** model.d for tk in np.ravel(t).tolist()]
+    return est if np.ndim(t) else est[0]
 
 
 def _too_coarse(grid: GridSpec) -> str:
@@ -200,6 +203,7 @@ def _half_phi(model: LevyModel, grid: GridSpec) -> tuple:
     is the sum of the Phi(xi_i e_i) and p_t the product of the p_i(x_i);
     Phi is then read on the d half axes, one row per axis (psi(0) = 0).
     """
+    _check_grid(model, grid)
     n, step = grid.N, math.pi / grid.L
     xi = np.arange(n // 2 + 1) * step
     product = all(np.count_nonzero(theta) == 1 for _, _, theta in model.pairs)
@@ -211,13 +215,24 @@ def _half_phi(model: LevyModel, grid: GridSpec) -> tuple:
     return product, phi_on_points(model, xi)
 
 
+def _sub_half(half: tuple, n: int) -> tuple:
+    """The half spectrum of n points per axis, taken from `half`, one of
+    _half_phi read on a grid of the same L and a multiple of n points: its
+    nodes include these, m on the last axis and, in FFT order, on the
+    other, so this is a slice, bitwise the same Phi."""
+    product, phi = half
+    if not product:
+        k = phi.shape[0]
+        phi = phi[np.r_[:n // 2, k - n // 2:k]]
+    return product, phi[..., :n // 2 + 1]
+
+
 def invert(model: LevyModel, t: float, grid: GridSpec = None) -> DensityField:
     """Density field p_t on the grid (auto-sized when grid is None)."""
     if t <= 0:
         raise DomainError("t must be positive")
     if grid is None:
         grid = auto_grid(model, t)
-    _check_grid(model, grid)
     trunc = _trunc_estimate(model, t, grid)
     # Phi is real and even, so the inverse transform is one real inverse
     # FFT, over h^d for the continuous one
@@ -231,19 +246,38 @@ def invert(model: LevyModel, t: float, grid: GridSpec = None) -> DensityField:
     v = np.fft.fftshift(v, axes=axes)  # x = 0 to index N/2
     v /= grid.h ** k
     if product:
+        # the extremes of an outer product are products of its factors'
+        # extremes, and rounding is monotone: these are the field's own
+        ranges = [(float(f.min()), float(f.max())) for f in v]
+        mn, peak = _outer_range(ranges)
+        # the edge x_i = -L: f_i(-L) times the other factors
+        edge = max(_outer_range(ranges[:i] + [(float(f[0]),) * 2]
+                                + ranges[i + 1:])[1] for i, f in enumerate(v))
         v = functools.reduce(np.multiply.outer, v)  # axis 0 is x_1
-    mn = float(v.min())
-    if mn < -RINGING_TOL * max(float(v.max()), 1e-300):
+    else:
+        mn, peak = float(v.min()), float(v.max())
+        edge = max(float(np.take(v, 0, axis=i).max()) for i in range(grid.d))
+    if mn < -RINGING_TOL * max(peak, 1e-300):
         raise GridError(f"negative ringing {mn:.3e} exceeds tolerance: "
                         f"{_too_coarse(grid)}")
     # v is fresh, so d = 2 clips in place (32 MB at the cap); d = 1 keeps
     # the copy its perfbench timings were taken with
     v = np.clip(v, 0.0, None, out=v if grid.d == 2 else None)
-    # aliasing estimate: edge value approximates the folded tail density
-    edge = max(float(np.take(v, 0, axis=i).max()) for i in range(grid.d))
+    # aliasing estimate: the clipped edge value approximates the folded
+    # tail density
     return DensityField(grid=grid, t=t, values=v,
                         mass=float(v.sum()) * grid.h ** grid.d,
-                        trunc_error=trunc, alias_error=2.0 * edge, min_raw=mn)
+                        trunc_error=trunc, alias_error=2.0 * max(0.0, edge),
+                        min_raw=mn)
+
+
+def _outer_range(ranges: list) -> tuple:
+    """(min, max) of the outer product of factors with these (min, max)."""
+    lo, hi = ranges[0]
+    for a, b in ranges[1:]:
+        ends = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(ends), max(ends)
+    return lo, hi
 
 
 def values_at(model: LevyModel, t_set, grid: GridSpec, points) -> np.ndarray:
@@ -253,11 +287,20 @@ def values_at(model: LevyModel, t_set, grid: GridSpec, points) -> np.ndarray:
     the point instead of at the nodes (at a node it is invert's value
     before the clip): (2L)^-d sum_m w_m exp(-t Phi(xi_m)) cos(<xi_m, x>)
     over invert's half spectrum, w_m = 2 but 1 where m_d is 0 or N/2.
-    Phi is read once and shared by every t.  Each t sums only the live
+    Phi is read once and shared by every t (a scan that holds the half
+    spectrum already passes it to _values_at).  Each t sums only the live
     nodes, those before t Phi passes ln(N^d / eps) for good: every node
     left out holds less than eps / N^d of the node at xi = 0, where
-    Phi = 0, so all of them together hold less than eps of p_t(0).
+    Phi = 0, so all of them together hold less than eps of p_t(0).  On
+    the axis path each 1-D sum is a cosine series, read once per distinct
+    |x_i|: x and -x give bitwise the same value there.
     """
+    return _values_at(model, t_set, grid, points)
+
+
+def _values_at(model: LevyModel, t_set, grid: GridSpec, points,
+               half: tuple = None) -> np.ndarray:
+    """values_at on `half`, grid's _half_phi (read here when None)."""
     t = np.asarray(t_set, dtype=float).reshape(-1)
     if not np.all(t > 0):
         raise DomainError("t must be positive")
@@ -269,7 +312,7 @@ def values_at(model: LevyModel, t_set, grid: GridSpec, points) -> np.ndarray:
         raise DomainError("point outside the grid")
     theta = x * (math.pi / grid.L)  # <xi_m, x> = <m, theta>
     live = math.log(grid.N ** grid.d / np.finfo(float).eps) / t
-    product, phi = _half_phi(model, grid)
+    product, phi = half if half is not None else _half_phi(model, grid)
     if product:
         # one 1-D sum per axis, their product the value
         out = functools.reduce(np.multiply, (
@@ -291,16 +334,20 @@ def _line_sums(phi: np.ndarray, t: np.ndarray, live: np.ndarray,
     at both ends: one row per t, summed up to the last m with
     phi_m <= live, one column per theta.
 
-    The prefixes of every t are cut into blocks of BLOCK nodes,
+    A cosine series is even in theta, so each distinct |theta| is summed
+    once and its column copied to every theta of that size.  The
+    prefixes of every t are cut into blocks of BLOCK nodes,
     m = b BLOCK + j, and stacked: one matrix product with the table of
     e^(i j theta) sums each block, and the phase e^(i b BLOCK theta)
     puts it in place."""
+    theta, back = np.unique(np.abs(theta), return_inverse=True)
     tail_min = np.minimum.accumulate(phi[::-1])[::-1]
     ends = np.searchsorted(tail_min, live, side="right")  # >= 1: phi_0 = 0
     blocks = -(-ends // BLOCK)
     terms = np.zeros(int(blocks.sum()) * BLOCK)
-    w = np.full(phi.size, 2.0)
-    w[[0, -1]] = 1.0
+    w = np.full(int(ends.max()), 2.0)
+    w[0] = 1.0
+    w[phi.size - 1:] = 1.0  # m = M, where a prefix reaches it
     start = 0
     for tk, end, nb in zip(t, ends, blocks):
         seg = terms[start:start + end]
@@ -314,7 +361,8 @@ def _line_sums(phi: np.ndarray, t: np.ndarray, live: np.ndarray,
     b = np.concatenate([np.arange(nb) for nb in blocks])
     k = theta.size
     placed = cos_b[b] * sums[:, :k] - sin_b[b] * sums[:, k:]
-    return np.add.reduceat(placed, np.cumsum(blocks) - blocks, axis=0)
+    starts = np.cumsum(blocks) - blocks
+    return np.add.reduceat(placed, starts, axis=0)[:, back]
 
 
 def _plane_sums(phi: np.ndarray, t: np.ndarray, live: np.ndarray,

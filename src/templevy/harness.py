@@ -8,12 +8,17 @@ scan range doubles.  Every verdict therefore carries a refinement delta.
 
 A scan reads p_t at its points by density.values_at: the exact trapezoid
 sums of invert's half spectrum at the points, with no interpolation
-between nodes and no inverse FFT per t.  It raises GridError when the
-spectral tail past the grid's cutoff (the field's trunc_error) exceeds
-RINGING_TOL of the peak, or a value rings below -RINGING_TOL of it.  Once
-the tail check passes, the refined grid adds only nodes past the live
-prefix, below eps of p_t(0): without range extension the delta is 0 up
-to rounding, and on small-t checks it measures the doubled range.
+between nodes and no inverse FFT per t.  The two resolutions share one
+read of Phi: it is read on the refined grid's half spectrum, and when
+the refined grid keeps the base grid's L (always so on the default scan
+grid) the base grid's N/2 + 1 nodes are a slice of it, bitwise the same
+Phi.  The tail estimate reads Phi at each grid's cutoff once, for every
+t.  A scan raises GridError when the spectral tail past the grid's
+cutoff (the field's trunc_error) exceeds RINGING_TOL of the peak, or a
+value rings below -RINGING_TOL of it.  Once the tail check passes, the
+refined grid adds only nodes past the live prefix, below eps of p_t(0):
+without range extension the delta is 0 up to rounding, and on small-t
+checks it measures the doubled range.
 
 The envelope side is read by one envelope.evaluate call per t on the
 whole (n, d) scan_points array.  A lower check raises DomainError when no
@@ -30,8 +35,9 @@ import numpy as np
 from . import __version__ as TOOLKIT_VERSION
 from . import envelope as env_mod
 from .decomp import compound_poisson, default_eps, local_density, recompose, split
-from .density import (MAX_N, RINGING_TOL, GridSpec, _trunc_estimate,
-                      _too_coarse, auto_grid, invert, values_at)
+from .density import (MAX_N, RINGING_TOL, GridSpec, _half_phi, _sub_half,
+                      _too_coarse, _trunc_estimate, _values_at, auto_grid,
+                      invert)
 from .envelope import EnvelopeSpec, evaluate, hypothesis_check, in_cone
 from .errors import DomainError, GridError, RegimeError
 from .model import LevyModel, model_from_dict
@@ -91,17 +97,19 @@ def _scan_grid(model: LevyModel, t_min: float, x_max: float) -> GridSpec:
 
 
 def _ratio_scan(model: LevyModel, spec: EnvelopeSpec, t_set, radii,
-                grid: GridSpec) -> tuple:
-    """(rows, extremal ratios) for one resolution: one values_at call,
-    then one envelope evaluate call per t on the whole scan_points array."""
+                grid: GridSpec, half: tuple) -> tuple:
+    """(rows, extremal ratios) for one resolution: one values_at sum on
+    `half`, the grid's half spectrum, one tail estimate for every t, then
+    one envelope evaluate call per t on the whole scan_points array."""
     pts = scan_points(model, radii)
     t_set = sorted(t_set)
+    values = _values_at(model, t_set, grid, pts, half)
+    # the cause first: a spectral tail cut at xi_cut rings between nodes
+    truncs = _trunc_estimate(model, t_set, grid)
     rows, ratios = [], []
-    for t, vals in zip(t_set, values_at(model, t_set, grid, pts)):
+    for t, vals, trunc in zip(t_set, values, truncs):
         # the origin is a scan point, so this is the peak of p_t
         peak = float(vals.max())
-        # the cause first: a spectral tail cut at xi_cut rings between nodes
-        trunc = _trunc_estimate(model, t, grid)
         if trunc > RINGING_TOL * peak:
             raise GridError(f"spectral tail {trunc:.3e} beyond the cutoff at "
                             f"t = {t:g} exceeds {RINGING_TOL:g} of the peak "
@@ -147,8 +155,6 @@ def _verify_envelope(kind: str, model: LevyModel, spec: EnvelopeSpec,
     if grid is None:
         grid = _scan_grid(model, min(t_set), 2.0 * float(radii.max()))
     ext = max if kind == "upper" else min
-    rows, ratios = _ratio_scan(model, spec, t_set, radii, grid)
-    stat = ext(ratios)
     # refine: double N, and (by default) double the x-range; range
     # extension is optional because large-t sup ratios are attained at the
     # moving edge of the diffusive bulk and grow with the scan radius
@@ -156,7 +162,14 @@ def _verify_envelope(kind: str, model: LevyModel, spec: EnvelopeSpec,
     grid2 = grid.refine(2)
     if grid2.L < 2.2 * radii2.max():
         grid2 = grid2.widen(2.2 * radii2.max() / grid2.L)
-    _, ratios2 = _ratio_scan(model, spec, t_set, radii2, grid2)
+    # Phi is read once, on the refined grid: on the same L its nodes hold
+    # the base grid's
+    half2 = _half_phi(model, grid2)
+    half = (_sub_half(half2, grid.N) if grid2.L == grid.L
+            else _half_phi(model, grid))
+    rows, ratios = _ratio_scan(model, spec, t_set, radii, grid, half)
+    stat = ext(ratios)
+    _, ratios2 = _ratio_scan(model, spec, t_set, radii2, grid2, half2)
     stat2 = ext(ratios2)
     delta = abs(stat2 - stat) / abs(stat) if stat else math.inf
     excluded = sum(1 for r in rows if r[-1] is None)

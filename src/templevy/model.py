@@ -397,9 +397,7 @@ class TailTable:
                 m0 + t * (2 * c2 + 3 * t * c3))
         top = lw < self.logw[-1]
         if np.any(top):
-            with np.errstate(divide="ignore"):  # a flat top: W underflowed
-                t = np.where(top, 1.0 + (lw - self.logw[-1]) / self.slope[-1],
-                             t)
+            t = np.where(top, 1.0 + (lw - self.logw[-1]) / self.slope[-1], t)
         return t
 
     @cached_property
@@ -455,6 +453,10 @@ class TailTable:
             w0 = math.exp(self.logw[0])
             leg = w.size and w.max() > w0  # some r below R_LO: the closed leg
             lw = np.log(np.minimum(w, w0) if leg else w)
+            if self.slope[-1] == 0 and w.size and lw.min() < self.logw[-1]:
+                # W underflowed to the floor: a flat top has no radius
+                raise NumericError(f"share {w.min()} is below the floor "
+                                   f"{_W_FLOOR:g} that W underflows to")
             i = self._interval(lw)
             r = np.exp(_Y[i] + _STEP * self._newton(lw, i))
             if leg:

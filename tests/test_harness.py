@@ -206,6 +206,35 @@ def test_scans_evaluate_once_per_t_and_resolution(monkeypatch):
     assert [shape for _, shape in calls] == [(17, 1)] * 2 + [(33, 1)] * 2
 
 
+@pytest.mark.parametrize("model", [
+    poly_model(3.0, 1.0), poly_model(3.0, 1.5, d=2)], ids=["d1", "d2"])
+def test_scans_read_each_spectrum_once(model, monkeypatch):
+    # on the default scan grid the refined grid keeps L: Phi is read once,
+    # on its half spectrum, and Phi at the cutoff once per grid for all t
+    log, half_phi, axis_phi = [], harness._half_phi, density._axis_phi
+
+    def half(m, g):
+        log.append(("half", g))
+        return half_phi(m, g)
+
+    def cut(m, c):
+        log.append(("cut", c))
+        return axis_phi(m, c)
+
+    t_set, radii = [0.25, 0.5, 1.0], np.logspace(-1, 0.5, 6)
+    grid = _scan_grid(model, min(t_set), 2.0 * radii.max())
+    monkeypatch.setattr(harness, "_half_phi", half)
+    monkeypatch.setattr(density, "_axis_phi", cut)
+    spec = EnvelopeSpec(side="upper", regime="small_t", d=model.d,
+                        alpha=model.alpha, gamma=1.0,
+                        profile=model.profile)
+    verify_upper(model, spec, t_set, radii=radii)
+    # auto_grid reads Phi at cutoffs before the scans begin
+    scans = log[[kind for kind, _ in log].index("half"):]
+    assert scans == [("half", grid.refine(2)), ("cut", grid.xi_cut),
+                     ("cut", grid.refine(2).xi_cut)]
+
+
 def test_lower_verdict_needs_a_scan_point_in_the_cone():
     # A0 sits 0.01 rad off the axes the scan runs along: only x = 0 lies in
     # its cone, where every lower spec holds

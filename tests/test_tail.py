@@ -146,6 +146,21 @@ def test_inverse_raises_where_the_radius_underflows(q):
         _tail_table(q, 0.05).inverse(np.array([1.0, 1e300]))
 
 
+def test_inverse_raises_below_the_floor_that_w_underflows_to():
+    # e^-r underflows W before R_HI: the top node sits at the 1e-300 floor
+    # with slope 0, so a smaller share has no radius
+    table = _tail_table(ExpTempered(0.0, 1.0), 1.0)
+    assert 600.0 < float(table.inverse([5e-300])[0]) < 700.0
+    with pytest.raises(NumericError, match="below the floor 1e-300"):
+        table.inverse(np.array([1e-3, 1e-305]))
+    # a cut reads its base's table, shifted by the cut's mass beyond s0
+    with pytest.raises(NumericError, match="below the floor 1e-300"):
+        _tail_table(Truncated(1e3, ExpTempered(0.0, 1.0)), 1.0).inverse(
+            [1e-305])
+    # a tail that stays above the floor follows its top slope instead
+    assert np.isfinite(_tail_table(PolyTempered(3.0), 1.0).inverse([1e-305]))
+
+
 @PROPERTY
 @given(cut_profiles(), st.lists(LOG_R, min_size=1, max_size=4))
 def test_cut_table_is_base_table_less_its_mass_beyond_s0(qa, log_r):
