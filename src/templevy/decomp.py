@@ -10,7 +10,9 @@ nubar with total mass lambda, whose semigroup is the compound Poisson law
 
 computed on the grid as one exponential in frequency space by FFT, not as
 a truncated series.  Every convolution here, recompose's too, is a
-product of real FFTs on the grid zero-padded to 2N.
+product of real FFTs on the grid zero-padded to 3N/2, the shortest circle
+on which the linear convolution of two N-point fields is exact on the
+window (_padded_rfft).
 
 The product identity p_t = p~_t * Pbar_t is the main quantitative check:
 both sides are computed by independent discretizations and compared.
@@ -155,22 +157,25 @@ def bounded_cell_masses(sm: SplitMeasure, grid: GridSpec) -> np.ndarray:
 
 
 def _padded_rfft(values: np.ndarray) -> np.ndarray:
-    """rfft of a field on [-L, L) zero-padded to 2N, x = 0 at index 0.
+    """rfft of a field on [-L, L) zero-padded to 3N/2, x = 0 at index 0.
 
-    The padded grid has period 4L, so frequency m pi / L is bin 2|m|.  Two
-    fields span 2N - 1 points together: the product of their transforms
-    is their linear convolution, with no wrap.
+    The padded grid has period 3L.  Two fields on the window have a linear
+    convolution supported on the indices [-N, N - 2]; the window's indices
+    k in [-N/2, N/2) alias k +- 3N/2, which fall outside that support, so
+    the product of their transforms is the linear convolution on the
+    window.  3N/2 is the shortest such circle: on 3N/2 - 1 points the
+    index N/2 - 1 aliases -N, inside the support.
     """
     n2 = len(values) // 2
-    padded = np.zeros(4 * n2)
+    padded = np.zeros(3 * n2)
     padded[:n2] = values[n2:]
     padded[-n2:] = values[:n2]
     return sfft.rfft(padded)
 
 
 def _window(padded: np.ndarray) -> np.ndarray:
-    """The N-point window [-L, L) of a 2N-point array indexed as above."""
-    n2 = len(padded) // 4
+    """The N-point window [-L, L) of a 3N/2-point array indexed as above."""
+    n2 = len(padded) // 3
     return np.concatenate((padded[-n2:], padded[:n2]))
 
 
@@ -179,11 +184,11 @@ def compound_poisson(sm: SplitMeasure, t: float, grid: GridSpec,
     """Pbar_t on the grid as one exponential in frequency space (d = 1).
 
     The a.c. part is e^(-t lam) IFFT(expm1(t nuhat)) on the grid padded to
-    2N, cropped to the window: the transform carries every convolution
+    3N/2, cropped to the window: the transform carries every convolution
     power of nubar (recompose convolves on the same padded transform,
     _padded_rfft).  `tail_bound` bounds the mass deficit plus the L1
     error on the window against the exact lattice law: the cropped mass,
-    the mass folded back by the period 4L (Chebyshev, |S| >= 3L), and the
+    the mass folded back by the period 3L (Chebyshev, |S| >= 2L), and the
     mass of nubar beyond the window.  `tol` changes no output, since the
     gate on that mass is decided by its 1e-3 clause; it stays, validated,
     because callers (perfbench's split workload) pass it positionally.
@@ -215,14 +220,18 @@ def compound_poisson(sm: SplitMeasure, t: float, grid: GridSpec,
         spec -= mu
         np.exp(spec, out=spec)
         spec -= atom
-    padded = sfft.irfft(spec, 2 * grid.N)
+    n2 = grid.N // 2
+    padded = sfft.irfft(spec, 3 * n2)
     ac = _window(padded)
-    cropped = float(padded.sum()) - float(ac.sum())
-    # E S^2 of the lattice law: variance plus the squared mean (the mean
-    # is the unpaired edge cell's alone)
-    ax = grid.x_axis()
-    moment2 = t * float(ax ** 2 @ masses) + (t * float(ax @ masses)) ** 2
-    fold = moment2 / (3.0 * grid.L - grid.h) ** 2
+    cropped = float(padded[n2:-n2].sum())
+    # E S^2 of the lattice law: variance plus the squared mean.  The cells
+    # at +-jh hold equal masses, so the mean is the unpaired edge cell's
+    # alone and the second moment sums j^2 over one side.
+    j2 = np.square(np.arange(n2, dtype=float))
+    edge = grid.L * float(masses[0])
+    moment2 = (t * (2.0 * grid.h ** 2 * float(j2 @ masses[n2:])
+                    + grid.L * edge) + (t * edge) ** 2)
+    fold = moment2 / (2.0 * grid.L - grid.h) ** 2
     tail = max(cropped, 0.0) + fold + t * max(overflow, 0.0)
     ac /= grid.h
     return CompoundPoissonField(grid=grid, t=t, lam=lam, atom_weight=atom,
@@ -237,8 +246,9 @@ def recompose(local: DensityField, cp: CompoundPoissonField) -> DensityField:
     if local.t != cp.t:
         raise DomainError("mismatched times")
     g = local.grid
-    spec = _padded_rfft(local.values) * _padded_rfft(cp.ac)
-    conv = _window(sfft.irfft(spec, 2 * g.N)) * g.h
+    spec = _padded_rfft(local.values)
+    spec *= _padded_rfft(cp.ac)
+    conv = _window(sfft.irfft(spec, 3 * g.N // 2)) * g.h
     vals = np.clip(cp.atom_weight * local.values + conv, 0.0, None)
     mass = float(vals.sum()) * g.h
     return DensityField(grid=g, t=local.t, values=vals, mass=mass,
@@ -261,12 +271,19 @@ def frequency_identity_defect(sm: SplitMeasure, t: float,
     step = max(1, grid.N // 2048)
     xi = grid.xi_axis()[::step]
     phit = phi_on_points(sm.small, xi)
-    # frequency m pi / L is bin 2|m| of the padded transform
-    m = np.arange(-(grid.N // 2), grid.N // 2, step)
-    coshat = _padded_rfft(bounded_cell_masses(sm, grid)).real[2 * np.abs(m)]
-    fbar = np.exp(t * (coshat - sm.lam))
+    k = np.arange(-(grid.N // 2), grid.N // 2, step)
+    fbar = np.exp(t * (_nubar_hat(bounded_cell_masses(sm, grid), k) - sm.lam))
     direct = np.exp(-t * phi_on_points(sm.model, xi))
     return float(np.max(np.abs(np.exp(-t * phit) * fbar - direct)))
+
+
+def _nubar_hat(masses: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sum_x m(x) cos(k pi x / L) over a field's cells, for integers k.
+
+    At these frequencies x k pi / L = 2 pi j k / N for the cell x = jh, so
+    the sums are bins |k| of the real part of the N-point rfft of the field
+    with x = 0 at index 0: the same sums, with no wrap."""
+    return sfft.rfft(sfft.ifftshift(masses)).real[np.abs(k)]
 
 
 def convolution_ball_check(sm: SplitMeasure, n_max: int, x_set,
@@ -276,7 +293,9 @@ def convolution_ball_check(sm: SplitMeasure, n_max: int, x_set,
 
     Reference: r^gamma (eps^-alpha q(eps))^(n-1) |x|^(-alpha-gamma) q(|x|),
     evaluated at both admissible radii r = eps/3 and r = |x| / 5^n.
-    Rows outside the admissible range are flagged and skipped.
+    Rows outside the admissible range are flagged and skipped.  The powers
+    are taken on the grid padded to 3N/2 (_padded_rfft): nubar^(2*) is exact
+    on the window, and a higher power folds back its mass at |S| >= 2L.
     """
     if n_max > 5:
         raise DomainError("n_max at most 5")
@@ -290,7 +309,7 @@ def convolution_ball_check(sm: SplitMeasure, n_max: int, x_set,
     qeps = float(q(sm.eps))
     rows = []
     for n in range(1, n_max + 1):
-        conv = _window(sfft.irfft(nuhat ** n, 2 * grid.N))
+        conv = _window(sfft.irfft(nuhat ** n, 3 * grid.N // 2))
         for x in x_set:
             for r, which in ((sm.eps / 3.0, "eps/3"),
                              (abs(x) / 5.0 ** n, "x/5^n")):

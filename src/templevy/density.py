@@ -341,7 +341,9 @@ def _line_sums(phi: np.ndarray, t: np.ndarray, live: np.ndarray,
     e^(i j theta) sums each block, and the phase e^(i b BLOCK theta)
     puts it in place."""
     theta, back = np.unique(np.abs(theta), return_inverse=True)
-    tail_min = np.minimum.accumulate(phi[::-1])[::-1]
+    # no node beyond the last with phi <= max(live) ends a prefix
+    top = phi.size - int(np.argmax(phi[::-1] <= live.max()))
+    tail_min = np.minimum.accumulate(phi[top - 1::-1])[::-1]
     ends = np.searchsorted(tail_min, live, side="right")  # >= 1: phi_0 = 0
     blocks = -(-ends // BLOCK)
     terms = np.zeros(int(blocks.sum()) * BLOCK)

@@ -1,12 +1,16 @@
 """Truncated-measure decomposition: split, local part, compound Poisson."""
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
+from templevy import decomp
 from templevy.decomp import (
+    _nubar_hat,
     bounded_cell_masses,
     compound_poisson,
     convolution_ball_check,
@@ -137,8 +141,9 @@ def test_recompose_matches_direct():
 @pytest.mark.parametrize("m", [cauchy_model(), poly_model(3.0, 1.0),
                                exp_model(1.0)], ids=["cauchy", "poly3", "exp1"])
 def test_recompose_is_the_linear_convolution(m, n):
-    # the padded transform has period 2N > 2N - 1, the span of the linear
-    # convolution, so nothing wraps
+    # the padded transform has period 3N/2: the window's indices alias
+    # k +- 3N/2, outside [-N, N - 2], the support of the linear
+    # convolution, so nothing wraps onto the window
     t = 0.5
     g = GridSpec(1, 2048.0, n)
     sm = split(m, default_eps(m, t))
@@ -179,7 +184,8 @@ def _exact_lattice_ac(masses, t, lam):
             return law
 
 
-@pytest.mark.parametrize("case", ["poly3", "cauchy", "cauchy-truncated"])
+@pytest.mark.parametrize("case", ["poly3", "cauchy", "cauchy-truncated",
+                                  "cauchy-wrapped"])
 def test_tail_bound_is_proven(case):
     # deficit + L1 window error against the exact lattice law <= tail_bound
     if case == "poly3":
@@ -188,21 +194,65 @@ def test_tail_bound_is_proven(case):
         g, t, m = GridSpec(1, 2048.0, 1024), 2.0, cauchy_model()
     else:
         # Cauchy jumps cut at the box edge: nothing falls outside the grid,
-        # so only the fold-back term covers the wrapped-around mass
-        g, t = GridSpec(1, 8.0, 256), 2.0
+        # so only the fold-back term covers the wrapped-around mass.  On
+        # the short box at t = 4 sums of two or three jumps reach |S| >= 2L,
+        # which the period 3L folds onto the window.
+        g, t = ((GridSpec(1, 8.0, 256), 2.0) if case == "cauchy-truncated"
+                else (GridSpec(1, 4.0, 128), 4.0))
         m = LevyModel(d=1, alpha=1.0, spectral=cauchy_model().spectral,
-                      profile=Truncated(8.0 - g.h / 2.0))
+                      profile=Truncated(g.L - g.h / 2.0))
     sm = split(m, 1.0)
     cp = compound_poisson(sm, t, g)
     exact = _exact_lattice_ac(bounded_cell_masses(sm, g), t, sm.lam)
     deficit = 1.0 - cp.atom_weight - cp.ac_mass()
     l1 = float(np.abs(cp.ac * g.h - exact).sum())
     assert deficit + l1 <= cp.tail_bound
-    if case == "cauchy-truncated":
+    if case.startswith("cauchy-"):
         # without the fold-back term the bound would be the deficit plus
         # t * overflow - (1 - e^(-t overflow)): the window error exceeds that
         ov = max(cp.overflow, 0.0)
         assert l1 > 1e-5 > t * ov + math.expm1(-t * ov)
+
+
+@pytest.mark.parametrize("n", [256, 2 ** 12])
+def test_convolutions_run_on_the_three_halves_circle(monkeypatch, n):
+    # compound_poisson: one forward and one inverse transform; recompose:
+    # two forward and one inverse; every one on 3N/2 points.  decomp's
+    # scipy.fft is replaced by one that records each transform's length
+    # (the input's for a forward transform, n for an inverse) and has no
+    # other transform.
+    sizes = []
+
+    def rfft(x):
+        sizes.append(len(x))
+        return scipy.fft.rfft(x)
+
+    def irfft(x, size):
+        sizes.append(size)
+        return scipy.fft.irfft(x, size)
+
+    m, t = poly_model(3.0, 1.0), 0.5
+    g = GridSpec(1, 16.0, n)
+    sm = split(m, default_eps(m, t))
+    local = local_density(sm, t, g)
+    monkeypatch.setattr(decomp, "sfft",
+                        types.SimpleNamespace(rfft=rfft, irfft=irfft))
+    cp = compound_poisson(sm, t, g)
+    assert sizes == [3 * n // 2] * 2
+    sizes.clear()
+    recompose(local, cp)
+    assert sizes == [3 * n // 2] * 3
+
+
+def test_frequency_identity_reads_the_cosine_sums_of_the_cell_masses():
+    # nuhat(k pi / L) against sum_x m(x) cos(k pi x / L), no FFT involved
+    g = GridSpec(1, 32.0, 2 ** 12)
+    masses = bounded_cell_masses(split(cauchy_model(), 0.5), g)
+    k = np.unique(np.geomspace(1, g.N // 2, 25).astype(int))
+    k = np.concatenate((-k, [0], k))
+    direct = np.cos(np.multiply.outer(k * math.pi / g.L, g.x_axis())) @ masses
+    got = _nubar_hat(masses, k)
+    assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.002])
