@@ -25,6 +25,6 @@ from .decomp import (CompoundPoissonField, SplitMeasure, compound_poisson,
                      default_eps, local_density, local_moment, recompose,
                      split)
 from .envelope import EnvelopeSpec, hypothesis_check
-from .montecarlo import SamplerConfig, sample_increment, sample_many
+from .montecarlo import SamplerConfig, sample_many
 from .harness import (VerificationReport, run_suite, verify_decomposition,
                       verify_lower, verify_upper)

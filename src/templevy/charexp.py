@@ -510,16 +510,16 @@ def second_moment(model: LevyModel) -> float:
     return check
 
 
-def check_two_sided(model: LevyModel, radii=None, s0: float = 0.5) -> tuple:
+def check_two_sided(model: LevyModel, radii=None) -> tuple:
     """Ratio scan of Phi(xi) against min(|xi|^2, |xi|^alpha).
 
     Returns (inf_ratio, sup_ratio).  Preconditions: nondegenerate angular
-    second moment uniformly over small s, and finite second moment of nu.
+    second moment uniformly over s in (0, 0.5), and finite second moment.
     """
     if model.degenerate:
         raise DegeneracyError("degenerate spectral measure")
-    # uniform angular nondegeneracy over s in (0, s0)
-    s_grid = np.exp(np.linspace(math.log(1e-3 * s0), math.log(s0), 12))
+    # on 12 log-spaced s in [5e-4, 0.5]
+    s_grid = np.exp(np.linspace(math.log(1e-3 * 0.5), math.log(0.5), 12))
     pairs, dirs = model.pairs, _direction_set(model)
     # (eta . theta)^2 for every probe direction eta and pair theta
     cos2 = (dirs @ np.array([th for *_, th in pairs]).T) ** 2

@@ -200,10 +200,6 @@ def compound_poisson(sm: SplitMeasure, t: float, grid: GridSpec,
     lam = sm.lam
     mu = t * lam
     atom = math.exp(-mu)
-    if mu == 0.0:
-        return CompoundPoissonField(grid=grid, t=t, lam=lam, atom_weight=1.0,
-                                    ac=np.zeros(grid.N), tail_bound=0.0,
-                                    overflow=0.0)
     masses = bounded_cell_masses(sm, grid)
     overflow = lam - float(masses.sum())
     if overflow > max(tol, 1e-6 * lam) and overflow > 1e-3:
@@ -287,12 +283,12 @@ def _nubar_hat(masses: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def convolution_ball_check(sm: SplitMeasure, n_max: int, x_set,
-                           grid: GridSpec = None,
-                           gamma: float = 1.0) -> list:
+                           grid: GridSpec = None) -> list:
     """Ratios of gridded nubar^(n*) ball masses to the power-law reference.
 
-    Reference: r^gamma (eps^-alpha q(eps))^(n-1) |x|^(-alpha-gamma) q(|x|),
-    evaluated at both admissible radii r = eps/3 and r = |x| / 5^n.
+    Reference: r (eps^-alpha q(eps))^(n-1) |x|^(-alpha-1) q(|x|), the
+    gamma = 1 form of atoms in d = 1, evaluated at both admissible radii
+    r = eps/3 and r = |x| / 5^n.
     Rows outside the admissible range are flagged and skipped.  The powers
     are taken on the grid padded to 3N/2 (_padded_rfft): nubar^(2*) is exact
     on the window, and a higher power folds back its mass at |S| >= 2L.
@@ -318,9 +314,8 @@ def convolution_ball_check(sm: SplitMeasure, n_max: int, x_set,
                        "admissible": bool(admissible)}
                 if admissible and r > 0:
                     ball = _ball_mass(conv, ax, grid.h, x, r)
-                    ref = (r ** gamma * (sm.eps ** (-a) * qeps) ** (n - 1)
-                           * abs(x) ** (-a - gamma)
-                           * float(q(abs(x))))
+                    ref = (r * (sm.eps ** (-a) * qeps) ** (n - 1)
+                           * abs(x) ** (-a - 1.0) * float(q(abs(x))))
                     row["ball"] = ball
                     row["ref"] = ref
                     row["ratio"] = ball / ref if ref > 0 else math.inf
@@ -337,13 +332,11 @@ def _ball_mass(masses: np.ndarray, ax: np.ndarray, h: float,
     return float(np.dot(left, masses))
 
 
-def local_lower_check(model: LevyModel, t_set, a: float = 1.0) -> list:
-    """Rows (t, t^(d/alpha) p~_t(0)) with cut radius a t^(1/alpha)."""
-    if not 0.0 < a <= 1.0:
-        raise DomainError("a must lie in (0, 1]")
+def local_lower_check(model: LevyModel, t_set) -> list:
+    """Rows (t, t^(d/alpha) p~_t(0)) with cut radius t^(1/alpha)."""
     rows = []
     for t in sorted(t_set):
-        sm = split(model, a * t ** (1.0 / model.alpha))
+        sm = split(model, t ** (1.0 / model.alpha))
         fld = local_density(sm, t)
         p0 = float(fld.values[(fld.grid.N // 2,) * model.d])
         rows.append((float(t), t ** (model.d / model.alpha) * p0))

@@ -216,8 +216,8 @@ def _half_phi(model: LevyModel, grid: GridSpec) -> tuple:
 
 
 def _sub_half(half: tuple, n: int) -> tuple:
-    """The half spectrum of n points per axis, taken from `half`, one of
-    _half_phi read on a grid of the same L and a multiple of n points: its
+    """The half spectrum of n points per axis, taken from `half`, _half_phi
+    read on the refined scan grid (the same L, twice the n points): its
     nodes include these, m on the last axis and, in FFT order, on the
     other, so this is a slice, bitwise the same Phi."""
     product, phi = half

@@ -289,10 +289,16 @@ def _check_beta_integrability(model: LevyModel, spec: EnvelopeSpec) -> dict:
 
 
 def _check_phi_growth(model: LevyModel, beta: float) -> dict:
-    """Phi(xi) >= c |xi|^beta on |xi| <= 1 (low-frequency growth)."""
-    radii = np.exp(np.linspace(math.log(1e-2), math.log(1.0), 24))
-    inf_ratio = check_lower_growth(model, beta, radii=radii)
-    return {"pass": bool(inf_ratio > 0), "inf_ratio": inf_ratio}
+    """Phi(xi) >= c |xi|^beta on |xi| <= 1 (low-frequency growth).  The
+    inf of Phi / |xi|^beta on 24 radii from 1 to 1e-2 must not fall, by
+    more than 1e-12 of itself, on the _outward_grid extension below 1e-2:
+    a positive inf on a fixed range says nothing, since Phi ~ |xi|^2 under
+    beta < 2 leaves |xi|^(2 - beta), positive on every range."""
+    radii = _outward_grid(1.0, 1e-2, 24)
+    inf_ratio = check_lower_growth(model, beta, radii=radii[:24])
+    inner = check_lower_growth(model, beta, radii=radii[24:])
+    ok = inf_ratio > 0 and inner >= inf_ratio * (1.0 - 1e-12)
+    return {"pass": bool(ok), "inf_ratio": inf_ratio}
 
 
 def _check_phi_two_sided(model: LevyModel, spec: EnvelopeSpec) -> dict:

@@ -9,16 +9,16 @@ scan range doubles.  Every verdict therefore carries a refinement delta.
 A scan reads p_t at its points by density.values_at: the exact trapezoid
 sums of invert's half spectrum at the points, with no interpolation
 between nodes and no inverse FFT per t.  The two resolutions share one
-read of Phi: it is read on the refined grid's half spectrum, and when
-the refined grid keeps the base grid's L (always so on the default scan
-grid) the base grid's N/2 + 1 nodes are a slice of it, bitwise the same
-Phi.  The tail estimate reads Phi at each grid's cutoff once, for every
-t.  A scan raises GridError when the spectral tail past the grid's
-cutoff (the field's trunc_error) exceeds RINGING_TOL of the peak, or a
-value rings below -RINGING_TOL of it.  Once the tail check passes, the
-refined grid adds only nodes past the live prefix, below eps of p_t(0):
-without range extension the delta is 0 up to rounding, and on small-t
-checks it measures the doubled range.
+read of Phi: it is read on the refined grid's half spectrum, and the
+refined grid always keeps the base grid's L (_scan_grid's, which holds
+2.2 times the doubled radii), so the base grid's N/2 + 1 nodes are a
+slice of it, bitwise the same Phi.  The tail estimate reads Phi at each
+grid's cutoff once, for every t.  A scan raises GridError when the
+spectral tail past the grid's cutoff (the field's trunc_error) exceeds
+RINGING_TOL of the peak, or a value rings below -RINGING_TOL of it.
+Once the tail check passes, the refined grid adds only nodes past the
+live prefix, below eps of p_t(0): without range extension the delta is 0
+up to rounding, and on small-t checks it measures the doubled range.
 
 The envelope side is read by one envelope.evaluate call per t on the
 whole (n, d) scan_points array.  A lower check raises DomainError when no
@@ -39,7 +39,7 @@ from .density import (MAX_N, RINGING_TOL, GridSpec, _half_phi, _sub_half,
                       _too_coarse, _trunc_estimate, _values_at, auto_grid,
                       invert)
 from .envelope import EnvelopeSpec, evaluate, hypothesis_check, in_cone
-from .errors import DomainError, GridError, RegimeError
+from .errors import DomainError, GridError
 from .model import LevyModel, model_from_dict
 
 __all__ = [
@@ -135,10 +135,8 @@ def _ratio_scan(model: LevyModel, spec: EnvelopeSpec, t_set, radii,
     return rows, ratios
 
 
-def _verify_envelope(kind: str, model: LevyModel, spec: EnvelopeSpec,
-                     t_set, radii=None, grid: GridSpec = None,
-                     extend_range: bool = True,
-                     model_id: str = "model",
+def _verify_envelope(model: LevyModel, spec: EnvelopeSpec, t_set, radii,
+                     extend_range: bool, model_id: str = "model",
                      spec_id: str = "spec") -> VerificationReport:
     hyp = hypothesis_check(model, spec)
     if not hyp["pass"]:
@@ -152,21 +150,17 @@ def _verify_envelope(kind: str, model: LevyModel, spec: EnvelopeSpec,
         raise DomainError("no scan point but the origin lies in the cone "
                           "over A0: a lower verdict would rest on x = 0 "
                           "alone")
-    if grid is None:
-        grid = _scan_grid(model, min(t_set), 2.0 * float(radii.max()))
-    ext = max if kind == "upper" else min
+    grid = _scan_grid(model, min(t_set), 2.0 * float(radii.max()))
+    ext = max if spec.side == "upper" else min
     # refine: double N, and (by default) double the x-range; range
     # extension is optional because large-t sup ratios are attained at the
     # moving edge of the diffusive bulk and grow with the scan radius
     radii2 = np.concatenate([radii, radii * 2.0]) if extend_range else radii
     grid2 = grid.refine(2)
-    if grid2.L < 2.2 * radii2.max():
-        grid2 = grid2.widen(2.2 * radii2.max() / grid2.L)
     # Phi is read once, on the refined grid: on the same L its nodes hold
     # the base grid's
     half2 = _half_phi(model, grid2)
-    half = (_sub_half(half2, grid.N) if grid2.L == grid.L
-            else _half_phi(model, grid))
+    half = _sub_half(half2, grid.N)
     rows, ratios = _ratio_scan(model, spec, t_set, radii, grid, half)
     stat = ext(ratios)
     _, ratios2 = _ratio_scan(model, spec, t_set, radii2, grid2, half2)
@@ -175,28 +169,24 @@ def _verify_envelope(kind: str, model: LevyModel, spec: EnvelopeSpec,
     excluded = sum(1 for r in rows if r[-1] is None)
     ok = (math.isfinite(stat) and stat > 0.0 and delta < STABILITY_TOL)
     return VerificationReport(
-        kind=kind, model_id=model_id, spec_id=spec_id,
+        kind=spec.side, model_id=model_id, spec_id=spec_id,
         t_values=[float(t) for t in sorted(t_set)], statistic=float(stat2),
         refinement_delta=float(delta), excluded=excluded, hypotheses=hyp,
         rows=rows, verdict="PASS" if ok else "FAIL")
 
 
 def verify_upper(model: LevyModel, spec: EnvelopeSpec, t_set, radii=None,
-                 grid: GridSpec = None, extend_range: bool = True,
-                 **ids) -> VerificationReport:
+                 extend_range: bool = True, **ids) -> VerificationReport:
     if spec.side != "upper":
         raise DomainError("spec is not an upper envelope")
-    return _verify_envelope("upper", model, spec, t_set, radii, grid,
-                            extend_range, **ids)
+    return _verify_envelope(model, spec, t_set, radii, extend_range, **ids)
 
 
 def verify_lower(model: LevyModel, spec: EnvelopeSpec, t_set, radii=None,
-                 grid: GridSpec = None, extend_range: bool = True,
-                 **ids) -> VerificationReport:
+                 extend_range: bool = True, **ids) -> VerificationReport:
     if spec.side != "lower":
         raise DomainError("spec is not a lower envelope")
-    return _verify_envelope("lower", model, spec, t_set, radii, grid,
-                            extend_range, **ids)
+    return _verify_envelope(model, spec, t_set, radii, extend_range, **ids)
 
 
 def verify_decomposition(model: LevyModel, t_set, tol: float = 1e-4,
@@ -275,7 +265,7 @@ def run_suite(config, out_dir=None) -> tuple:
                          radii=chk.get("radii"),
                          extend_range=spec.regime == "small_t", model_id=mid,
                          spec_id=chk.get("spec_id", f"spec{i}"))
-        except (DomainError, RegimeError) as e:
+        except DomainError as e:  # RegimeError among them
             rep = VerificationReport(kind=kind, model_id=mid,
                                      spec_id=chk.get("spec_id", f"spec{i}"),
                                      t_values=list(chk.get("t_set", [])),

@@ -613,13 +613,11 @@ def relativistic_weight(d: int, alpha: float) -> float:
     return alpha / (2.0 ** (d + 1) * math.pi ** (d / 2.0) * _g(1.0 - alpha / 2.0))
 
 
-def relativistic_model(alpha: float, d: int = 1) -> LevyModel:
-    """Relativistic alpha-stable process (mass parameter 1), d = 1."""
-    if d != 1:
-        raise DomainError("relativistic factory provided for d=1 only")
-    return LevyModel(d=d, alpha=alpha,
-                     spectral=_pm_axes(d, relativistic_weight(d, alpha)),
-                     profile=Relativistic(d, alpha))
+def relativistic_model(alpha: float) -> LevyModel:
+    """Relativistic alpha-stable process (mass parameter 1), d = 1 only."""
+    return LevyModel(d=1, alpha=alpha,
+                     spectral=_pm_axes(1, relativistic_weight(1, alpha)),
+                     profile=Relativistic(1, alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ its pair i with probability w_i / sum_i w_i (Walker's alias table, when
 there are several), its sign, and its radius R = W^-1(U W(eps)) > eps
 exactly, so P(R > s) = W(s)/W(eps).  Each jump R theta is added to its
 draw along its own direction.  Jumps are summed JUMP_CHUNK at a time,
-so memory stays bounded however many a batch holds.  Meant for
-statistical cross-validation of the computed densities.
+so memory stays bounded however many a batch holds.  sample_many and
+jump_counts read a SamplerConfig alone, its count and seed included.
+Meant for statistical cross-validation of the computed densities.
 """
 from __future__ import annotations
 
@@ -27,8 +28,6 @@ from .model import LevyModel, _tail_table, radial_second_moment
 
 __all__ = [
     "SamplerConfig",
-    "sample_big_jump_sum",
-    "sample_increment",
     "sample_many",
     "small_jump_covariance",
     "jump_counts",
@@ -92,12 +91,6 @@ def _alias(w: np.ndarray) -> tuple:
     return keep, alias
 
 
-def sample_big_jump_sum(config: SamplerConfig, rng=None) -> np.ndarray:
-    """One draw of the summed big jumps (vector in R^d)."""
-    rng = np.random.default_rng(config.seed) if rng is None else rng
-    return _big_jump_sums(config, rng, 1)[0]
-
-
 def _jumps(rng, n: int, table, tail: float, keep, alias) -> tuple:
     """n jumps of one tail table: each one's signed radius and pair."""
     k = len(keep)
@@ -119,14 +112,14 @@ def _jumps(rng, n: int, table, tail: float, keep, alias) -> tuple:
     return np.copysign(table.inverse(np.abs(v) * tail), v), pair
 
 
-def _big_jump_sums(config: SamplerConfig, rng, count: int) -> np.ndarray:
-    m = config.model
+def _big_jump_sums(config: SamplerConfig, rng) -> np.ndarray:
+    m, count = config.model, config.count
     sums = np.zeros((count, m.d))
     for _, table, tail, w, theta in _profile_pairs(m, config.eps):
         # one Poisson process of jumps per table: its jumps
         # ends[j-1] .. ends[j] - 1 belong to draw j
         ends = np.cumsum(rng.poisson(config.t * tail * w.sum(), size=count))
-        total = int(ends[-1]) if count else 0
+        total = int(ends[-1])
         keep, alias = _alias(w)
         for start in range(0, total, JUMP_CHUNK):
             stop = min(start + JUMP_CHUNK, total)
@@ -152,32 +145,25 @@ def small_jump_covariance(model: LevyModel, eps: float) -> np.ndarray:
     return cov
 
 
-def sample_increment(config: SamplerConfig, rng=None) -> np.ndarray:
-    rng = np.random.default_rng(config.seed) if rng is None else rng
-    return sample_many(config, rng=rng, count=1)[0]
-
-
-def sample_many(config: SamplerConfig, rng=None,
-                count: int = None) -> np.ndarray:
+def sample_many(config: SamplerConfig) -> np.ndarray:
     """(count, d) array of independent increments; seeded and repeatable."""
-    rng = np.random.default_rng(config.seed) if rng is None else rng
-    count = config.count if count is None else count
-    out = _big_jump_sums(config, rng, count)
+    rng = np.random.default_rng(config.seed)
+    out = _big_jump_sums(config, rng)
     if config.mode == "gaussian":
+        d = config.model.d
         cov = config.t * small_jump_covariance(config.model, config.eps)
-        root = np.linalg.cholesky(cov + 1e-300 * np.eye(config.model.d))
-        out = out + rng.standard_normal((count, config.model.d)) @ root.T
+        root = np.linalg.cholesky(cov + 1e-300 * np.eye(d))
+        out = out + rng.standard_normal((config.count, d)) @ root.T
     return out
 
 
-def jump_counts(config: SamplerConfig, rng=None,
-                count: int = None) -> np.ndarray:
-    """Big-jump counts per increment: Poisson with mean t * lambda(eps)."""
-    rng = np.random.default_rng(config.seed) if rng is None else rng
-    count = config.count if count is None else count
+def jump_counts(config: SamplerConfig) -> np.ndarray:
+    """config.count big-jump counts, drawn from config.seed: Poisson with
+    mean t * lambda(eps)."""
     lam = sum(tail * w.sum() for _, _, tail, w, _ in
               _profile_pairs(config.model, config.eps))
-    return rng.poisson(config.t * lam, size=count)
+    return np.random.default_rng(config.seed).poisson(config.t * lam,
+                                                      size=config.count)
 
 
 def jump_radius_cdf(model: LevyModel, eps: float, s: np.ndarray) -> np.ndarray:

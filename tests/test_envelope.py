@@ -185,6 +185,26 @@ def test_hypothesis_check_poly15_large_t_upper_passes():
     assert rep["pass"]
 
 
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("model", [exp_model(1.0), poly_model(3.0, 1.0)],
+                         ids=["exp1", "poly3"])
+def test_phi_growth_fails_where_the_ratio_falls_to_zero(model, beta):
+    # a finite second moment gives Phi ~ |xi|^2 near 0, so Phi / |xi|^beta
+    # ~ |xi|^(2 - beta): positive on every scan, 0 in the limit for beta < 2
+    check = envelope._check_phi_growth(model, beta)
+    assert check["inf_ratio"] > 0.0
+    assert check["pass"] == (beta == 2.0)
+
+
+def test_hypothesis_check_rejects_phi_growth_below_beta():
+    spec = EnvelopeSpec(side="upper", regime="large_t", d=1, alpha=1.0,
+                        gamma=1.0, profile=PolyTempered(3.0), beta=1.5)
+    rep = hypothesis_check(exp_model(1.0), spec)
+    assert rep["checks"]["beta_integrability"]["pass"]
+    assert not rep["checks"]["phi_beta_growth"]["pass"]
+    assert not rep["pass"]
+
+
 def test_hypothesis_check_rejects_undominated_profile():
     # Cauchy's q = 1 over (1+s)^-3 is (1+s)^3: finite on every finite scan
     # range, but it keeps growing when the range is doubled

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from templevy import density, harness
 from templevy.density import MAX_N, GridSpec
@@ -129,29 +130,56 @@ def test_scan_grid_names_its_cap():
         _scan_grid(poly_model(3.0, 1.0), 0.01, 1e5)
 
 
+SCAN_MODELS = {
+    "stable": lambda a, d: stable_model(a, d=d),
+    "exp": lambda a, d: exp_model(a, d=d),
+    "poly3": lambda a, d: poly_model(3.0, a, d=d),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(kind=st.sampled_from(sorted(SCAN_MODELS)), d=st.sampled_from([1, 2]),
+       alpha=st.floats(0.3, 1.9), log2_t=st.floats(-6.0, 2.0),
+       k=st.floats(-1.5, 1.5))
+def test_scan_grid_holds_the_doubled_radii(kind, d, alpha, log2_t, k):
+    """A scan's base grid holds 2.2 times the doubled radii in its L, up to
+    rounding, and its refinement keeps that L; or _scan_grid raises
+    GridError.  The scan reads the base grid's Phi off the refined grid's
+    on this alone."""
+    x_max = 2.0 * float((np.asarray(DEFAULT_RADII) * 10.0 ** k).max())
+    try:
+        grid = _scan_grid(SCAN_MODELS[kind](alpha, d), 2.0 ** log2_t, x_max)
+    except GridError:
+        return
+    assert 2.2 * x_max <= grid.L * (1.0 + 1e-12)
+    assert grid.refine(2).L == grid.L
+
+
 def _upper_small(profile):
     return EnvelopeSpec(side="upper", regime="small_t", d=1, alpha=1.0,
                         gamma=1.0, profile=profile)
 
 
-def test_scan_raises_on_a_grid_that_rings():
+def test_scan_raises_on_a_grid_that_rings(monkeypatch):
     # invert's field on this grid rings below -1e-9 of its peak at t = 0.25
+    monkeypatch.setattr(harness, "_scan_grid",
+                        lambda *args: GridSpec(1, 44.0, 512))
     with pytest.raises(GridError, match="grid too coarse"):
         verify_upper(poly_model(3.0, 1.0), _upper_small(PolyTempered(3.0)),
-                     [0.25, 1.0], radii=np.logspace(-1, 1, 8),
-                     grid=GridSpec(1, 44.0, 512))
+                     [0.25, 1.0], radii=np.logspace(-1, 1, 8))
 
 
-def test_scan_raises_on_a_spectral_tail_the_grid_cuts():
+def test_scan_raises_on_a_spectral_tail_the_grid_cuts(monkeypatch):
     # the Cauchy field at t = 0.01 on this grid peaks at 4.74, not at
     # 1 / (pi t) = 31.8, with no negative node: invert passes it, but 0.72
     # of the peak lies in the spectral tail past xi_cut
     model, grid = stable_model(1.0), GridSpec(1, 20.0, 256)
     fld = density.invert(model, 0.01, grid)
     assert fld.min_raw > 0.0 and fld.trunc_error > 0.5 * fld.values.max()
+    monkeypatch.setattr(harness, "_scan_grid", lambda *args: grid)
     with pytest.raises(GridError, match="spectral tail .* at t = 0.01"):
         verify_upper(model, _upper_small(Constant(1.0)), [0.01],
-                     radii=np.logspace(-1, 0.6, 8), grid=grid)
+                     radii=np.logspace(-1, 0.6, 8))
 
 
 def test_scans_make_no_inverse_fft(monkeypatch):
@@ -209,8 +237,8 @@ def test_scans_evaluate_once_per_t_and_resolution(monkeypatch):
 @pytest.mark.parametrize("model", [
     poly_model(3.0, 1.0), poly_model(3.0, 1.5, d=2)], ids=["d1", "d2"])
 def test_scans_read_each_spectrum_once(model, monkeypatch):
-    # on the default scan grid the refined grid keeps L: Phi is read once,
-    # on its half spectrum, and Phi at the cutoff once per grid for all t
+    # the refined scan grid keeps L: Phi is read once, on its half
+    # spectrum, and Phi at the cutoff once per grid for all t
     log, half_phi, axis_phi = [], harness._half_phi, density._axis_phi
 
     def half(m, g):

@@ -4,11 +4,13 @@ Also: no function takes an `upper` cut radius; a cut is a profile.  The
 model classes take no option beyond the measure itself.  No warning
 filter drops every category, and no handler catches every exception.
 The psi and tail tables are values: only `__init__` writes to them.
+The benchmark's calls to the package still bind to its signatures.
 
 Checked with the stdlib ast module, no linter.
 """
 import ast
 import dataclasses
+import inspect
 import os
 import pathlib
 import subprocess
@@ -20,6 +22,7 @@ import templevy
 from templevy.model import LevyModel, SpectralMeasure
 
 SOURCES = sorted(pathlib.Path(templevy.__file__).parent.glob("*.py"))
+WORKLOADS = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -295,3 +298,43 @@ def test_detector_flags_a_table_written_after_init():
     assert _writes_after_init(tree) == ["TailTable.grow (line 11)",
                                         "TailTable.grow (line 12)",
                                         "TailTable.grow (line 13)"]
+
+
+def _unbound_calls(tree: ast.Module) -> tuple:
+    """(number of calls tl.<name>(...) in tree, those whose positional
+    count and keyword names do not bind to templevy.<name>'s signature)."""
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Attribute)
+             and isinstance(n.func.value, ast.Name) and n.func.value.id == "tl"]
+    unbound = []
+    for call in calls:
+        name = call.func.attr
+        try:
+            inspect.signature(getattr(templevy, name)).bind(
+                *call.args, **{k.arg: k.value for k in call.keywords})
+        except (AttributeError, TypeError) as e:
+            unbound.append(f"{name} (line {call.lineno}): {e}")
+    return len(calls), unbound
+
+
+def test_benchmark_calls_bind():
+    """perfbench/workloads.py, parsed and not imported, calls the package
+    as tl.<name>(...): each call binds to that name's signature, so an
+    option or entry point the benchmark uses cannot go unnoticed.  Method
+    calls on returned objects, such as grid.refine(2), are not covered."""
+    count, unbound = _unbound_calls(ast.parse(WORKLOADS.read_text()))
+    assert count > 0
+    assert unbound == []
+
+
+def test_detector_flags_a_call_that_does_not_bind():
+    tree = ast.parse("tl.split(m, 0.1)\n"
+                     "tl.compound_poisson(sm, t, g, 1e-10, 0)\n"
+                     "tl.sample_many(cfg, seed=1)\n"
+                     "tl.no_such_name()\n"
+                     "grid.refine(2, 3)\n")
+    count, unbound = _unbound_calls(tree)
+    assert count == 4
+    assert [u.split(":")[0] for u in unbound] == [
+        "compound_poisson (line 2)", "sample_many (line 3)",
+        "no_such_name (line 4)"]

@@ -1,5 +1,6 @@
 """Increment sampler: seeding, jump law, covariance, distribution."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,6 @@ from templevy.montecarlo import (
     SamplerConfig,
     jump_counts,
     jump_radius_cdf,
-    sample_big_jump_sum,
-    sample_increment,
     sample_many,
     small_jump_covariance,
 )
@@ -55,15 +54,15 @@ def test_chunking_leaves_draws_unchanged(monkeypatch):
 
 def test_single_draw_shapes():
     cfg = SamplerConfig(cauchy_model(), t=0.5, eps=0.2, seed=3)
-    assert sample_increment(cfg).shape == (1,)
-    assert sample_big_jump_sum(cfg).shape == (1,)
+    assert sample_many(cfg)[0].shape == (1,)
+    assert sample_many(replace(cfg, mode="drop"))[0].shape == (1,)
 
 
 def test_jump_counts_mean():
     m = cauchy_model()
     eps, t, n = 0.5, 0.7, 40000
     lam = nu_tail(m, eps)
-    counts = jump_counts(SamplerConfig(m, t=t, eps=eps, seed=11), count=n)
+    counts = jump_counts(SamplerConfig(m, t=t, eps=eps, count=n, seed=11))
     se = math.sqrt(t * lam / n)
     assert abs(counts.mean() - t * lam) <= 3.0 * se
 
@@ -147,7 +146,7 @@ def test_density_measure_jump_counts_mean():
     m = _density_model(PolyTempered(3.0))
     eps, t, n = 0.05, 0.5, 20000
     lam = nu_tail(m, eps)
-    counts = jump_counts(SamplerConfig(m, t=t, eps=eps, seed=11), count=n)
+    counts = jump_counts(SamplerConfig(m, t=t, eps=eps, count=n, seed=11))
     assert abs(counts.mean() - t * lam) <= 3.0 * math.sqrt(t * lam / n)
 
 
