@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -323,11 +323,7 @@ class TailTable:
     above it W follows the top slope, and below R_LO the closed leg
     W(R_LO) + q(0+) (r^(-alpha) - R_LO^(-alpha)) / alpha.  Every node is
     filled once, when the table is built, and reading the table changes
-    nothing.  The inverse reads a guide, built on its first call: the
-    exact node coordinate at about four levels per node, evenly spaced in
-    log W over the nodes above the underflow floor.  Linear interpolation
-    between them puts a share in its node interval, all but always at
-    once.
+    nothing.
     """
 
     def __init__(self, q: RadialProfile, alpha: float):
@@ -351,13 +347,6 @@ class TailTable:
             self.logw.setflags(write=False)
             self.slope.setflags(write=False)
 
-    def _cubic(self, i):
-        """log W on node interval i as f0 + t (m0 + t (c2 + t c3))."""
-        # [1:][i] reads node i + 1 with no index array for i + 1
-        f0, m0, m1 = self.logw[i], self.slope[i], self.slope[1:][i]
-        d = self.logw[1:][i] - f0
-        return f0, m0, 3 * d - 2 * m0 - m1, m0 + m1 - 2 * d
-
     def __call__(self, r):
         """W at the radii r > 0."""
         r = np.asarray(r, dtype=float)
@@ -373,7 +362,11 @@ class TailTable:
         i = np.clip(np.floor(x) - _K_LO, 0, len(_Y) - 2).astype(int)
         x -= i + _K_LO  # offset in node interval i
         t = np.minimum(x, 1.0)  # above the top node: the top slope
-        f0, m0, c2, c3 = self._cubic(i)
+        # log W on node interval i is the cubic f0 + t (m0 + t (c2 + t c3));
+        # [1:][i] reads node i + 1 with no index array for i + 1
+        f0, m0, m1 = self.logw[i], self.slope[i], self.slope[1:][i]
+        d = self.logw[1:][i] - f0
+        c2, c3 = 3 * d - 2 * m0 - m1, m0 + m1 - 2 * d
         f = f0 + t * (m0 + t * (c2 + t * c3)) + (x - t) * self.slope[-1]
         w = np.where(f > math.log(_W_FLOOR), np.exp(f), 0.0)
         if leg:
@@ -384,88 +377,6 @@ class TailTable:
                 raise NumericError("radial tail mass is not finite",
                                    estimate=float(w.max()))
         return w
-
-    def _newton(self, lw, i):
-        """t in node interval i where its cubic meets log W = lw.
-
-        Two Newton steps from the chord; past the top node, the top slope.
-        """
-        f0, m0, c2, c3 = self._cubic(i)
-        t = (lw - f0) / (m0 + c2 + c3)
-        for _ in range(2):
-            t -= (f0 - lw + t * (m0 + t * (c2 + t * c3))) / (
-                m0 + t * (2 * c2 + 3 * t * c3))
-        top = lw < self.logw[-1]
-        if np.any(top):
-            t = np.where(top, 1.0 + (lw - self.logw[-1]) / self.slope[-1], t)
-        return t
-
-    @cached_property
-    def guide(self) -> tuple:
-        """Node coordinates at even steps of log W, ~4 per node."""
-        n = max(int(np.count_nonzero(self.logw > math.log(_W_FLOOR))), 2) - 1
-        levels = np.linspace(self.logw[0], self.logw[n], 4 * n + 1)
-        i = np.clip(np.searchsorted(-self.logw, -levels) - 1, 0, n - 1)
-        x = i + self._newton(levels, i)
-        # node interval i spans logw[i] >= log W >= logw[i + 1], open
-        # at both ends of the table
-        hi, lo = self.logw[:-1].copy(), self.logw[1:].copy()
-        hi[0], lo[-1] = np.inf, -np.inf
-        return (levels[0], 4 * n / (levels[0] - levels[-1]),
-                x, np.append(np.diff(x), 0.0), hi, lo)
-
-    def _interval(self, lw):
-        """The node interval i holding each log W = lw.
-
-        The guide's linear interpolant finds it all but always at once; a
-        share it misses steps one node at a time.
-        """
-        g0, per_level, x, dx, hi, lo = self.guide
-        p = np.minimum((g0 - lw) * per_level, len(x) - 1)
-        j = p.astype(int)
-        i = np.minimum((x[j] + (p - j) * dx[j]).astype(int), len(hi) - 1)
-        while True:
-            up, down = lw < lo[i], lw > hi[i]
-            if not (up.any() or down.any()):
-                return i
-            i += up
-            i -= down
-
-    def inverse(self, w):
-        """The radius r with W(r) = w, for shares 0 < w < inf.
-
-        The guide gives each log w its node interval with no search, and
-        two Newton steps on that interval's cubic, from its chord, give r;
-        a share above W(R_LO) solves the closed leg.  A share that is not
-        positive and finite raises DomainError, and one whose radius
-        underflows to 0 NumericError.
-        """
-        w = np.asarray(w, dtype=float)
-        if w.size and not (w.min() > 0 and w.max() < math.inf):  # also nan
-            bad = w[~((w > 0) & (w < math.inf))].flat[0]
-            raise DomainError(f"share {bad} of W is not positive and finite")
-        a = self.alpha
-        if isinstance(self.q, Truncated):
-            return self.base.inverse(w + self.w_cut)
-        if isinstance(self.q, Constant):
-            r = (a * w / self.q.c) ** (-1.0 / a)
-        else:
-            w0 = math.exp(self.logw[0])
-            leg = w.size and w.max() > w0  # some r below R_LO: the closed leg
-            lw = np.log(np.minimum(w, w0) if leg else w)
-            if self.slope[-1] == 0 and w.size and lw.min() < self.logw[-1]:
-                # W underflowed to the floor: a flat top has no radius
-                raise NumericError(f"share {w.min()} is below the floor "
-                                   f"{_W_FLOOR:g} that W underflows to")
-            i = self._interval(lw)
-            r = np.exp(_Y[i] + _STEP * self._newton(lw, i))
-            if leg:
-                r = np.where(w > w0, (R_LO ** -a + np.maximum(w - w0, 0.0)
-                                      * (a / self.q0)) ** (-1.0 / a), r)
-        if r.size and not r.min() > 0:
-            raise NumericError(f"the radius of share {w[r == 0].flat[0]} "
-                               "underflows to 0")
-        return r
 
 
 #: one tail table per (q, alpha) for the whole process

@@ -7,24 +7,37 @@ substitution).  The big jumps come from the +- pairs of model.pairs, for
 atoms and density measures alike (a density through its 512-node rule,
 the measure that Phi and invert read): a pair of weight w_i gives its
 atoms theta_i and -theta_i each weight w_i / 2.  The pairs that share a
-profile share its tail table W, and their jumps are drawn in one pass:
-one Poisson(t W(eps) sum_i w_i) number of jumps per draw, and per jump
-its pair i with probability w_i / sum_i w_i (Walker's alias table, when
-there are several), its sign, and its radius R = W^-1(U W(eps)) > eps
-exactly, so P(R > s) = W(s)/W(eps).  Each jump R theta is added to its
-draw along its own direction.  Jumps are summed JUMP_CHUNK at a time,
-so memory stays bounded however many a batch holds.  sample_many and
-jump_counts read a SamplerConfig alone, its count and seed included.
+profile q are drawn in one pass, by thinning stable proposals (Rosinski,
+Stoch. Proc. Appl. 117, 2007, section 5): with Q = sup of q on
+[eps, inf), one Poisson(t Q eps^-alpha / alpha sum_i w_i) number of
+proposals per draw, and per proposal its pair i with probability
+w_i / sum_i w_i (Walker's alias table, when there are several), its sign,
+and its radius R = eps U^(-1/alpha) > eps, kept with probability q(R)/Q.
+The kept jumps are exactly the Poisson process of nu on |y| > eps, with
+no table and no interpolation.  Q is taken by rule: q(eps) for a
+non-increasing profile, which the RadialProfile contract asks for;
+q(max(eps, a/c1 - 1)) for ExpTempered(a, c1), which peaks there; and the
+base's Q for a cut, which rejects R > s0.  Constant keeps every proposal
+and draws no accept uniform.  A q(R) above Q (1 + 1e-12), as a rising
+Custom profile gives, raises NumericError naming q and eps, and so does a
+kept radius that overflows, naming alpha and eps.  Each jump R theta is
+added to its draw along its own direction, in jump order, so the draws
+do not depend on JUMP_CHUNK, the number of proposals drawn and summed at
+once, which keeps memory bounded however many a batch holds.
+sample_many and jump_counts read a SamplerConfig alone, its count and
+seed included; jump_counts and jump_radius_cdf read the tail table W.
 Meant for statistical cross-validation of the computed densities.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .model import LevyModel, _tail_table, radial_second_moment
+from .profiles import Constant, ExpTempered, RadialProfile, Truncated
 
 __all__ = [
     "SamplerConfig",
@@ -34,9 +47,11 @@ __all__ = [
     "jump_radius_cdf",
 ]
 
-#: big jumps drawn and summed at once by the sampler; at 1 << 16 each
+#: proposals drawn and summed at once by the sampler; at 1 << 16 each
 #: chunk's half-megabyte temporaries go back to the OS and fault in again
 JUMP_CHUNK = 1 << 14
+#: the largest float: q is read there for a proposal radius that overflows
+_R_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -91,48 +106,82 @@ def _alias(w: np.ndarray) -> tuple:
     return keep, alias
 
 
-def _jumps(rng, n: int, table, tail: float, keep, alias) -> tuple:
-    """n jumps of one tail table: each one's signed radius and pair."""
-    k = len(keep)
-    # a row of uniforms per jump, a second to pick its pair when there
-    # are several: the stream and so the draws do not depend on JUMP_CHUNK
-    u = rng.random((n, 1 + (k > 1)))
-    pair = 0
-    if k > 1:
-        x = k * u[:, 1]
-        j = np.minimum(x.astype(np.intp), k - 1)
-        x -= j
-        pair = np.where(x < keep[j], j, alias[j])
-    # v = 2u - 1 + 2^-53 is exact, and neither 0 nor +-1: its sign picks
-    # theta or -theta, and |v|, uniform on (0, 1) and independent of it,
-    # the share of W(eps); in place, so that fewer temporaries are live
-    v = u[:, 0]
-    v *= 2.0
+def _bound(q: RadialProfile, eps: float) -> float:
+    """Q = sup of q on [eps, inf), by the rule of the module docstring."""
+    if isinstance(q, Truncated):
+        q = q.q
+    if isinstance(q, ExpTempered):
+        eps = max(eps, q.a / q.c1 - 1.0)
+    return float(q(np.array([eps]))[0])
+
+
+def _radii(u: np.ndarray, q: RadialProfile, bound: float, eps: float,
+           alpha: float) -> np.ndarray:
+    """The signed radius of each proposal row of u, 0 where it is rejected.
+
+    v = 2 u[:, 0] - 1 + 2^-53 is exact, and neither 0 nor +-1: its sign
+    picks theta or -theta, and |v|, uniform on (0, 1) and independent of
+    it, the radius R = eps |v|^(-1/alpha).  Unless q is Constant, R is
+    kept when u[:, 1] Q < q(R), Q being bound.
+    """
+    v = u[:, 0] * 2.0
     v -= 1.0 - 2.0 ** -53
-    return np.copysign(table.inverse(np.abs(v) * tail), v), pair
+    r = np.abs(v)
+    with np.errstate(over="ignore"):  # in place: fewer live temporaries
+        r **= -1.0 / alpha
+        r *= eps
+    if not isinstance(q, Constant):
+        # q at an overflowed radius as its limit: Relativistic reads
+        # inf - inf at inf itself
+        qr = q(np.minimum(r, _R_MAX))
+        if qr.max() > bound * (1.0 + 1e-12):
+            raise NumericError(f"profile {q!r} exceeds Q = {bound!r}, its "
+                               f"sup on [eps, inf) by rule, at eps = {eps!r}",
+                               estimate=float(qr.max()))
+        # a rejected inf times 0 would be nan
+        r = np.where(u[:, 1] * bound < qr, r, 0.0)
+    if r.max() == math.inf:
+        raise NumericError(f"a jump radius overflows at alpha = {alpha!r}, "
+                           f"eps = {eps!r}")
+    return np.copysign(r, v)
 
 
 def _big_jump_sums(config: SamplerConfig, rng) -> np.ndarray:
-    m, count = config.model, config.count
+    m, count, eps = config.model, config.count, config.eps
     sums = np.zeros((count, m.d))
-    for _, table, tail, w, theta in _profile_pairs(m, config.eps):
-        # one Poisson process of jumps per table: its jumps
+    for q, _, _, w, theta in _profile_pairs(m, eps):
+        bound, k = _bound(q, eps), len(w)
+        # one Poisson process of proposals per profile: its proposals
         # ends[j-1] .. ends[j] - 1 belong to draw j
-        ends = np.cumsum(rng.poisson(config.t * tail * w.sum(), size=count))
+        rate = config.t * w.sum() * bound * eps ** -m.alpha / m.alpha
+        ends = np.cumsum(rng.poisson(rate, size=count))
         total = int(ends[-1])
         keep, alias = _alias(w)
+        # draw j's jumps go into acc[:, j] one by one, in jump order
+        acc = np.zeros((m.d, count))
         for start in range(0, total, JUMP_CHUNK):
             stop = min(start + JUMP_CHUNK, total)
-            radii, pair = _jumps(rng, stop - start, table, tail, keep, alias)
+            # a row of uniforms per proposal: its sign and radius, its
+            # accept step unless q is Constant, and its pair when there are
+            # several; so the stream does not depend on JUMP_CHUNK
+            u = rng.random((stop - start,
+                            1 + (not isinstance(q, Constant)) + (k > 1)))
+            pair = 0
+            if k > 1:
+                x = k * u[:, -1]
+                j = np.minimum(x.astype(np.intp), k - 1)
+                x -= j
+                pair = np.where(x < keep[j], j, alias[j])
+            radii = _radii(u, q, bound, eps, m.alpha)
             first, last = np.searchsorted(ends, [start, stop - 1],
                                           side="right")
             counts = np.diff(np.clip(ends[first:last + 1], start, stop),
                              prepend=start)
-            owner = np.repeat(np.arange(last + 1 - first), counts)
+            owner = np.repeat(np.arange(first, last + 1), counts)
             # each jump along its own direction, one coordinate at a time
             for c, axis in enumerate(theta.T):
-                sums[first:last + 1, c] += np.bincount(
-                    owner, radii * axis[pair], minlength=last + 1 - first)
+                np.add.at(acc[c], owner, radii * axis[pair])
+        sums += acc.T
     return sums
 
 

@@ -8,10 +8,11 @@ import pytest
 from templevy import montecarlo
 from templevy.charexp import phi, phi_on_points, stable_constant
 from templevy.density import GridSpec, invert
-from templevy.errors import DomainError
+from templevy.errors import DomainError, NumericError
 from templevy.model import (LevyModel, SpectralMeasure, cauchy_model,
-                            nu_tail, poly_model, stable_model)
-from templevy.profiles import Constant, ExpTempered, PolyTempered
+                            exp_model, nu_tail, poly_model, stable_model)
+from templevy.profiles import (Constant, Custom, ExpTempered, PolyTempered,
+                               Relativistic, Truncated)
 from templevy.montecarlo import (
     SamplerConfig,
     jump_counts,
@@ -42,14 +43,14 @@ def test_seeded_determinism():
 
 
 def test_chunking_leaves_draws_unchanged(monkeypatch):
-    # ~3300 jumps summed in one chunk, then in chunks of 7 that split
-    # draws; in d = 2 each jump also picks one of the table's two pairs
+    # ~5200 proposals summed in one chunk, then in chunks of 7 that split
+    # draws; in d = 2 each proposal also picks one of the profile's pairs
     cfgs = [SamplerConfig(poly_model(3.0, 1.0, d=d), t=0.5, eps=0.05,
                           mode="drop", count=300, seed=9) for d in (1, 2)]
     whole = [sample_many(cfg) for cfg in cfgs]
     monkeypatch.setattr(montecarlo, "JUMP_CHUNK", 7)
     for cfg, w in zip(cfgs, whole):
-        np.testing.assert_allclose(sample_many(cfg), w, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(sample_many(cfg), w)
 
 
 def test_single_draw_shapes():
@@ -203,3 +204,78 @@ def test_ks_with_unlike_atoms():
     cdf = np.interp(x, fld.grid.x_axis(), np.cumsum(fld.values) * fld.grid.h)
     emp = (np.arange(len(x)) + 0.5) / len(x)
     assert np.max(np.abs(emp - cdf)) < 0.02
+
+
+def _pm_model(q, alpha=1.2):
+    return LevyModel(d=1, alpha=alpha, profile=q, spectral=SpectralMeasure(
+        d=1, directions=np.array([[1.0], [-1.0]]), weights=np.ones(2)))
+
+
+@pytest.mark.parametrize("eps", [0.01, 1.0])
+@pytest.mark.parametrize("q", [PolyTempered(3.0), ExpTempered(0.0, 1.0),
+                               ExpTempered(2.0, 0.5), Relativistic(1, 1.2),
+                               Truncated(2.0, ExpTempered(0.0, 1.0))],
+                         ids=["poly3", "exp", "exp-peak3", "relativistic",
+                              "cut-exp"])
+def test_kept_radii_follow_the_jump_radius_law(q, eps):
+    # the kept proposals' |R| against 1 - W(s)/W(eps), within the DKW bound
+    # at delta = 1e-6; ExpTempered(2, 0.5) peaks at s = 3, inside [eps, inf)
+    u = np.random.default_rng(3).random((100_000, 2))
+    r = montecarlo._radii(u, q, montecarlo._bound(q, eps), eps, 1.2)
+    x = np.sort(np.abs(r[r != 0.0]))
+    n = len(x)
+    assert n > 10_000
+    F = jump_radius_cdf(_pm_model(q), eps, x)
+    ks = max(np.max(np.arange(1, n + 1) / n - F), np.max(F - np.arange(n) / n))
+    assert ks <= math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))
+
+
+@pytest.mark.parametrize("eps", [0.01, 1.0, 5.0])
+@pytest.mark.parametrize("q", [Constant(2.0), PolyTempered(3.0),
+                               ExpTempered(0.0, 1.0), ExpTempered(2.0, 0.5),
+                               Relativistic(1, 1.2)],
+                         ids=["constant", "poly3", "exp", "exp-peak3",
+                              "relativistic"])
+def test_bound_is_the_sup_of_q(q, eps):
+    s = np.geomspace(eps, 1e4, 200_001)
+    top = float(q(s).max())
+    bound = montecarlo._bound(q, eps)
+    assert top <= bound * (1.0 + 1e-12)
+    assert bound == pytest.approx(top, rel=1e-7)
+    # a cut takes its base's Q, which bounds it on either side of s0
+    cut = Truncated(2.0, q)
+    assert montecarlo._bound(cut, eps) == bound
+    assert float(cut(s).max()) <= bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("q", [Custom(lambda s: s / (1.0 + s), label="rising"),
+                               PolyTempered(-0.5)], ids=["custom", "poly-m<0"])
+def test_a_rising_profile_raises(q):
+    cfg = SamplerConfig(_pm_model(q), t=0.5, eps=0.1, mode="drop", count=100,
+                        seed=1)
+    with pytest.raises(NumericError, match=r"exceeds Q = .* at eps = 0\.1"):
+        sample_many(cfg)
+
+
+def test_a_kept_radius_that_overflows_raises():
+    cfg = SamplerConfig(stable_model(0.02), t=0.5, eps=1.0, mode="drop",
+                        count=100_000, seed=1)
+    with pytest.raises(NumericError,
+                       match=r"overflows at alpha = 0\.02, eps = 1\.0"):
+        sample_many(cfg)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model", [exp_model(0.02), poly_model(3.0, 0.02)],
+                         ids=["exp", "poly3"])
+def test_a_rejected_radius_that_overflows_adds_nothing(model):
+    # u = 0.5 gives |v| = 2^-53, whose radius 2^(53 / 0.02) overflows; q
+    # is 0 there, so the proposal is rejected and adds an exact 0, while
+    # u = 0.9999 proposes R = 0.9998^-50 ~ 1.01, kept at an accept of 0
+    q = model.profile
+    u = np.array([[0.5, 0.0], [0.9999, 0.0]])
+    r = montecarlo._radii(u, q, montecarlo._bound(q, 1.0), 1.0, 0.02)
+    assert r[0] == 0.0 and np.isfinite(r[1]) and r[1] > 1.0
+    x = sample_many(SamplerConfig(model, t=0.5, eps=1.0, mode="drop",
+                                  count=100_000, seed=1))
+    assert np.all(np.isfinite(x))
