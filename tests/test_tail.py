@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from templevy.decomp import bounded_cell_masses, default_eps, split
 from templevy.density import GridSpec
 from templevy.errors import DomainError, NumericError
-from templevy.model import (R_LO, LevyModel, SpectralMeasure, TailTable,
-                            _tail_table, cauchy_model, exp_model, poly_model,
-                            radial_tail_mass)
+from templevy.model import (_STEP, _Y, R_LO, LevyModel, SpectralMeasure,
+                            TailTable, _tail_table, cauchy_model, exp_model,
+                            poly_model, radial_tail_mass)
 from templevy.profiles import (Constant, ExpTempered, PolyTempered,
                                Relativistic, Truncated)
 
@@ -81,6 +81,109 @@ def test_cell_masses_are_non_negative(qa, log_eps, half_width, n):
     assert masses.sum() <= sm.lam * (1.0 + 1e-12)
 
 
+def _searched_inverse(table, w):
+    """The radius r with W(r) = w: the reference inverse the tests hold W to.
+
+    A binary search finds each share's node interval and two Newton steps
+    on its cubic, from the chord, solve it; a share above W(R_LO) solves
+    the closed leg, and one below the top node the top slope.  A share
+    below the floor that W underflows to, or whose radius underflows to 0,
+    has no radius and raises NumericError.
+    """
+    w = np.asarray(w, dtype=float)
+    if isinstance(table.q, Truncated):
+        return _searched_inverse(table.base, w + table.w_cut)
+    a = table.alpha
+    if isinstance(table.q, Constant):
+        r = (a * w / table.q.c) ** (-1.0 / a)
+    else:
+        w0 = np.exp(table.logw[0])
+        lw = np.log(np.minimum(w, w0))
+        if table.slope[-1] == 0 and w.size and lw.min() < table.logw[-1]:
+            raise NumericError(f"share {w.min()} is below the floor 1e-300")
+        i = np.clip(np.searchsorted(-table.logw, -lw) - 1, 0, len(_Y) - 2)
+        f0, m0, m1 = table.logw[i], table.slope[i], table.slope[i + 1]
+        d = table.logw[i + 1] - f0
+        c2, c3 = 3 * d - 2 * m0 - m1, m0 + m1 - 2 * d
+        t = (lw - f0) / (m0 + c2 + c3)
+        for _ in range(2):
+            t -= (f0 - lw + t * (m0 + t * (c2 + t * c3))) / (
+                m0 + t * (2 * c2 + 3 * t * c3))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            top = 1.0 + (lw - table.logw[-1]) / table.slope[-1]
+        t = np.where(lw < table.logw[-1], top, t)
+        r = np.exp(_Y[i] + _STEP * t)
+        leg = (R_LO ** -a + np.maximum(w - w0, 0.0) * (a / table.q0)) ** (
+            -1.0 / a)
+        r = np.where(w > w0, leg, r)
+    if r.size and not r.min() > 0:
+        raise NumericError(f"the radius of share {w[r == 0].flat[0]} "
+                           "underflows to 0")
+    return r
+
+
+@PROPERTY
+@given(profiles(), st.lists(LOG_R, min_size=1, max_size=8))
+def test_inverse_round_trips(qa, log_r):
+    # W is strictly decreasing, and reads the cubic its nodes and slopes
+    # define: inverting that cubic gives back the share
+    table = _tail_table(*qa)
+    u = table(10.0 ** np.array(log_r))
+    u = u[u > 0]
+    np.testing.assert_allclose(table(_searched_inverse(table, u)), u,
+                               rtol=1e-9)
+
+
+# radii from below R_LO up to 1e10, past the top node, 1e8
+LOG_R_WIDE = st.floats(-14.0, 10.0)
+
+
+@settings(PROPERTY, max_examples=120)  # about 60 of each strategy
+@given(st.one_of(profiles(), cut_profiles()),
+       st.lists(LOG_R_WIDE, min_size=1, max_size=8))
+def test_inverse_matches_searched_inverse(qa, log_r):
+    # the radius r is the exact inverse of W(r); where W has not reached
+    # its floor, the searched inverse finds r again
+    table = _tail_table(*qa)
+    r = 10.0 ** np.array(log_r)
+    u = table(r)
+    live = u > 1e-290
+    np.testing.assert_allclose(_searched_inverse(table, u[live]), r[live],
+                               rtol=1e-9)
+
+
+@pytest.mark.parametrize("q", [ExpTempered(0.0, 1.0), Constant(1.0)])
+def test_inverse_raises_where_the_radius_underflows(q):
+    # W peaks on the closed leg at the least float, 5e-324, near
+    # 5e-324^-0.05 / 0.05 = 2.9e17; the share 1e300 would need
+    # r^-0.05 = 5e298, r = 1e-5970, which underflows
+    table = _tail_table(q, 0.05)
+    r = np.array([1e-300, 5e-324])
+    np.testing.assert_allclose(table(r), r ** -0.05 / 0.05, rtol=1e-12)
+    with pytest.raises(NumericError, match="underflows"):
+        _searched_inverse(table, np.array([1.0, 1e300]))
+
+
+def test_inverse_raises_below_the_floor_that_w_underflows_to():
+    # e^-r underflows W before R_HI: the top node sits at the 1e-300 floor
+    # with slope 0, and W reads 0 past it, so a smaller share has no radius
+    table = _tail_table(ExpTempered(0.0, 1.0), 1.0)
+    assert table.logw[-1] == np.log(1e-300) and table.slope[-1] == 0.0
+    assert float(table(600.0)) > 5e-300 > float(table(700.0))
+    assert 600.0 < float(_searched_inverse(table, [5e-300])[0]) < 700.0
+    np.testing.assert_array_equal(table(np.array([800.0, 1e5, 1e11])), 0.0)
+    with pytest.raises(NumericError, match="below the floor 1e-300"):
+        _searched_inverse(table, np.array([1e-3, 1e-305]))
+    # a cut reads its base's table, shifted by the cut's mass beyond s0
+    with pytest.raises(NumericError, match="below the floor 1e-300"):
+        _searched_inverse(
+            _tail_table(Truncated(1e3, ExpTempered(0.0, 1.0)), 1.0), [1e-305])
+    # a tail that stays above the floor follows its top slope instead
+    table = _tail_table(PolyTempered(3.0), 1.0)
+    assert table.slope[-1] < 0.0 and float(table(1e11)) > 0.0
+    assert np.isfinite(_searched_inverse(table, [1e-305]))
+
+
 @pytest.mark.parametrize("r", [1e9, 1e11])
 def test_table_follows_top_slope(r):
     # above the top node, 1e8, W continues on the exact slope there
@@ -135,6 +238,16 @@ def test_cut_table_matches_scalar_reference(qa, log_r):
     for r in 10.0 ** np.array(log_r):
         assert float(table(r)) == pytest.approx(
             radial_tail_mass(cut, alpha, r), rel=1e-8, abs=1e-300)
+
+
+@PROPERTY
+@given(cut_profiles(), st.lists(LOG_R, min_size=1, max_size=8))
+def test_cut_inverse_round_trips(qa, log_r):
+    table = _tail_table(*qa)
+    u = table(10.0 ** np.array(log_r))
+    u = u[u > 0]
+    np.testing.assert_allclose(table(_searched_inverse(table, u)), u,
+                               rtol=1e-9)
 
 
 @pytest.mark.parametrize("alpha", [0.05, 1.2, 1.99])
