@@ -8,11 +8,16 @@ nubar with total mass lambda, whose semigroup is the compound Poisson law
     Pbar_t = e^(-t lambda) sum_n t^n nubar^(n*) / n!
            = e^(-t lambda) exp(t nubar)   (convolution exponential),
 
-computed on the grid as one exponential in frequency space by FFT, not as
-a truncated series.  Every convolution here, recompose's too, is a
-product of real FFTs on the grid zero-padded to 3N/2, the shortest circle
-on which the linear convolution of two N-point fields is exact on the
-window (_padded_rfft).
+computed on the grid as one exponential in frequency space, not as a
+truncated series.  Every convolution here, recompose's too, is that of
+the circle of 3N/2 points, the shortest on which the linear convolution
+of two N-point fields is exact on the window (_padded_rfft).  Both
+stages take it from the even and odd halves of their fields, on real
+trig transforms of 3N/4 (+ 1) points (Martucci's symmetric convolution,
+IEEE Trans. Signal Process. 42, 1994), with the cell at -L, which has no
+partner, as a term of its own: compound_poisson on DCT-Is, recompose on
+DCT-III and DST-III.  convolution_ball_check keeps the real FFT of the
+padded grid.
 
 The product identity p_t = p~_t * Pbar_t is the main quantitative check:
 both sides are computed by independent discretizations and compared.
@@ -20,6 +25,7 @@ both sides are computed by independent discretizations and compared.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -179,19 +185,68 @@ def _window(padded: np.ndarray) -> np.ndarray:
     return np.concatenate((padded[-n2:], padded[:n2]))
 
 
+def _scratch(n: int) -> np.ndarray:
+    """n zeroed floats on an anonymous mapping of their own.
+
+    The mapping goes back to the system when the last view of it goes.
+    compound_poisson is the first call to transform on 3N/4 points, and
+    scipy keeps the plans it makes then for the process: on the heap, its
+    scratch would lie under them and stay resident once freed.
+    """
+    return np.frombuffer(mmap.mmap(-1, 8 * n))
+
+
+def _dct1(x: np.ndarray, work: np.ndarray) -> None:
+    """scipy's unnormalized DCT-I of x (K + 1 points, K even), in place.
+
+    scipy takes a DCT-I by a real FFT of 2K points.  Pairing x_j with
+    x_(K-j) halves it: the even outputs are the DCT-I of x_j + x_(K-j) on
+    K/2 + 1 points (the middle entry 2 x_(K/2)), the odd outputs the
+    DCT-III of x_j - x_(K-j) on K/2 points.  That DCT-III is the head of
+    one on K points of the same row with a zero after each entry, the
+    length recompose transforms on, so both stages share one plan.  `work`
+    holds the 3K/2 + 1 points of the two rows.
+    """
+    k2 = len(x) // 2
+    u, z = work[:k2 + 1], work[k2 + 1:]
+    np.add(x[:k2], x[:k2:-1], out=u[:k2])
+    u[k2] = 2.0 * x[k2]
+    np.subtract(x[:k2], x[:k2:-1], out=z[::2])
+    z[1::2] = 0.0
+    x[::2] = sfft.dct(u, 1, overwrite_x=True)
+    x[1::2] = sfft.dct(z, 3, overwrite_x=True)[:k2]
+
+
+#: omega^(-rs), omega = e^(2 pi i / 3): the transform on Z_3 that takes
+#: the three values of exp(t m0 omega^k) to the weights beta_s
+_THIRDS = np.exp(-2j * math.pi / 3.0 * np.outer(np.arange(3), np.arange(3)))
+
+
 def compound_poisson(sm: SplitMeasure, t: float, grid: GridSpec,
                      tol: float = 1e-10) -> CompoundPoissonField:
     """Pbar_t on the grid as one exponential in frequency space (d = 1).
 
-    The a.c. part is e^(-t lam) IFFT(expm1(t nuhat)) on the grid padded to
-    3N/2, cropped to the window: the transform carries every convolution
-    power of nubar (recompose convolves on the same padded transform,
-    _padded_rfft).  `tail_bound` bounds the mass deficit plus the L1
-    error on the window against the exact lattice law: the cropped mass,
-    the mass folded back by the period 3L (Chebyshev, |S| >= 2L), and the
-    mass of nubar beyond the window.  `tol` changes no output, since the
-    gate on that mass is decided by its 1e-3 clause; it stays, validated,
-    because callers (perfbench's split workload) pass it positionally.
+    The a.c. part is e^(-t lam) (exp(t nuhat) - 1) on the circle of 3N/2
+    points (period 3L), cropped to the window: the transform carries every
+    convolution power of nubar, and the linear convolution of two window
+    fields is exact on the window of that circle (_padded_rfft).  The
+    paired cells are even, so their part E of nuhat is real: a DCT-I of
+    the cells at 0, h, ..., 3L/2 (_dct1), and the inverse transform is one
+    more.  The unpaired cell m0 at -L adds m0 omega^k to bin k, omega =
+    e^(2 pi i / 3), which takes three values, so exp(t m0 omega^k) =
+    sum_s beta_s omega^(ks), beta_s the terms of e^(t m0) of degree s
+    mod 3 (three jumps to -L wrap round to 0), and omega^(ks) shifts by
+    -sL.  With g the inverse DCT-I of expm1(t E), the law is e^(-t lam)
+    sum_s beta_s (delta + g)(x + sL), all in real arithmetic; at t lam >=
+    700 it is taken from exp(t (E + m0) - t lam) and e^(-t m0) beta_s,
+    both at most 1.
+
+    `tail_bound` bounds the mass deficit plus the L1 error on the window
+    against the exact lattice law: the cropped mass, the mass folded back
+    by the period 3L (Chebyshev, |S| >= 2L), and the mass of nubar beyond
+    the window.  `tol` changes no output, since the gate on that mass is
+    decided by its 1e-3 clause; it stays, validated, because callers
+    (perfbench's split workload) pass it positionally.
     """
     if grid.d != 1:
         raise DomainError("the compound-Poisson law is d=1 only")
@@ -205,28 +260,60 @@ def compound_poisson(sm: SplitMeasure, t: float, grid: GridSpec,
     if overflow > max(tol, 1e-6 * lam) and overflow > 1e-3:
         raise GridError(
             f"big-jump mass {overflow:.3e} falls outside the grid")
-    # e^(-mu) (exp(t nuhat) - 1), in place on the transform
-    spec = _padded_rfft(masses)
-    spec *= t
-    if mu < 700.0:
-        # |t nuhat| <= mu: expm1 cannot overflow, and keeps small mu exact
-        np.expm1(spec, out=spec)
-        spec *= atom
-    else:
-        spec -= mu
-        np.exp(spec, out=spec)
-        spec -= atom
     n2 = grid.N // 2
-    padded = sfft.irfft(spec, 3 * n2)
-    ac = _window(padded)
-    cropped = float(padded[n2:-n2].sum())
+    k = 3 * n2 // 2  # the 3N/2 circle folded at its middle
     # E S^2 of the lattice law: variance plus the squared mean.  The cells
     # at +-jh hold equal masses, so the mean is the unpaired edge cell's
     # alone and the second moment sums j^2 over one side.
+    m0 = float(masses[0])
+    edge = grid.L * m0
     j2 = np.square(np.arange(n2, dtype=float))
-    edge = grid.L * float(masses[0])
     moment2 = (t * (2.0 * grid.h ** 2 * float(j2 @ masses[n2:])
                     + grid.L * edge) + (t * edge) ** 2)
+    rows = _scratch(5 * k // 2 + 2)
+    g, work = rows[:k + 1], rows[k + 1:]
+    g[:n2] = masses[n2:]
+    # freed before the first transform, so that plans made there can take
+    # their place on the heap (_scratch)
+    del masses, j2
+    _dct1(g, work)
+    g *= t
+    omega_z = t * m0 * np.exp(2j * math.pi / 3.0 * np.arange(3))
+    if mu < 700.0:
+        # |t E| <= mu: expm1 cannot overflow, and keeps small mu exact;
+        # beta_s - [s = 0] from the expm1s too, since sum_r omega^(-rs) = 0
+        np.expm1(g, out=g)
+        beta = (np.expm1(omega_z) @ _THIRDS).real / 3.0
+        coef = atom * (beta + (1.0, 0.0, 0.0))
+        at0, at_minus, at_plus = atom * beta
+    else:
+        # e^(-mu) exp(t m0 omega^k) = exp(t m0 - mu) sum_s beta~_s
+        # omega^(ks), beta~_s = e^(-t m0) beta_s: both factors stay <= 1
+        g += omega_z[0].real - mu
+        np.exp(g, out=g)
+        coef = (np.exp(omega_z - omega_z[0]) @ _THIRDS).real / 3.0
+        at0, at_minus, at_plus = -atom, 0.0, 0.0
+    _dct1(g, work)
+    g /= 3 * n2  # g at x = 0, h, ..., 3L/2: even, with period 3L
+    # the window [-L, L) takes g(x), g(x + L) and g(x - L), read off that
+    # half period by g(-x) = g(x) = g(3L - x); the deltas at 0 and -L
+    # complete it, and the delta at +L falls in the band [L, 2L)
+    ac = np.empty(grid.N)
+    q, shifted = grid.N // 4, work[:k + 1]
+    np.multiply(g[:n2], coef[0], out=ac[n2:])
+    np.multiply(g[n2:0:-1], coef[0], out=ac[:n2])
+    np.multiply(g, coef[1], out=shifted)
+    ac[:k + 1] += shifted
+    ac[k + 1:] += shifted[k - 1:n2:-1]
+    np.multiply(g, coef[2], out=shifted)
+    ac[:q] += shifted[n2:k]
+    ac[q:] += shifted[k:0:-1]
+    ac[n2] += at0
+    ac[0] += at_minus
+    # the band [L, 2L) that the window crops, the delta at +L with it
+    cropped = (coef[0] * (float(g[n2:].sum()) + float(g[n2 + 1:k].sum()))
+               + coef[1] * float(g[1:n2 + 1].sum())
+               + coef[2] * float(g[:n2].sum()) + at_plus)
     fold = moment2 / (2.0 * grid.L - grid.h) ** 2
     tail = max(cropped, 0.0) + fold + t * max(overflow, 0.0)
     ac /= grid.h
@@ -234,18 +321,79 @@ def compound_poisson(sm: SplitMeasure, t: float, grid: GridSpec,
                                 ac=ac, tail_bound=tail, overflow=overflow)
 
 
+def _even_odd(x: np.ndarray, even: np.ndarray, odd: np.ndarray) -> None:
+    """Even and odd halves of a window field (x = 0 at index N/2) as rows.
+
+    even[j] = (x_j + x_-j) / 2 for j = 0..N/2 - 1 and odd[j - 1] =
+    (x_j - x_-j) / 2 for j = 1..N/2 - 1; the rows' other entries are 0.
+    The cell at -L has no partner and is left out.
+    """
+    n2 = len(x) // 2
+    pos, neg = x[n2 + 1:], x[n2 - 1:0:-1]
+    even[0] = x[n2]
+    np.add(pos, neg, out=even[1:n2])
+    even[1:n2] *= 0.5
+    even[n2:] = 0.0
+    np.subtract(pos, neg, out=odd[:n2 - 1])
+    odd[:n2 - 1] *= 0.5
+    odd[n2 - 1:] = 0.0
+
+
 def recompose(local: DensityField, cp: CompoundPoissonField) -> DensityField:
-    """p_t = e^(-t lambda) p~_t + p~_t * (a.c. part of Pbar_t), the
-    convolution a product of the fields' padded transforms."""
+    """p_t = e^(-t lambda) p~_t + p~_t * (a.c. part of Pbar_t).
+
+    The convolution is the linear one on the window, taken from the
+    fields' even and odd halves (_even_odd) by symmetric convolution on
+    3N/4 points.  DCT-III and DST-III transform an even and an odd row as
+    sequences of period 3N, even or odd about 0 and odd or even about
+    +-3N/4.  The rows leave out the cells at -L, so the linear convolution
+    of the rest lies on [-(N - 2), N - 2], and the window's reflections
+    about +-3N/4 lie N or more from 0: nothing wraps onto the window.  The
+    product of the even parts less that of the odd parts is the even part
+    of the convolution, the cross products its odd part.  The two cells at
+    -L enter as rank-one terms: each shifts the other field by -L, onto
+    the window's negative half.
+    """
     if local.grid != cp.grid:
         raise DomainError("local density and compound Poisson grids differ")
     if local.t != cp.t:
         raise DomainError("mismatched times")
     g = local.grid
-    spec = _padded_rfft(local.values)
-    spec *= _padded_rfft(cp.ac)
-    conv = _window(sfft.irfft(spec, 3 * g.N // 2)) * g.h
-    vals = np.clip(cp.atom_weight * local.values + conv, 0.0, None)
+    n2 = g.N // 2
+    l, a = local.values, cp.ac
+    vals = np.empty(g.N)
+    cl, sl, ca, sa = (np.empty(3 * n2 // 2) for _ in range(4))
+    _even_odd(l, cl, sl)
+    _even_odd(a, ca, sa)
+    cl = sfft.dct(cl, 3, overwrite_x=True)
+    sl = sfft.dst(sl, 3, overwrite_x=True)
+    ca = sfft.dct(ca, 3, overwrite_x=True)
+    sa = sfft.dst(sa, 3, overwrite_x=True)
+    co = np.multiply(cl, sa, out=vals[:len(cl)])
+    cl *= ca
+    ca *= sl
+    co += ca
+    sl *= sa
+    cl -= sl
+    ce = sfft.idct(cl, 3, overwrite_x=True)
+    co = sfft.idst(co, 3, overwrite_x=True)
+    # conv(+-j) = ce_j +- co_(j-1); co may share vals' head, so the
+    # positive half and conv(-L) are written before the negative half
+    np.add(ce[1:n2], co[:n2 - 1], out=vals[n2 + 1:])
+    ce[1:n2] -= co[:n2 - 1]
+    vals[0] = ce[n2] - co[n2 - 1]
+    vals[1:n2] = ce[n2 - 1:0:-1]
+    vals[n2] = ce[0]
+    scratch = sl[:n2]
+    np.multiply(a[n2:], l[0], out=scratch)
+    vals[:n2] += scratch
+    np.multiply(l[n2:], a[0], out=scratch)
+    vals[:n2] += scratch
+    vals *= g.h
+    for half in (slice(None, n2), slice(n2, None)):
+        np.multiply(l[half], cp.atom_weight, out=scratch)
+        vals[half] += scratch
+    np.clip(vals, 0.0, None, out=vals)
     mass = float(vals.sum()) * g.h
     return DensityField(grid=g, t=local.t, values=vals, mass=mass,
                         trunc_error=local.trunc_error + cp.tail_bound,

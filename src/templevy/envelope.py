@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .charexp import check_lower_growth, check_two_sided
+from .charexp import _direction_set, _radial_scan, check_lower_growth
 from .errors import DomainError, RegimeError
 from .model import (_UNIT_TOL, LevyModel, gamma_estimate, nu_ball,
                     nu_tail)
@@ -302,15 +302,18 @@ def _check_phi_growth(model: LevyModel, beta: float) -> dict:
 
 
 def _check_phi_two_sided(model: LevyModel, spec: EnvelopeSpec) -> dict:
-    """c^-1 |xi|^beta <= Phi <= c |xi|^beta near 0 (beta = 2 case reduces
-    to the second-moment comparison)."""
-    try:
-        lo, hi = check_two_sided(model, radii=np.exp(
-            np.linspace(math.log(1e-2), math.log(1.0), 24)))
-    except DomainError as e:
-        return {"pass": False, "reason": str(e)}
-    return {"pass": bool(lo > 0 and math.isfinite(hi)),
-            "inf_ratio": lo, "sup_ratio": hi}
+    """c^-1 |xi|^beta <= Phi <= c |xi|^beta on |xi| <= 1.  The lower side
+    is _check_phi_growth.  On the upper side the sup of Phi / |xi|^beta
+    over the directions, on the same radii, must settle over their inward
+    extension (_sup_settles): Phi ~ |xi|^1.5 under beta = 2 leaves
+    |xi|^-0.5, finite on every range."""
+    lower = _check_phi_growth(model, spec.beta)
+    radii = _outward_grid(1.0, 1e-2, 24)
+    phi, r = _radial_scan(model, _direction_set(model), radii, 0)
+    ratio = (phi / r ** spec.beta).reshape(len(radii), -1).max(axis=1)
+    upper = _sup_settles(ratio, 24)
+    return {"pass": bool(lower["pass"] and upper),
+            "inf_ratio": lower["inf_ratio"], "sup_ratio": float(ratio.max())}
 
 
 def _check_ball_lower(model: LevyModel, spec: EnvelopeSpec) -> dict:

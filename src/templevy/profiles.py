@@ -1,10 +1,12 @@
 """Radial tempering profiles.
 
-A profile is the bounded nonincreasing multiplier q(s) applied to the stable
-radial density s^(-1-alpha).  The built-in kinds cover constant (pure stable),
+A profile is the bounded multiplier q(s) >= 0 applied to the stable radial
+density s^(-1-alpha).  The built-in kinds cover constant (pure stable),
 polynomial tempering (1+s)^(-m), exponential tempering (1+s)^a exp(-c s),
 the relativistic Bessel-type kernel, and the cut of any of them at a
-radius s0 (the small-jump part of a split measure).
+radius s0 (the small-jump part of a split measure).  Each is
+non-increasing, as a Custom profile should be, except exponential
+tempering with a > 0, which rises to its peak at s = a/c - 1 when a > c.
 """
 from __future__ import annotations
 
@@ -102,9 +104,15 @@ class Constant(RadialProfile):
 
 @dataclass(frozen=True)
 class PolyTempered(RadialProfile):
-    """q(s) = (1+s)^(-m)."""
+    """q(s) = (1+s)^(-m), m >= 0."""
 
     m: float
+
+    def __post_init__(self):
+        # m < 0 makes q rise without bound
+        if not self.m >= 0:
+            raise DomainError(
+                f"PolyTempered requires m >= 0, got m = {self.m}")
 
     q0 = 1.0
 

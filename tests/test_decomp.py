@@ -1,15 +1,19 @@
 """Truncated-measure decomposition: split, local part, compound Poisson."""
 import math
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
 from templevy import decomp
 from templevy.decomp import (
+    CompoundPoissonField,
+    SplitMeasure,
     _nubar_hat,
     bounded_cell_masses,
     compound_poisson,
@@ -24,7 +28,7 @@ from templevy.decomp import (
     split,
 )
 from templevy.charexp import phi
-from templevy.density import GridSpec, invert
+from templevy.density import DensityField, GridSpec, invert
 from templevy.errors import DomainError
 from templevy.model import (LevyModel, cauchy_model, exp_model, poly_model,
                             relativistic_model)
@@ -141,9 +145,9 @@ def test_recompose_matches_direct():
 @pytest.mark.parametrize("m", [cauchy_model(), poly_model(3.0, 1.0),
                                exp_model(1.0)], ids=["cauchy", "poly3", "exp1"])
 def test_recompose_is_the_linear_convolution(m, n):
-    # the padded transform has period 3N/2: the window's indices alias
-    # k +- 3N/2, outside [-N, N - 2], the support of the linear
-    # convolution, so nothing wraps onto the window
+    # on the split's own fields: the symmetric transforms have period 3N
+    # and reflect about +-3N/4, so the window's images lie outside
+    # [-N, N - 2], the support of the linear convolution
     t = 0.5
     g = GridSpec(1, 2048.0, n)
     sm = split(m, default_eps(m, t))
@@ -215,33 +219,147 @@ def test_tail_bound_is_proven(case):
 
 
 @pytest.mark.parametrize("n", [256, 2 ** 12])
-def test_convolutions_run_on_the_three_halves_circle(monkeypatch, n):
-    # compound_poisson: one forward and one inverse transform; recompose:
-    # two forward and one inverse; every one on 3N/2 points.  decomp's
-    # scipy.fft is replaced by one that records each transform's length
-    # (the input's for a forward transform, n for an inverse) and has no
-    # other transform.
-    sizes = []
+def test_convolutions_run_on_half_length_transforms(monkeypatch, n):
+    # decomp's scipy.fft is replaced by one that records each transform's
+    # kind and length and has no other transform: compound_poisson takes
+    # two DCT-Is of 3N/4 + 1 points, each a DCT-I on 3N/8 + 1 and a
+    # DCT-III on 3N/4; recompose four forward and two inverse symmetric
+    # transforms on 3N/4.  None reaches 3N/4 + 2 points.
+    calls = []
 
-    def rfft(x):
-        sizes.append(len(x))
-        return scipy.fft.rfft(x)
-
-    def irfft(x, size):
-        sizes.append(size)
-        return scipy.fft.irfft(x, size)
+    def recorder(name):
+        def transform(x, kind, overwrite_x=False):
+            calls.append((name, kind, len(x)))
+            return getattr(scipy.fft, name)(x, kind, overwrite_x=overwrite_x)
+        return transform
 
     m, t = poly_model(3.0, 1.0), 0.5
     g = GridSpec(1, 16.0, n)
     sm = split(m, default_eps(m, t))
     local = local_density(sm, t, g)
-    monkeypatch.setattr(decomp, "sfft",
-                        types.SimpleNamespace(rfft=rfft, irfft=irfft))
+    monkeypatch.setattr(decomp, "sfft", types.SimpleNamespace(
+        **{name: recorder(name) for name in ("dct", "dst", "idct", "idst")}))
+    k = 3 * n // 4
     cp = compound_poisson(sm, t, g)
-    assert sizes == [3 * n // 2] * 2
-    sizes.clear()
+    assert calls == [("dct", 1, k // 2 + 1), ("dct", 3, k)] * 2
+    calls.clear()
     recompose(local, cp)
-    assert sizes == [3 * n // 2] * 3
+    assert calls == [("dct", 3, k), ("dst", 3, k)] * 2 + [
+        ("idct", 3, k), ("idst", 3, k)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(log_n=st.integers(6, 12), seed=st.integers(0, 2 ** 32 - 1),
+       atom=st.integers(0, 64), edges=st.tuples(st.integers(0, 255),
+                                                st.integers(0, 255)))
+def test_recompose_is_the_exact_linear_convolution(log_n, seed, atom, edges):
+    # random non-symmetric fields of small integers on h = 1 with a dyadic
+    # atom weight: np.convolve sums them exactly, so the reference has no
+    # rounding (fftconvolve's own error here reaches 5e-16 of the peak).
+    # The cells at -L take their own range, up to 16 times the rest.
+    n = 2 ** log_n
+    g = GridSpec(1, n / 2.0, n)
+    rng = np.random.default_rng(seed)
+    l, a = rng.integers(0, 16, (2, n)).astype(float)
+    l[0], a[0] = edges
+    w = atom / 64.0
+    local = DensityField(grid=g, t=1.0, values=l, mass=1.0, trunc_error=0.0,
+                         alias_error=0.0, min_raw=0.0)
+    cp = CompoundPoissonField(grid=g, t=1.0, lam=1.0, atom_weight=w, ac=a,
+                              tail_bound=0.0, overflow=0.0)
+    exact = w * l + np.convolve(l, a)[n // 2:n // 2 + n]
+    got = recompose(local, cp).values
+    assert np.max(np.abs(got - exact)) <= 1e-15 * exact.max()
+
+
+def _padded_law(masses, t, lam, h):
+    """The a.c. part and the cropped band mass of Pbar_t as a product of
+    complex spectra: the grid zero-padded to 3N/2, one rfft, the complex
+    exponential and one irfft (the 3N/2-point formula compound_poisson
+    replaced)."""
+    n2 = len(masses) // 2
+    mu = t * lam
+    atom = math.exp(-mu)
+    padded = np.zeros(3 * n2)
+    padded[:n2] = masses[n2:]
+    padded[-n2:] = masses[:n2]
+    spec = scipy.fft.rfft(padded) * t
+    spec = np.expm1(spec) * atom if mu < 700.0 else np.exp(spec - mu) - atom
+    law = scipy.fft.irfft(spec, 3 * n2)
+    return np.concatenate((law[-n2:], law[:n2])) / h, float(law[n2:-n2].sum())
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(log_n=st.integers(6, 12), seed=st.integers(0, 2 ** 32 - 1),
+       mu=st.one_of(st.floats(1e-3, 50.0), st.floats(600.0, 900.0)),
+       heavy=st.integers(0, 3))
+def test_compound_poisson_matches_the_padded_rfft_formula(log_n, seed, mu,
+                                                          heavy):
+    # symmetric random cells with up to three O(1) cells at +-L and an
+    # O(1) cell at -L, against the reference above, at t lam on both sides
+    # of 700.  Both formulas round the exponent t E, |t E| <= t lam, to
+    # about eps t lam, so near 700 they differ by ~1.5e-13 of the peak:
+    # the bound is 4 eps t lam, and 1e-14 below t lam = 11.
+    n = 2 ** log_n
+    n2 = n // 2
+    g = GridSpec(1, 10.0, n)
+    rng = np.random.default_rng(seed)
+    half = rng.random(n2) * rng.uniform(1e-3, 1.0) / n2
+    if heavy:
+        half[-heavy:] = rng.uniform(0.0, 1.0, heavy)
+    masses = np.empty(n)
+    masses[n2:] = half
+    masses[1:n2] = half[:0:-1]
+    masses[0] = rng.uniform(0.0, 1.0)
+    lam = float(masses.sum())
+    t = mu / lam
+    sm = SplitMeasure(model=None, eps=1.0, lam=lam, small=None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decomp, "bounded_cell_masses",
+                   lambda sm, grid: masses.copy())
+        cp = compound_poisson(sm, t, g)
+    ac, cropped = _padded_law(masses, t, lam, g.h)
+    peak = np.max(np.abs(ac))
+    tol = max(1e-14, 4.0 * np.finfo(float).eps * mu)
+    assert np.max(np.abs(cp.ac - ac)) <= tol * peak
+    # the tail bound's cropped band sums N/2 cells of the law, each within
+    # tol * peak, and its other terms are the same formulas
+    j2 = np.square(np.arange(n2, dtype=float))
+    edge = g.L * masses[0]
+    fold = ((t * (2.0 * g.h ** 2 * float(j2 @ masses[n2:]) + g.L * edge)
+             + (t * edge) ** 2) / (2.0 * g.L - g.h) ** 2)
+    tail = max(cropped, 0.0) + fold
+    assert cp.tail_bound == pytest.approx(tail, rel=1e-12,
+                                          abs=n2 * tol * peak * g.h)
+
+
+#: tracemalloc peaks, in bytes, of compound_poisson and recompose for
+#: cauchy_model() at t = 0.5 on GridSpec(1, 2048, 2^16), measured at commit
+#: b10a2c9, where both stages took real FFTs of the grid padded to 3N/2
+RFFT_PEAKS = {"compound_poisson": 3_146_408, "recompose": 2_360_136}
+
+
+def test_stages_peak_no_higher_than_on_the_padded_rfft(monkeypatch):
+    # compound_poisson's scratch goes on the traced heap here
+    monkeypatch.setattr(decomp, "_scratch", np.zeros)
+    m, t = cauchy_model(), 0.5
+    g = GridSpec(1, 2048.0, 2 ** 16)
+    sm = split(m, default_eps(m, t))
+    local = local_density(sm, t, g)
+    recompose(local, compound_poisson(sm, t, g))  # tables and plans
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cp = compound_poisson(sm, t, g)
+        peaks = {"compound_poisson": tracemalloc.get_traced_memory()[1] - base}
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        recompose(local, cp)
+        peaks["recompose"] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    for name, peak in peaks.items():
+        assert peak <= RFFT_PEAKS[name], name
 
 
 def test_frequency_identity_reads_the_cosine_sums_of_the_cell_masses():

@@ -222,6 +222,22 @@ def test_hypothesis_check_rejects_undominated_profile():
         assert rep["checks"]["profile_dominates"]["pass"]
 
 
+@pytest.mark.parametrize("model, beta, ok", [
+    (exp_model(1.0), 1.2, False), (exp_model(1.0), 1.5, False),
+    (exp_model(1.0), 2.0, True), (poly_model(0.5, 1.0), 1.5, True),
+    (poly_model(0.5, 1.0), 2.0, False)],
+    ids=["exp-1.2", "exp-1.5", "exp-2", "poly0.5-1.5", "poly0.5-2"])
+def test_phi_two_sided_reads_beta(model, beta, ok):
+    # Phi ~ xi^2 near 0 for exp_model(1): Phi >= c |xi|^beta fails inward
+    # for beta < 2.  nu ~ s^-2.5 at infinity under poly_model(0.5, 1) gives
+    # Phi ~ |xi|^1.5, so Phi <= c |xi|^2 fails inward instead.
+    spec = EnvelopeSpec(side="lower", regime="large_t", d=1, alpha=1.0,
+                        gamma=1.0, profile=ExpTempered(a=0.0, c1=2.0),
+                        beta=beta, directions=((1.0,), (-1.0,)))
+    check = hypothesis_check(model, spec)["checks"]["phi_two_sided_beta"]
+    assert check["pass"] is ok
+
+
 def test_hypothesis_check_rejects_tail_exponent_below_alpha():
     # nu(B(0,r)^c) ~ r^-1.5 for alpha = 1.5, so r^1.2 times it grows like
     # r^-0.3 as r -> 0: finite on [1e-2, 1] but unbounded below

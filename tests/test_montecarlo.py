@@ -248,8 +248,8 @@ def test_bound_is_the_sup_of_q(q, eps):
     assert float(cut(s).max()) <= bound * (1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("q", [Custom(lambda s: s / (1.0 + s), label="rising"),
-                               PolyTempered(-0.5)], ids=["custom", "poly-m<0"])
+@pytest.mark.parametrize(
+    "q", [Custom(lambda s: s / (1.0 + s), label="rising")], ids=["custom"])
 def test_a_rising_profile_raises(q):
     cfg = SamplerConfig(_pm_model(q), t=0.5, eps=0.1, mode="drop", count=100,
                         seed=1)

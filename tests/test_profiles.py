@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from templevy.charexp import psi_quad
-from templevy.errors import UnsupportedProfileError
+from templevy.errors import DomainError, UnsupportedProfileError
 from templevy.model import (_tail_table, radial_second_moment,
                             radial_tail_mass)
 from templevy.profiles import (
@@ -29,6 +29,13 @@ from templevy.profiles import (
 def test_poly_value():
     q = PolyTempered(2.0)
     assert q(np.array([1.0]))[0] == pytest.approx(0.25, rel=1e-15)
+
+
+def test_poly_tempered_rejects_negative_m():
+    # (1+s)^0.5 rises without bound: no model or sampler may see it
+    with pytest.raises(DomainError, match=r"m = -0\.5"):
+        PolyTempered(-0.5)
+    assert PolyTempered(0.0)(np.array([3.0]))[0] == 1.0
 
 
 def test_constant_value():
