@@ -55,7 +55,6 @@ __all__ = [
     "phi",
     "phi_on_points",
     "check_lower_growth",
-    "check_two_sided",
     "second_moment",
 ]
 
@@ -508,28 +507,3 @@ def second_moment(model: LevyModel) -> float:
     if check > total * (1.0 + 1e-6) + 1e-12:
         raise DomainError("infinite second moment (profile decays too slowly)")
     return check
-
-
-def check_two_sided(model: LevyModel, radii=None) -> tuple:
-    """Ratio scan of Phi(xi) against min(|xi|^2, |xi|^alpha).
-
-    Returns (inf_ratio, sup_ratio).  Preconditions: nondegenerate angular
-    second moment uniformly over s in (0, 0.5), and finite second moment.
-    """
-    if model.degenerate:
-        raise DegeneracyError("degenerate spectral measure")
-    # on 12 log-spaced s in [5e-4, 0.5]
-    s_grid = np.exp(np.linspace(math.log(1e-3 * 0.5), math.log(0.5), 12))
-    pairs, dirs = model.pairs, _direction_set(model)
-    # (eta . theta)^2 for every probe direction eta and pair theta
-    cos2 = (dirs @ np.array([th for *_, th in pairs]).T) ** 2
-    worst = math.inf
-    for s in s_grid:
-        acc = cos2 @ np.array([w * float(q(s)) for w, q, _ in pairs])
-        worst = min(worst, float(acc.min()))
-    if worst <= 0:
-        raise DegeneracyError("angular second moment vanishes for some direction")
-    second_moment(model)  # raises if infinite
-    vals, r = _radial_scan(model, dirs, radii, 60)
-    ratios = vals / np.minimum(r ** 2, r ** model.alpha)
-    return float(np.min(ratios)), float(np.max(ratios))

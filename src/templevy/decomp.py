@@ -19,6 +19,16 @@ partner, as a term of its own: compound_poisson on DCT-Is, recompose on
 DCT-III and DST-III.  convolution_ball_check keeps the real FFT of the
 padded grid.
 
+Where the process may run on two CPUs or more, recompose takes its three
+pairs of transforms two at a time, one on a helper thread started on
+first use (_both): the DCT-IIIs of the two even rows, the DST-IIIs of the
+two odd rows, then the inverse DCT-III and DST-III.  Each transform keeps
+its input, length and flags, so every output is bitwise that of the
+serial order, which runs on one CPU.  compound_poisson's transforms stay
+serial: the scratch scipy allocates on the helper thread stays resident
+in that thread's malloc arena, and its DCT-I halves on two threads raised
+the peak resident set of a decomposition at N = 2^20 by a tenth.
+
 The product identity p_t = p~_t * Pbar_t is the main quantitative check:
 both sides are computed by independent discretizations and compared.
 """
@@ -26,7 +36,11 @@ from __future__ import annotations
 
 import math
 import mmap
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy.fft as sfft
@@ -321,6 +335,47 @@ def compound_poisson(sm: SplitMeasure, t: float, grid: GridSpec,
                                 ac=ac, tail_bound=tail, overflow=overflow)
 
 
+#: CPUs this process may run on, read once: _both runs its two calls on
+#: two threads only where there are at least two
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_helper = None  # _both's one-thread executor, started on its first call
+_helper_lock = threading.Lock()
+
+
+def _drop_helper() -> None:
+    """In a forked child: the helper's thread stayed in the parent."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _both(f, g) -> tuple:
+    """(f(), g()), with f on a helper thread while g runs on this one.
+
+    scipy.fft's transforms release the GIL, so a pair of them takes both
+    CPUs.  Each call keeps its input, length and flags, so the results are
+    bitwise those of f() then g().  The call returns, or raises what f or
+    g raised, only once both are done: neither writes into the caller's
+    buffers after that.  With one usable CPU, f() and g() run in turn.
+    """
+    if _CPUS < 2:
+        return f(), g()
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="templevy")
+        first = _helper.submit(f)
+    try:
+        second = g()
+    finally:
+        wait((first,))
+    return first.result(), second
+
+
 def _even_odd(x: np.ndarray, even: np.ndarray, odd: np.ndarray) -> None:
     """Even and odd halves of a window field (x = 0 at index N/2) as rows.
 
@@ -352,7 +407,7 @@ def recompose(local: DensityField, cp: CompoundPoissonField) -> DensityField:
     product of the even parts less that of the odd parts is the even part
     of the convolution, the cross products its odd part.  The two cells at
     -L enter as rank-one terms: each shifts the other field by -L, onto
-    the window's negative half.
+    the window's negative half.  The transforms run in pairs (_both).
     """
     if local.grid != cp.grid:
         raise DomainError("local density and compound Poisson grids differ")
@@ -365,18 +420,18 @@ def recompose(local: DensityField, cp: CompoundPoissonField) -> DensityField:
     cl, sl, ca, sa = (np.empty(3 * n2 // 2) for _ in range(4))
     _even_odd(l, cl, sl)
     _even_odd(a, ca, sa)
-    cl = sfft.dct(cl, 3, overwrite_x=True)
-    sl = sfft.dst(sl, 3, overwrite_x=True)
-    ca = sfft.dct(ca, 3, overwrite_x=True)
-    sa = sfft.dst(sa, 3, overwrite_x=True)
+    cl, ca = _both(partial(sfft.dct, cl, 3, overwrite_x=True),
+                   partial(sfft.dct, ca, 3, overwrite_x=True))
+    sl, sa = _both(partial(sfft.dst, sl, 3, overwrite_x=True),
+                   partial(sfft.dst, sa, 3, overwrite_x=True))
     co = np.multiply(cl, sa, out=vals[:len(cl)])
     cl *= ca
     ca *= sl
     co += ca
     sl *= sa
     cl -= sl
-    ce = sfft.idct(cl, 3, overwrite_x=True)
-    co = sfft.idst(co, 3, overwrite_x=True)
+    ce, co = _both(partial(sfft.idct, cl, 3, overwrite_x=True),
+                   partial(sfft.idst, co, 3, overwrite_x=True))
     # conv(+-j) = ce_j +- co_(j-1); co may share vals' head, so the
     # positive half and conv(-L) are written before the negative half
     np.add(ce[1:n2], co[:n2 - 1], out=vals[n2 + 1:])

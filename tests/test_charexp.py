@@ -11,7 +11,6 @@ from scipy.special import gamma as gamma_fn
 from templevy import charexp
 from templevy.charexp import (
     check_lower_growth,
-    check_two_sided,
     phi,
     phi_on_points,
     psi_quad,
@@ -516,13 +515,6 @@ def test_check_lower_growth_degenerate():
         check_lower_growth(m, exponent=1.0)
 
 
-def test_check_two_sided_poly():
-    m = poly_model(3.0, 1.0)
-    inf_r, sup_r = check_two_sided(m, radii=np.logspace(-2, 2, 40))
-    assert 0.0 < inf_r <= sup_r < math.inf
-    assert sup_r / inf_r < 20.0
-
-
 def test_growth_checks_in_d2_probe_directions_off_the_axes():
     # the probe set adds 8 evenly spaced directions to the axis atoms
     m = exp_model(1.5, d=2)
@@ -531,13 +523,6 @@ def test_growth_checks_in_d2_probe_directions_off_the_axes():
     assert np.any(np.all(np.abs(dirs) > 0.5, axis=1))  # a diagonal
     inf_g = check_lower_growth(m, exponent=2.0, radii=np.logspace(-3, 0, 25))
     assert 0.0 < inf_g < math.inf
-    inf_r, sup_r = check_two_sided(m, radii=np.logspace(-2, 2, 40))
-    assert 0.0 < inf_r <= sup_r < math.inf
-
-
-def test_check_two_sided_rejects_infinite_second_moment():
-    with pytest.raises(DomainError):
-        check_two_sided(stable_model(1.0))
 
 
 def test_small_xi_taylor_limit():

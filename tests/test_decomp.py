@@ -1,5 +1,10 @@
 """Truncated-measure decomposition: split, local part, compound Poisson."""
+import collections
 import math
+import os
+import signal
+import threading
+import time
 import tracemalloc
 import types
 
@@ -224,12 +229,14 @@ def test_convolutions_run_on_half_length_transforms(monkeypatch, n):
     # kind and length and has no other transform: compound_poisson takes
     # two DCT-Is of 3N/4 + 1 points, each a DCT-I on 3N/8 + 1 and a
     # DCT-III on 3N/4; recompose four forward and two inverse symmetric
-    # transforms on 3N/4.  None reaches 3N/4 + 2 points.
-    calls = []
+    # transforms on 3N/4.  None reaches 3N/4 + 2 points.  The pairs run on
+    # two threads in no fixed order, so the calls are counted, not listed.
+    calls, lock = collections.Counter(), threading.Lock()
 
     def recorder(name):
         def transform(x, kind, overwrite_x=False):
-            calls.append((name, kind, len(x)))
+            with lock:
+                calls[name, kind, len(x)] += 1
             return getattr(scipy.fft, name)(x, kind, overwrite_x=overwrite_x)
         return transform
 
@@ -241,11 +248,88 @@ def test_convolutions_run_on_half_length_transforms(monkeypatch, n):
         **{name: recorder(name) for name in ("dct", "dst", "idct", "idst")}))
     k = 3 * n // 4
     cp = compound_poisson(sm, t, g)
-    assert calls == [("dct", 1, k // 2 + 1), ("dct", 3, k)] * 2
+    assert calls == {("dct", 1, k // 2 + 1): 2, ("dct", 3, k): 2}
     calls.clear()
     recompose(local, cp)
-    assert calls == [("dct", 3, k), ("dst", 3, k)] * 2 + [
-        ("idct", 3, k), ("idst", 3, k)]
+    assert calls == {("dct", 3, k): 2, ("dst", 3, k): 2, ("idct", 3, k): 1,
+                     ("idst", 3, k): 1}
+
+
+def _on_cpus(cpus, fn, *args):
+    """fn(*args) with decomp's usable CPU count set to cpus: at 1 every
+    transform pair runs in turn on this thread, at 2 on two threads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decomp, "_CPUS", cpus)
+        return fn(*args)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("name", ["cauchy", "poly3", "exp1"])
+def test_concurrent_transforms_are_bitwise_serial(name, t):
+    # verify_decomposition's nine (model, t) grids, at N = 2^17
+    m = {"cauchy": cauchy_model(), "poly3": poly_model(3.0, 1.0),
+         "exp1": exp_model(1.0)}[name]
+    g = GridSpec(1, 2048.0, 2 ** 17)
+    sm = split(m, default_eps(m, t))
+    local = local_density(sm, t, g)
+    serial, both = (_on_cpus(c, compound_poisson, sm, t, g) for c in (1, 2))
+    assert serial.ac.tobytes() == both.ac.tobytes()
+    assert serial.tail_bound.hex() == both.tail_bound.hex()
+    assert serial.overflow.hex() == both.overflow.hex()
+    assert (_on_cpus(1, recompose, local, serial).values.tobytes()
+            == _on_cpus(2, recompose, local, both).values.tobytes())
+
+
+@pytest.mark.parametrize("raiser", ["f", "g"])
+def test_both_returns_only_once_both_halves_are_done(monkeypatch, raiser):
+    # the half that does not raise still runs to its end before the error
+    # reaches the caller: no transform writes into its buffers after that
+    monkeypatch.setattr(decomp, "_CPUS", 2)
+    done = []
+
+    def slow():
+        time.sleep(0.2)
+        done.append(threading.get_ident())
+
+    def fail():
+        raise ValueError(f"{raiser} failed")
+
+    f, g = (fail, slow) if raiser == "f" else (slow, fail)
+    with pytest.raises(ValueError, match=f"{raiser} failed"):
+        decomp._both(f, g)
+    assert len(done) == 1
+    assert (done[0] == threading.get_ident()) == (raiser == "f")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@pytest.mark.filterwarnings(
+    "ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_starts_its_own_helper(monkeypatch):
+    # the parent's helper thread does not exist in the child, so the child
+    # drops it and its first pair starts a helper of its own
+    monkeypatch.setattr(decomp, "_CPUS", 2)
+    assert decomp._both(lambda: 1, lambda: 2) == (1, 2)
+    assert decomp._helper is not None
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            fresh = decomp._helper is None
+            ran_on, _ = decomp._both(threading.get_ident, lambda: None)
+            code = 0 if fresh and ran_on != threading.get_ident() else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.01)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's pair did not finish in 30 s")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -268,8 +352,10 @@ def test_recompose_is_the_exact_linear_convolution(log_n, seed, atom, edges):
     cp = CompoundPoissonField(grid=g, t=1.0, lam=1.0, atom_weight=w, ac=a,
                               tail_bound=0.0, overflow=0.0)
     exact = w * l + np.convolve(l, a)[n // 2:n // 2 + n]
-    got = recompose(local, cp).values
+    got = _on_cpus(2, recompose, local, cp).values
+    serial = _on_cpus(1, recompose, local, cp).values
     assert np.max(np.abs(got - exact)) <= 1e-15 * exact.max()
+    assert got.tobytes() == serial.tobytes()
 
 
 def _padded_law(masses, t, lam, h):

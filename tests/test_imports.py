@@ -1,6 +1,7 @@
 """Every module-level import and private name in the package is used.
 
-Also: no function takes an `upper` cut radius; a cut is a profile.  The
+Also: importing the package starts no thread; no function takes an
+`upper` cut radius; a cut is a profile.  The
 model classes take no option beyond the measure itself.  No warning
 filter drops every category, and no handler catches every exception.
 The psi and tail tables are values: only `__init__` writes to them.
@@ -119,6 +120,32 @@ def test_import_loads_no_scipy_signal_or_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+def test_only_the_split_convolutions_start_a_thread():
+    # decomp's helper thread starts on the first transform pair: not at
+    # import, and not in invert, so the workloads that never decompose stay
+    # single-threaded; a decomposition adds one thread where two CPUs are
+    # usable, and one only
+    code = (
+        "import threading, templevy as tl\n"
+        "from templevy import decomp\n"
+        "counts = [threading.active_count()]\n"
+        "m, t, g = tl.poly_model(3.0, 1.0), 0.5, tl.GridSpec(1, 16.0, 256)\n"
+        "tl.invert(m, t, g)\n"
+        "counts.append(threading.active_count())\n"
+        "sm = tl.split(m, tl.default_eps(m, t))\n"
+        "for _ in range(2):\n"
+        "    tl.recompose(tl.local_density(sm, t, g),\n"
+        "                 tl.compound_poisson(sm, t, g))\n"
+        "counts.append(threading.active_count() - (decomp._CPUS >= 2))\n"
+        "print(counts)\n")
+    src = str(pathlib.Path(templevy.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[1, 1, 1]"
 
 
 def _integrate_imports(tree: ast.Module) -> list:
