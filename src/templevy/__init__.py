@@ -15,9 +15,9 @@ from .profiles import (Constant, ExpTempered, PolyTempered, RadialProfile,
                        Relativistic, Truncated, doubling_constant,
                        relativistic_kernel, tail_index)
 from .model import (LevyModel, SpectralMeasure, cauchy_model, exp_model,
-                    gamma_estimate, load_model, model_from_dict,
-                    model_to_dict, nu_ball, nu_tail, poly_model,
-                    relativistic_model, save_model, stable_model)
+                    load_model, model_from_dict, model_to_dict, nu_ball,
+                    nu_tail, poly_model, relativistic_model, save_model,
+                    stable_model)
 from .charexp import phi, phi_on_points, psi_quad, psi_vector, stable_constant
 from .density import (DensityField, GridSpec, density_at, invert,
                       load_field, on_diagonal_scan, save_field)

@@ -43,8 +43,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import loggamma
 
 from .errors import DegeneracyError, DomainError, NumericError
-from .model import (LevyModel, radial_tail_mass, relativistic_weight,
-                    truncated_second_moment)
+from .model import LevyModel, radial_tail_mass, relativistic_weight
 from .profiles import Constant, RadialProfile, Relativistic, Truncated
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "phi",
     "phi_on_points",
     "check_lower_growth",
-    "second_moment",
 ]
 
 
@@ -498,12 +496,3 @@ def check_lower_growth(model: LevyModel, exponent: float,
     vals, r = _radial_scan(model, _direction_set(model), radii, 40)
     return float(np.min(vals / r ** exponent))
 
-
-def second_moment(model: LevyModel) -> float:
-    """int |y|^2 nu(dy), raising DomainError when the integral diverges:
-    the moment within radius 1e6 must settle on that within 1e3."""
-    total = truncated_second_moment(model, 1e3)
-    check = truncated_second_moment(model, 1e6)
-    if check > total * (1.0 + 1e-6) + 1e-12:
-        raise DomainError("infinite second moment (profile decays too slowly)")
-    return check

@@ -44,7 +44,6 @@ __all__ = [
     "nu_tail",
     "truncated_second_moment",
     "nu_ball",
-    "gamma_estimate",
     "radial_tail_mass",
     "radial_second_moment",
     "cauchy_model",
@@ -119,6 +118,13 @@ class SpectralMeasure:
     @property
     def is_atomic(self) -> bool:
         return self.directions is not None
+
+    @property
+    def gamma(self) -> float:
+        """The dimension exponent: mu(B(theta, r) cap S) <= c r^(gamma - 1),
+        1 for atoms (a ball keeps its atom's mass as r -> 0) and d for a
+        bounded density (an arc's mass shrinks like r^(d - 1))."""
+        return 1.0 if self.is_atomic else float(self.d)
 
     @property
     def total_mass(self) -> float:
@@ -440,52 +446,6 @@ def nu_ball(model: LevyModel, x, r: float) -> float:
     v, _ = quad(per_angle, phi0 - half, phi0 + half, epsabs=1e-12,
                 epsrel=1e-8, limit=256)
     return v
-
-
-def _sphere_ball_mass(spectral: SpectralMeasure, theta0: np.ndarray, r: float) -> float:
-    """mu(B(theta0, r) intersected with the sphere)."""
-    if spectral.is_atomic:
-        dist = np.linalg.norm(spectral.directions - theta0, axis=1)
-        return float(np.sum(spectral.weights[dist <= r]))
-    # chordal ball on the circle -> angular arc of half-width 2 asin(r/2)
-    phi0 = math.atan2(theta0[1], theta0[0])
-    half = 2.0 * math.asin(min(1.0, r / 2.0))
-    v, _ = quad(lambda a: float(spectral.density(np.array([a]))[0]),
-                phi0 - half, phi0 + half, limit=200)
-    return float(v)
-
-
-def gamma_estimate(spectral: SpectralMeasure, r_grid) -> tuple:
-    """Fit gamma in mu(B(theta,r) cap S) <= c r^(gamma-1) at the worst theta.
-
-    Least squares of log mass against log r; the fitted intercept is returned
-    as c.  Ties (flat mass, i.e. atoms) resolve to gamma = 1.
-    """
-    r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.size < 4 or np.any(r_grid <= 0) or np.any(r_grid >= 0.5):
-        raise DomainError("need >= 4 radii inside (0, 1/2)")
-    if spectral.is_atomic:
-        probes = [spectral.directions[i] for i in range(len(spectral.weights))]
-    else:
-        ang = np.linspace(0, 2 * math.pi, 16, endpoint=False)
-        g = np.asarray(spectral.density(ang), dtype=float)
-        if not np.any(g > 0):
-            raise DomainError("empty spectral measure")
-        ang_peak = ang[int(np.argmax(g))]
-        probes = [np.array([math.cos(a), math.sin(a)])
-                  for a in (ang_peak, ang_peak + math.pi / 7)]
-    best_slope, best_c = None, None
-    for theta0 in probes:
-        mass = np.array([_sphere_ball_mass(spectral, theta0, r) for r in r_grid])
-        if np.any(mass <= 0):
-            continue
-        slope, logc = np.polyfit(np.log(r_grid), np.log(mass), 1)
-        if best_slope is None or slope < best_slope:
-            best_slope, best_c = slope, math.exp(logc)
-    if best_slope is None:
-        raise DomainError("no probe direction carries spectral mass")
-    gamma = 1.0 + max(best_slope, 0.0)
-    return float(gamma), float(best_c)
 
 
 # ---------------------------------------------------------------------------

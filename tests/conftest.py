@@ -1,4 +1,5 @@
-"""Tier-1 hooks: an IntegrationWarning fails the test that raises it.
+"""Tier-1 hooks: an IntegrationWarning or a RuntimeWarning (overflow,
+invalid value, division by zero) fails the test that raises it.
 
 Kept out of pyproject.toml, whose filterwarnings also apply to
 `python -m pytest perfbench`, where reference quadratures may warn.
@@ -15,3 +16,5 @@ def pytest_collection_modifyitems(items):
         if _HERE in item.path.parents:
             item.add_marker(pytest.mark.filterwarnings(
                 "error::scipy.integrate.IntegrationWarning"))
+            item.add_marker(pytest.mark.filterwarnings(
+                "error::RuntimeWarning"))

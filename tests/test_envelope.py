@@ -91,6 +91,15 @@ def test_spec_invariants():
                      gamma=1.0, profile=Constant(1.0), beta=0.5)  # beta < alpha
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, 2.0, 2.5, math.nan])
+def test_spec_rejects_alpha_outside_0_2(alpha):
+    doc = spec_to_dict(_upper_small(PolyTempered(3.0)))
+    with pytest.raises(DomainError, match=r"alpha must lie in \(0, 2\)"):
+        _upper_small(PolyTempered(3.0), alpha=alpha)
+    with pytest.raises(DomainError, match=r"alpha must lie in \(0, 2\)"):
+        spec_from_dict({**doc, "alpha": alpha})
+
+
 def test_lower_outside_cone_not_applicable():
     spec = EnvelopeSpec(side="lower", regime="small_t", d=2, alpha=1.0,
                         gamma=1.0, profile=PolyTempered(3.0),
@@ -286,6 +295,40 @@ def test_hypothesis_check_lower_on_a_density_measure():
                         gamma=2.0, profile=PolyTempered(3.0))
     ball = hypothesis_check(m, spec)["checks"]["ball_lower"]
     assert ball["pass"] and 0.0 < ball["inf_ratio"] < math.inf
+
+
+def _uniform_circle_model():
+    sp = SpectralMeasure(d=2, density=lambda ang: np.ones_like(ang))
+    return LevyModel(d=2, alpha=1.0, spectral=sp, profile=PolyTempered(3.0))
+
+
+@pytest.mark.parametrize("model, gamma, ok", [
+    (stable_model(1.0, d=2), 1.0, True),
+    (stable_model(1.0, d=2), 1.2, False),   # atoms: mu(B) does not shrink
+    (_uniform_circle_model(), 1.0, True),
+    (_uniform_circle_model(), 2.0, True),
+], ids=["atoms-1", "atoms-1.2", "circle-1", "circle-2"])
+def test_gamma_measure_passes_iff_gamma_is_at_most_the_measures(model,
+                                                                gamma, ok):
+    spec = _upper_small(PolyTempered(3.0), d=2, gamma=gamma)
+    check = hypothesis_check(model, spec)["checks"]["gamma_measure"]
+    assert check == {"pass": ok, "gamma": model.spectral.gamma}
+
+
+@pytest.mark.parametrize("model, gamma, ok", [
+    (stable_model(1.0, d=2), 1.0, True),
+    (stable_model(1.0, d=2), 2.0, True),
+    # nu(B(e1, r)) / r = 0.383, 0.040, 3.9e-3 at r = 0.5, 0.1, 0.01:
+    # on a density the ball mass shrinks like r^2, not r
+    # (gamma = 2 passes: test_hypothesis_check_lower_on_a_density_measure)
+    (_uniform_circle_model(), 1.0, False),
+], ids=["atoms-1", "atoms-2", "circle-1"])
+def test_ball_lower_passes_iff_gamma_is_at_least_the_measures(model,
+                                                              gamma, ok):
+    spec = EnvelopeSpec(side="lower", regime="small_t", d=2, alpha=1.0,
+                        gamma=gamma, profile=PolyTempered(3.0))
+    ball = hypothesis_check(model, spec)["checks"]["ball_lower"]
+    assert ball["pass"] is ok and 0.0 < ball["inf_ratio"] < math.inf
 
 
 def test_relativistic_lower_profile_shape():

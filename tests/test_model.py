@@ -1,4 +1,4 @@
-"""Levy model functionals: tail mass, ball mass, moments, gamma fit."""
+"""Levy model functionals: tail mass, ball mass, moments, spectral gamma."""
 import math
 import tracemalloc
 
@@ -15,7 +15,6 @@ from templevy.model import (
     SpectralMeasure,
     cauchy_model,
     exp_model,
-    gamma_estimate,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -103,21 +102,30 @@ def test_nu_ball_symmetric():
     assert nu_ball(m, x, 0.7) == pytest.approx(nu_ball(m, -x, 0.7), rel=1e-12)
 
 
-def test_gamma_estimate_atoms():
-    g, _ = gamma_estimate(cauchy_model().spectral, np.logspace(-2, -0.5, 6))
-    assert g == pytest.approx(1.0)
-
-
-def test_gamma_estimate_uniform_circle():
-    sp = SpectralMeasure(d=2, density=lambda ang: np.ones_like(ang))
-    g, _ = gamma_estimate(sp, np.logspace(-2, -0.5, 8))
-    assert g == pytest.approx(2.0, abs=0.05)
-
-
-def test_gamma_estimate_cos_density():
-    sp = SpectralMeasure(d=2, density=lambda ang: np.abs(np.cos(ang)))
-    g, _ = gamma_estimate(sp, np.logspace(-2, -0.5, 8))
-    assert g == pytest.approx(2.0, abs=0.05)
+@pytest.mark.parametrize("spectral, theta, gamma, limit", [
+    (SpectralMeasure(d=1, directions=np.array([[1.0], [-1.0]]),
+                     weights=np.ones(2)), (1.0,), 1.0, 0.25),
+    (SpectralMeasure(d=2, directions=np.array([[1.0, 0.0], [-1.0, 0.0],
+                                               [0.6, 0.8], [-0.6, -0.8]]),
+                     weights=np.ones(4)), (0.6, 0.8), 1.0, 0.25),
+    (SpectralMeasure(d=2, density=lambda ang: np.ones_like(ang)),
+     (1.0, 0.0), 2.0, math.pi / 8.0),
+    (SpectralMeasure(d=2, density=lambda ang: np.abs(np.cos(ang))),
+     (math.cos(0.3), math.sin(0.3)), 2.0, math.cos(0.3) * math.pi / 8.0),
+], ids=["atoms-d1", "atoms-d2", "uniform-circle", "abs-cos"])
+def test_nu_ball_shrinks_like_r_to_the_spectral_gamma(spectral, theta,
+                                                      gamma, limit):
+    # at |x| = 1 with alpha = 1 and q(1) = 1/8, nu(B(x, r)) / r^gamma
+    # tends to q(1) times a chord 2r on an atom's ray (weight 1), or
+    # times g(theta) and the area pi r^2 in a density's cone
+    assert spectral.gamma == gamma
+    m = LevyModel(d=spectral.d, alpha=1.0, spectral=spectral,
+                  profile=PolyTempered(3.0))
+    x = np.asarray(theta)
+    lo, hi = nu_ball(m, x, 1e-3), nu_ball(m, x, 1e-2)
+    assert math.log(hi / lo) / math.log(10.0) == pytest.approx(gamma,
+                                                               abs=1e-3)
+    assert lo / 1e-3 ** gamma == pytest.approx(limit, rel=1e-5)
 
 
 def test_uniform_circle_direction_matrix():
