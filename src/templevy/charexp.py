@@ -478,21 +478,17 @@ def _direction_set(model: LevyModel) -> np.ndarray:
     return np.unique(np.round(np.array(dirs), 12), axis=0)
 
 
-def _radial_scan(model: LevyModel, dirs: np.ndarray, radii, n: int):
-    """Phi at every direction times every radius (by default n of them,
-    log-spaced on [1e-2, 1e2]), and |xi| per point."""
-    if radii is None:
-        radii = np.exp(np.linspace(math.log(1e-2), math.log(1e2), n))
+def _radial_scan(model: LevyModel, dirs: np.ndarray, radii):
+    """Phi at every direction times every radius, and |xi| per point."""
     radii = np.asarray(radii, dtype=float)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, model.d)
     return phi_on_points(model, pts), np.repeat(radii, len(dirs))
 
 
-def check_lower_growth(model: LevyModel, exponent: float,
-                       radii=None) -> float:
+def check_lower_growth(model: LevyModel, exponent: float, radii) -> float:
     """inf over a direction x log-radius grid of Phi(xi) / |xi|^exponent."""
     if model.degenerate:
         raise DegeneracyError("degenerate spectral measure: inf would vanish")
-    vals, r = _radial_scan(model, _direction_set(model), radii, 40)
+    vals, r = _radial_scan(model, _direction_set(model), radii)
     return float(np.min(vals / r ** exponent))
 

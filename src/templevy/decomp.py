@@ -45,7 +45,6 @@ from functools import partial
 import numpy as np
 import scipy.fft as sfft
 
-from .charexp import phi_on_points
 from .density import MAX_N, DensityField, GridSpec, _cutoff, invert
 from .errors import DomainError, GridError
 from .model import LevyModel, _tail_table, nu_tail
@@ -62,9 +61,7 @@ __all__ = [
     "bounded_cell_masses",
     "compound_poisson",
     "recompose",
-    "frequency_identity_defect",
     "convolution_ball_check",
-    "local_lower_check",
 ]
 
 @dataclass(frozen=True)
@@ -456,35 +453,6 @@ def recompose(local: DensityField, cp: CompoundPoissonField) -> DensityField:
                         min_raw=local.min_raw)
 
 
-def frequency_identity_defect(sm: SplitMeasure, t: float,
-                              grid: GridSpec) -> float:
-    """max | F(p~) F(Pbar) - exp(-t Phi) | over the dual grid (d = 1).
-
-    F(Pbar) comes from the gridded big-jump measure, so the two sides rest
-    on independent discretizations of nu.  There is no such check in d = 2,
-    where both sides would be sums over the same psi tables.
-    """
-    if sm.model.d != 1 or grid.d != 1:
-        raise DomainError("the frequency identity check is d=1 only")
-    # a subsample of the dual grid bounds the exponent evaluations
-    step = max(1, grid.N // 2048)
-    xi = grid.xi_axis()[::step]
-    phit = phi_on_points(sm.small, xi)
-    k = np.arange(-(grid.N // 2), grid.N // 2, step)
-    fbar = np.exp(t * (_nubar_hat(bounded_cell_masses(sm, grid), k) - sm.lam))
-    direct = np.exp(-t * phi_on_points(sm.model, xi))
-    return float(np.max(np.abs(np.exp(-t * phit) * fbar - direct)))
-
-
-def _nubar_hat(masses: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """sum_x m(x) cos(k pi x / L) over a field's cells, for integers k.
-
-    At these frequencies x k pi / L = 2 pi j k / N for the cell x = jh, so
-    the sums are bins |k| of the real part of the N-point rfft of the field
-    with x = 0 at index 0: the same sums, with no wrap."""
-    return sfft.rfft(sfft.ifftshift(masses)).real[np.abs(k)]
-
-
 def convolution_ball_check(sm: SplitMeasure, n_max: int, x_set,
                            grid: GridSpec = None) -> list:
     """Ratios of gridded nubar^(n*) ball masses to the power-law reference.
@@ -533,14 +501,3 @@ def _ball_mass(masses: np.ndarray, ax: np.ndarray, h: float,
     left = np.clip((np.minimum(ax + h / 2, hi)
                     - np.maximum(ax - h / 2, lo)) / h, 0.0, 1.0)
     return float(np.dot(left, masses))
-
-
-def local_lower_check(model: LevyModel, t_set) -> list:
-    """Rows (t, t^(d/alpha) p~_t(0)) with cut radius t^(1/alpha)."""
-    rows = []
-    for t in sorted(t_set):
-        sm = split(model, t ** (1.0 / model.alpha))
-        fld = local_density(sm, t)
-        p0 = float(fld.values[(fld.grid.N // 2,) * model.d])
-        rows.append((float(t), t ** (model.d / model.alpha) * p0))
-    return rows

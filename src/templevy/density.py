@@ -37,7 +37,7 @@ from scipy.integrate import IntegrationWarning, quad
 from .charexp import phi_on_points
 from .errors import DomainError, GridError, NumericError, DegeneracyError
 from .model import LevyModel, nu_tail
-from .profiles import Truncated, tail_index
+from .profiles import Truncated
 
 __all__ = [
     "GridSpec",
@@ -46,7 +46,6 @@ __all__ = [
     "invert",
     "values_at",
     "density_at",
-    "on_diagonal_scan",
     "save_field",
     "load_field",
     "field_to_csv",
@@ -106,8 +105,8 @@ class GridSpec:
     def refine(self, factor: int = 2) -> "GridSpec":
         return GridSpec(self.d, self.L, self.N * factor)
 
-    def widen(self, factor: float = 2.0) -> "GridSpec":
-        """Double the extent keeping the spacing (N scales with L)."""
+    def widen(self, factor: float) -> "GridSpec":
+        """Scale L by factor at no coarser spacing: N doubles to cover it."""
         n = self.N
         while n * self.h / 2.0 < self.L * factor:
             n *= 2
@@ -446,23 +445,6 @@ def density_at(model: LevyModel, t: float, x: float) -> float:
         raise NumericError("pointwise inversion did not converge",
                            estimate=val)
     return max(val / math.pi, 0.0)
-
-
-def on_diagonal_scan(model: LevyModel, t_set) -> list:
-    """Rows (t, p_t(0), p_t(0) t^(d/alpha), p_t(0) t^(d/beta))."""
-    beta = max(tail_index(q, model.alpha)
-               for _, q in model.profiles_and_weights())
-    rows = []
-    for t in sorted(t_set):
-        if model.d == 1:
-            p0 = density_at(model, t, 0.0)  # pointwise exists in d = 1 only
-        else:
-            fld = invert(model, t)
-            p0 = float(fld.values[(fld.grid.N // 2,) * model.d])
-        rows.append((float(t), p0,
-                     p0 * t ** (model.d / model.alpha),
-                     p0 * t ** (model.d / beta)))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ empirically as ratio statistics.  Lower envelopes apply only inside the
 cone over the admissible direction set A0, a non-empty set of unit
 vectors.
 
-evaluate, in_cone and product_form take one point of shape (d,), giving
-a Python float (or bool), or an (n, d) array of points, giving an (n,)
-array; a point without d coordinates raises DomainError.
+evaluate and in_cone take one point of shape (d,), giving a Python
+float (or bool), or an (n, d) array of points, giving an (n,) array; a
+point without d coordinates raises DomainError.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from scipy.integrate import quad
 
 from .charexp import _direction_set, _radial_scan, check_lower_growth
 from .errors import DomainError, RegimeError
-from .model import _UNIT_TOL, LevyModel, nu_ball, nu_tail
+from .model import _UNIT_TOL, LevyModel, SpectralMeasure, nu_ball, nu_tail
 from .profiles import (Constant, ExpTempered, RadialProfile,
                        profile_from_dict, profile_to_dict, tail_index)
 
@@ -36,7 +36,6 @@ __all__ = [
     "EnvelopeSpec",
     "NOT_APPLICABLE",
     "evaluate",
-    "product_form",
     "in_cone",
     "hypothesis_check",
     "relativistic_lower_profile",
@@ -168,23 +167,6 @@ def evaluate(spec: EnvelopeSpec, t: float, x):
     return float(vals[0]) if one else vals
 
 
-def product_form(spec: EnvelopeSpec, t: float, x):
-    """t^(-d/a) (1 + t^(-1/a) |x|)^(-alpha-gamma) q(|x|), with q = 1 at
-    the origin; a float for one (d,) point, an (n,) array for (n, d).
-
-    Comparable to the min form whenever q is doubling; used for ratio
-    scans of the two shapes.
-    """
-    a = spec.alpha if spec.regime == "small_t" else spec.beta
-    _, r, one = _points(spec, x)
-    qv = np.ones(len(r))
-    off = r > 0.0
-    qv[off] = spec.profile(r[off])
-    vals = (t ** (-spec.d / a)
-            * (1.0 + t ** (-1.0 / a) * r) ** (-spec.alpha - spec.gamma) * qv)
-    return float(vals[0]) if one else vals
-
-
 def relativistic_lower_profile(d: int, alpha: float) -> ExpTempered:
     """(1+s)^((d+alpha-1)/2) e^(-2s): a valid lower profile for the
     relativistic model's Bessel-type kernel."""
@@ -207,9 +189,7 @@ def hypothesis_check(model: LevyModel, spec: EnvelopeSpec) -> dict:
     if spec.side == "upper":
         checks["gamma_measure"] = _check_gamma(model, spec)
         checks["profile_dominates"] = _check_profile_dominates(model, spec)
-        # upper bounds need the doubling property of the envelope profile
-        # (exponential profiles fail it; replace with (1+s)^(-m))
-        checks["profile_doubling"] = {"pass": bool(spec.profile.doubling)}
+        checks["profile_doubling"] = _check_doubling(spec.profile)
         if spec.regime == "large_t":
             checks["beta_integrability"] = _check_beta_integrability(
                 model, spec)
@@ -247,17 +227,34 @@ def _sup_settles(ratios: np.ndarray, n: int) -> bool:
     finite limit).  A finite sup on a fixed range says nothing: a power
     that diverges outward, however slowly, is finite on every range."""
     sup = np.maximum.accumulate(ratios)
+    if not np.isfinite(sup[-1]):
+        return False
     rises = np.diff(sup[n - 1:])
-    return bool(np.isfinite(sup[-1])
-                and (np.all(rises <= 1e-12 * sup[-1])
-                     or np.all(rises[1:] < rises[:-1])))
+    return bool(np.all(rises <= 1e-12 * sup[-1])
+                or np.all(rises[1:] < rises[:-1]))
+
+
+def _ratio(num, den, n: int) -> np.ndarray:
+    """num / den on n nodes, inf where den is 0 (with no RuntimeWarning)."""
+    return np.divide(num, den, out=np.full(n, math.inf), where=den > 0)
 
 
 def _check_profile_dominates(model: LevyModel, spec: EnvelopeSpec) -> dict:
     """Upper envelopes need q_spec >= model profile (up to a constant)."""
     s = _outward_grid(1e-2, 50.0, 60)
-    ratio = np.max([np.asarray(q(s)) / np.asarray(spec.profile(s))
+    ratio = np.max([_ratio(q(s), spec.profile(s), len(s))
                     for _, q in model.profiles_and_weights()], axis=0)
+    return {"pass": _sup_settles(ratio, 60), "sup_ratio": float(ratio.max())}
+
+
+def _check_doubling(q: RadialProfile) -> dict:
+    """Upper envelopes need q(s) <= K q(2s), which exponential profiles fail.
+    A built-in profile declares it; a Custom's q(s)/q(2s) must settle on
+    the grid of _check_profile_dominates, and is inf where q(2s) = 0."""
+    if q.doubling is not None:
+        return {"pass": bool(q.doubling)}
+    s = _outward_grid(1e-2, 50.0, 60)
+    ratio = _ratio(q(s), q(2.0 * s), len(s))
     return {"pass": _sup_settles(ratio, 60), "sup_ratio": float(ratio.max())}
 
 
@@ -311,7 +308,7 @@ def _check_phi_two_sided(model: LevyModel, spec: EnvelopeSpec) -> dict:
     |xi|^-0.5, finite on every range."""
     lower = _check_phi_growth(model, spec.beta)
     radii = _outward_grid(1.0, 1e-2, 24)
-    phi, r = _radial_scan(model, _direction_set(model), radii, 0)
+    phi, r = _radial_scan(model, _direction_set(model), radii)
     ratio = (phi / r ** spec.beta).reshape(len(radii), -1).max(axis=1)
     upper = _sup_settles(ratio, 24)
     return {"pass": bool(lower["pass"] and upper),
@@ -324,7 +321,8 @@ def _check_ball_lower(model: LevyModel, spec: EnvelopeSpec) -> dict:
     As r -> 0 a ball's mass shrinks like r^gamma of the measure
     (SpectralMeasure.gamma), so the spec's gamma must be at least that
     by rule.  The scan over |x| probes only r/|x| in {0.25, 0.5}, where
-    gamma scales the constant alone."""
+    gamma scales the constant alone; a density measure must also stay
+    bounded below at each direction (_density_bounded_below)."""
     a = model.alpha
     dirs = spec.directions or model.spectral.probe_directions
     worst = math.inf
@@ -338,8 +336,24 @@ def _check_ball_lower(model: LevyModel, spec: EnvelopeSpec) -> dict:
                        * float(spec.profile(r_abs)))
                 if ref > 0:
                     worst = min(worst, ball / ref)
-    ok = spec.gamma >= model.spectral.gamma and 0 < worst < math.inf
+    ok = (spec.gamma >= model.spectral.gamma and 0 < worst < math.inf
+          and _density_bounded_below(model.spectral, dirs))
     return {"pass": bool(ok), "inf_ratio": worst}
+
+
+def _density_bounded_below(sp: SpectralMeasure, dirs) -> bool:
+    """Whether 1/min(g(theta + delta), g(theta - delta)) settles
+    (_sup_settles) as delta -> 0 at each direction theta: where the density
+    g vanishes, nu(B(x, r)) falls faster than r^gamma.  Atoms pass."""
+    if sp.is_atomic:
+        return True
+    delta = _outward_grid(0.5, 1e-4, 40)
+    for th in dirs:
+        ang = math.atan2(th[1], th[0]) + np.concatenate((delta, -delta))
+        g = np.asarray(sp.density(ang), dtype=float).reshape(2, -1)
+        if not _sup_settles(_ratio(1.0, g.min(axis=0), len(delta)), 40):
+            return False
+    return True
 
 
 def _check_tail_upper(model: LevyModel, exponent: float) -> dict:

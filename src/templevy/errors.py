@@ -24,10 +24,6 @@ class DegeneracyError(TempLevyError, ValueError):
     """The spectral measure is supported on a proper linear subspace."""
 
 
-class UnsupportedProfileError(TempLevyError, ValueError):
-    """The radial profile does not admit the requested diagnostic."""
-
-
 class RegimeError(DomainError):
     """A time value lies outside the envelope's regime."""
 

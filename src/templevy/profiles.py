@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, UnsupportedProfileError
+from .errors import DomainError
 
 __all__ = [
     "RadialProfile",
@@ -27,7 +27,6 @@ __all__ = [
     "Truncated",
     "Relativistic",
     "Custom",
-    "doubling_constant",
     "tail_index",
     "relativistic_kernel",
     "profile_from_dict",
@@ -71,7 +70,8 @@ class RadialProfile:
     filled by quadrature; Constant has a closed form.
     """
 
-    #: whether q satisfies the doubling bound q(s) <= K q(2s)
+    #: whether q satisfies the doubling bound q(s) <= K q(2s); None when
+    #: not declared (Custom), and hypothesis_check measures it
     doubling = True
     #: (m, c): q(s) ~ s^-m e^(-c s) as s -> inf; None when not declared
     tail = None
@@ -216,38 +216,14 @@ class Relativistic(RadialProfile):
 class Custom(RadialProfile):
     """User-supplied profile; compared by identity."""
 
+    doubling = None
+
     func: Callable[[np.ndarray], np.ndarray]
     label: str = "custom"
-    declares_doubling: bool = True
-
-    @property
-    def doubling(self):  # type: ignore[override]
-        return self.declares_doubling
 
     def value(self, s):
         # the user's function always sees an array
         return np.asarray(self.func(np.asarray(s, dtype=float)), dtype=float)
-
-
-def doubling_constant(q: RadialProfile, s_min: float, s_max: float):
-    """Measure the doubling constant K = sup q(s)/q(2s) on a log grid of
-    400 nodes.
-
-    Returns (K, eta) with eta = log2 K.  Profiles that vanish inside
-    [s_min, 2 s_max] (hard truncation) are rejected.
-    """
-    if not (0 < s_min < s_max):
-        raise DomainError("need 0 < s_min < s_max")
-    grid = np.exp(np.linspace(math.log(s_min), math.log(s_max), 400))
-    num = q(grid)
-    den = q(2.0 * grid)
-    if np.any(den <= 0) or np.any(num <= 0):
-        raise UnsupportedProfileError(
-            "profile vanishes on the requested range; doubling undefined"
-        )
-    K = float(np.max(num / den))
-    K = max(K, 1.0)
-    return K, math.log2(K)
 
 
 def tail_index(q: RadialProfile, alpha: float) -> float:
@@ -257,9 +233,8 @@ def tail_index(q: RadialProfile, alpha: float) -> float:
     admits beta = 2; polynomial tempering (1+s)^(-m) admits anything below
     alpha + m (a tiny guard keeps the integral strictly convergent).  A
     constant profile returns alpha, the stable scaling exponent that
-    default_eps and on_diagonal_scan read; no beta is integrable for it,
-    since the integral of s^(beta-alpha-1) over [1, inf) diverges for every
-    beta >= alpha.
+    default_eps reads; no beta is integrable for it, since the integral of
+    s^(beta-alpha-1) over [1, inf) diverges for every beta >= alpha.
     """
     guard = 1e-9
     if isinstance(q, (ExpTempered, Truncated, Relativistic)):

@@ -512,7 +512,7 @@ def test_check_lower_growth_degenerate():
                          weights=np.array([1.0, 1.0]))
     m = LevyModel(d=2, alpha=1.0, spectral=sp, profile=PolyTempered(3.0))
     with pytest.raises(DegeneracyError):
-        check_lower_growth(m, exponent=1.0)
+        check_lower_growth(m, exponent=1.0, radii=np.logspace(-2, 2, 40))
 
 
 def test_growth_checks_in_d2_probe_directions_off_the_axes():

@@ -21,7 +21,6 @@ from templevy.density import (
     field_to_csv,
     invert,
     load_field,
-    on_diagonal_scan,
     save_field,
     values_at,
 )
@@ -189,28 +188,11 @@ def test_at_on_an_axis_field_in_d2_is_the_product_of_its_marginals():
                                          rel=1e-15, abs=0.0)
 
 
-def test_on_diagonal_scan_in_d2_is_the_square_of_the_d1_centre():
-    m2, m1 = exp_model(1.0, d=2), exp_model(1.0)
-    t_set = [0.5, 2.0]
-    for t, row in zip(t_set, on_diagonal_scan(m2, t_set)):
-        g = auto_grid(m2, t)
-        p1 = invert(m1, t, GridSpec(1, g.L, g.N)).values[g.N // 2]
-        assert row[1] == pytest.approx(p1 ** 2, rel=1e-12, abs=0.0)
-        assert row[2] == pytest.approx(row[1] * t ** 2, rel=1e-12)
-
-
 def test_two_dimensional_inversion_mass():
     m = stable_model(1.0, d=2)
     fld = invert(m, 1.0, GridSpec(2, 64.0, 1024))
     assert abs(fld.mass - 1.0) < 1e-4
     assert fld.symmetry_defect() <= 1e-9 * float(fld.values.max())
-
-
-def test_on_diagonal_scan_small_t_rate():
-    rows = on_diagonal_scan(stable_model(1.5), [0.25, 0.5, 1.0])
-    # pure stable: p_t(0) t^{d/alpha} is constant in t
-    scaled = [r[2] for r in rows]
-    assert max(scaled) / min(scaled) < 1.0 + 1e-4
 
 
 def _full_grid_values(model, t, grid):

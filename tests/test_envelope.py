@@ -1,5 +1,6 @@
 """Envelope formula evaluation, regimes, and hypothesis checks."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from templevy.envelope import (
     evaluate,
     hypothesis_check,
     in_cone,
-    product_form,
     relativistic_lower_profile,
     spec_from_dict,
     spec_to_dict,
@@ -19,7 +19,7 @@ from templevy.envelope import (
 from templevy.errors import DomainError, RegimeError
 from templevy.model import (LevyModel, SpectralMeasure, exp_model, poly_model,
                             relativistic_model, stable_model)
-from templevy.profiles import Constant, ExpTempered, PolyTempered
+from templevy.profiles import Constant, Custom, ExpTempered, PolyTempered
 
 
 def _upper_small(profile, **kw):
@@ -116,29 +116,29 @@ def test_envelope_monotone_in_x():
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
-def test_min_vs_product_form_comparable():
-    spec = _upper_small(PolyTempered(3.0))
-    ratios = []
-    for t in (0.05, 0.2, 0.8):
-        for r in np.logspace(-1, 1.3, 12):
-            x = np.array([r])
-            ratios.append(evaluate(spec, t, x) / product_form(spec, t, x))
-    assert 0.0 < min(ratios) and max(ratios) / min(ratios) < 50.0
-
-
 def test_hypothesis_check_poly_upper_passes():
+    # a Custom declares no doubling: its q(s)/q(2s) is measured, and
+    # ((1+2s)/(1+s))^3 rises to 8 without reaching it
     m = poly_model(3.0, 1.0)
-    rep = hypothesis_check(m, _upper_small(PolyTempered(3.0)))
-    assert rep["pass"]
+    for q in (PolyTempered(3.0), Custom(lambda s: (1.0 + s) ** -3.0)):
+        rep = hypothesis_check(m, _upper_small(q))
+        assert rep["pass"]
+    assert 7.5 < rep["checks"]["profile_doubling"]["sup_ratio"] < 8.0
 
 
 def test_hypothesis_check_rejects_exponential_upper():
     # exponentially tempered profiles fail the doubling requirement of the
-    # upper envelopes; polynomial replacements must be used instead
+    # upper envelopes; polynomial replacements must be used instead.  A
+    # Custom is measured: q(s)/q(2s) = e^s is unbounded, and a profile
+    # that is 0 beyond s = 5 has q(2s) = 0 on (2.5, 5] (with no warning)
     m = exp_model(1.0)
-    rep = hypothesis_check(m, _upper_small(ExpTempered(a=0.0, c1=1.0)))
-    assert not rep["pass"]
-    assert not rep["checks"]["profile_doubling"]["pass"]
+    for q in (ExpTempered(a=0.0, c1=1.0), Custom(lambda s: np.exp(-s)),
+              Custom(lambda s: (1.0 + s) ** -3.0 * (s <= 5.0))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = hypothesis_check(m, _upper_small(q))
+        assert not rep["pass"]
+        assert not rep["checks"]["profile_doubling"]["pass"]
 
 
 def test_hypothesis_check_constant_beta2_fails_integrability():
@@ -288,13 +288,15 @@ def test_hypothesis_check_relativistic_lower():
 
 def test_hypothesis_check_lower_on_a_density_measure():
     # a lower spec without directions probes a density measure along the
-    # directions of the harness scan
-    sp = SpectralMeasure(d=2, density=lambda ang: np.ones_like(ang))
-    m = LevyModel(d=2, alpha=1.0, spectral=sp, profile=PolyTempered(3.0))
+    # directions of the harness scan; |cos| vanishes at +-e2, one of them,
+    # where nu(B(x, r)) falls like r^3
     spec = EnvelopeSpec(side="lower", regime="small_t", d=2, alpha=1.0,
                         gamma=2.0, profile=PolyTempered(3.0))
-    ball = hypothesis_check(m, spec)["checks"]["ball_lower"]
-    assert ball["pass"] and 0.0 < ball["inf_ratio"] < math.inf
+    for g, ok in ((np.ones_like, True), (lambda a: np.abs(np.cos(a)), False)):
+        sp = SpectralMeasure(d=2, density=g)
+        m = LevyModel(d=2, alpha=1.0, spectral=sp, profile=PolyTempered(3.0))
+        ball = hypothesis_check(m, spec)["checks"]["ball_lower"]
+        assert ball["pass"] == ok and 0.0 < ball["inf_ratio"] < math.inf
 
 
 def _uniform_circle_model():
@@ -393,8 +395,7 @@ def test_spec_stores_directions_as_float_tuples():
 @pytest.mark.parametrize("fn", [
     lambda spec, x: evaluate(spec, 0.5, x),
     in_cone,
-    lambda spec, x: product_form(spec, 0.5, x),
-], ids=["evaluate", "in_cone", "product_form"])
+], ids=["evaluate", "in_cone"])
 def test_points_need_d_coordinates(fn):
     # a d = 1 spec once read (3, 4) as |x| = 5
     spec = _lower_small_d1(directions=((1.0,), (-1.0,)))
@@ -414,7 +415,6 @@ def test_points_must_not_be_nan():
 def test_one_point_gives_python_scalars():
     spec = _lower_small_d1(directions=((1.0,),))
     assert type(evaluate(spec, 0.5, np.array([2.0]))) is float
-    assert type(product_form(spec, 0.5, np.array([2.0]))) is float
     assert in_cone(spec, np.array([2.0])) is True
     assert in_cone(spec, np.array([-2.0])) is False
     vals = evaluate(spec, 0.5, np.array([[0.0], [2.0], [-2.0]]))
@@ -459,6 +459,3 @@ def test_point_arrays_match_per_point_calls(d, angles, log_r, others,
         np.testing.assert_array_equal(inside, [in_cone(spec, x) for x in pts])
         np.testing.assert_array_equal(np.isnan(vals), ~inside)
         np.testing.assert_array_equal(np.isnan(one), ~inside)
-        np.testing.assert_allclose(
-            product_form(spec, t, pts),
-            [product_form(spec, t, x) for x in pts], rtol=1e-15, atol=0.0)

@@ -21,6 +21,7 @@ import pytest
 
 import templevy
 from templevy.model import LevyModel, SpectralMeasure
+from templevy.profiles import Custom
 
 SOURCES = sorted(pathlib.Path(templevy.__file__).parent.glob("*.py"))
 WORKLOADS = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
@@ -253,10 +254,12 @@ def test_detector_flags_swallowed_warnings_and_errors():
 @pytest.mark.parametrize("cls, names", [
     (SpectralMeasure, {"d", "directions", "weights", "density"}),
     (LevyModel, {"d", "alpha", "spectral", "profile", "atom_profiles"}),
-], ids=["SpectralMeasure", "LevyModel"])
+    (Custom, {"func", "label"}),
+], ids=["SpectralMeasure", "LevyModel", "Custom"])
 def test_model_fields_are_the_measure(cls, names):
-    # symmetry is checked, and closed forms follow from the profiles: a
-    # knob that switches either comes back only through this test
+    # symmetry is checked, closed forms follow from the profiles and a
+    # Custom's doubling is measured: a knob that switches any of them
+    # comes back only through this test
     assert {f.name for f in dataclasses.fields(cls) if f.init} == names
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from templevy.charexp import psi_quad
-from templevy.errors import DomainError, UnsupportedProfileError
+from templevy.errors import DomainError
 from templevy.model import (_tail_table, radial_second_moment,
                             radial_tail_mass)
 from templevy.profiles import (
@@ -18,7 +18,6 @@ from templevy.profiles import (
     PolyTempered,
     Relativistic,
     Truncated,
-    doubling_constant,
     profile_from_dict,
     profile_to_dict,
     relativistic_kernel,
@@ -62,30 +61,6 @@ def test_profiles_nonincreasing():
         v = np.asarray(q(s))
         assert np.all(np.diff(v) <= 1e-15)
         assert np.all(v >= 0.0)
-
-
-def test_doubling_constant_poly():
-    K, eta = doubling_constant(PolyTempered(3.0), 1e-3, 1e4)
-    assert 1.0 <= K <= 8.0 * (1 + 1e-6)
-    assert eta == pytest.approx(math.log2(K))
-
-
-def test_doubling_constant_constant():
-    K, eta = doubling_constant(Constant(1.0), 0.01, 100.0)
-    assert K == pytest.approx(1.0)
-    assert eta == pytest.approx(0.0)
-
-
-def test_doubling_constant_exponential_grows():
-    s_max = 10.0
-    K, _ = doubling_constant(ExpTempered(a=0.0, c1=1.0), 0.01, s_max)
-    # ratio q(s)/q(2s) = e^s peaks at the right endpoint
-    assert K == pytest.approx(math.exp(s_max), rel=0.05)
-
-
-def test_doubling_rejected_for_truncated():
-    with pytest.raises(UnsupportedProfileError):
-        doubling_constant(Truncated(s0=1.0), 0.5, 10.0)
 
 
 def test_doubling_flags():
