@@ -11,7 +11,10 @@ Relativistic(1, alpha) (psi_vector).  Grid fills go through a log-log
 cubic spline of psi, one per (profile, alpha) for the whole process, on
 48 log nodes per tenfold of u from U_LO = 1e-6 to U_HI = 1e10, all
 filled when the table is built; below U_LO it follows the power law of
-its first node, and a |u| above U_HI raises DomainError.  A profile that
+its first node, and a |u| above U_HI raises DomainError.  A table
+certifies, on first asking, whether the psi it gives is non-decreasing
+(PsiTable.monotone); values_at reads Phi only up to its live prefix when
+every pair's psi is.  A profile that
 declares q(0+) and its tail (every built-in one but a cut) takes all its
 nodes from one FFTLog sweep (_sweep): psi_q is a Mellin convolution, so
 one inverse FFT gives it on the whole log-u grid.  A cut of any profile
@@ -34,7 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.fft import irfft, rfft
@@ -349,6 +352,11 @@ class PsiTable:
     sweep, else psi_quad per node.  filled_by records which it was ("cut
     rule", "closed form", "sweep" or "quad"), and rule_v the largest u s0
     that took the Gauss rule (0 when none did).
+
+    monotone, computed on first read, certifies that the psi the table
+    gives is non-decreasing in u.  psi'(u) = int f(s) sin(u s) ds with
+    f = s^-alpha q(s), which is >= 0 whenever f is non-increasing; the
+    certificate checks the table itself, not that argument.
     """
 
     def __init__(self, q: RadialProfile, alpha: float):
@@ -380,6 +388,20 @@ class PsiTable:
         out[pos] = np.exp(res)
         return out
 
+    @cached_property
+    def monotone(self) -> bool:
+        """Whether psi = exp(S(log u)) is non-decreasing: the leg below
+        U_LO has slope >= 0, and on every interval the spline's derivative
+        S', a quadratic, is >= 0 at both ends and at its vertex when that
+        is a minimum inside the interval."""
+        c3, c2, c1 = self._spline.c[:3]  # S' = 3 c3 z^2 + 2 c2 z + c1
+        h = np.diff(self.log_u)
+        ends = np.minimum(c1, c1 + h * (2.0 * c2 + 3.0 * h * c3))
+        dips = (c3 > 0.0) & (c2 < 0.0) & (-c2 < 3.0 * h * c3)
+        vertex = c1[dips] - c2[dips] ** 2 / (3.0 * c3[dips])
+        return bool(self._slope >= 0.0 and ends.min() >= 0.0
+                    and (vertex >= 0.0).all())
+
 
 #: one table per (q, alpha) for the whole process
 _psi_table = lru_cache(maxsize=256)(PsiTable)
@@ -395,6 +417,15 @@ def _closed_psi(q: RadialProfile, alpha: float):
         w = 2.0 * relativistic_weight(1, alpha)
         return lambda u: ((u * u + 1.0) ** (alpha / 2.0) - 1.0) / w
     return None
+
+
+def _phi_monotone(model: LevyModel) -> bool:
+    """Whether Phi(r theta) is non-decreasing in r >= 0 for every theta:
+    so when each pair's psi is, by formula (closed forms) or by its
+    table's certificate (PsiTable.monotone)."""
+    return all(_closed_psi(q, model.alpha) is not None
+               or _psi_table(q, model.alpha).monotone
+               for _, q, _ in model.pairs)
 
 
 def psi_vector(q: RadialProfile, alpha: float, u: np.ndarray) -> np.ndarray:

@@ -15,9 +15,12 @@ d = 1 model and every d = 2 factory model), Phi(xi) is the sum of the
 Phi(xi_i e_i) and the semigroup is a product, p_t(x) = prod_i p_i(x_i):
 Phi is read on the d half axes only, each is inverted by a 1-D irfft, and
 the field is their outer product, with a d = 1 field as its one factor.
-Oblique atoms and density spectral measures in d = 2 take the 2-D
-transform.  Every other field operation is written once for every d,
-the dimension being an index tuple or a loop bound.  Both
+values_at, which sums only the live nodes, reads each half axis only up
+to where Phi passes the live bound of its smallest t, when every pair's
+psi is certified non-decreasing (charexp.PsiTable.monotone), and whole
+otherwise.  Oblique atoms and density spectral measures in d = 2 take
+the 2-D transform.  Every other field operation is written once for
+every d, the dimension being an index tuple or a loop bound.  Both
 spectral-truncation and spatial-aliasing error estimates are attached
 to every field.  The small-jump law of a
 split measure is a model of its own (decomp.split cuts every profile at
@@ -25,6 +28,7 @@ eps) and goes through the same invert.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import struct
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .charexp import phi_on_points
+from .charexp import U_HI, _phi_monotone, phi_on_points
 from .errors import DomainError, GridError, NumericError, DegeneracyError
 from .model import LevyModel, nu_tail
 from .profiles import Truncated
@@ -59,6 +63,10 @@ RINGING_TOL = 1e-9
 
 #: spectral nodes per block of values_at's matrix product
 BLOCK = 256
+#: a prefix read of Phi (_half_phi) ends at the first node where Phi
+#: exceeds the live bound by PREFIX_MARGIN, relative, found on probe nodes
+#: about PROBE_RATIO apart
+PREFIX_MARGIN, PROBE_RATIO = 1e-12, 1.05
 
 #: largest number of grid points per axis, by dimension
 MAX_N = {1: 2 ** 22, 2: 2 ** 11}
@@ -194,24 +202,44 @@ def _check_grid(model: LevyModel, grid: GridSpec) -> None:
                               "the density may not exist")
 
 
-def _half_phi(model: LevyModel, grid: GridSpec) -> tuple:
+def _half_phi(model: LevyModel, grid: GridSpec, live: float = None) -> tuple:
     """(product, Phi) on the half spectrum, xi_d = m pi / L for m = 0..N/2
     (the other axis in FFT order, m = fftfreq(N, 1/N)).
 
     product: every pair lies on an axis (always so in d = 1), so Phi(xi)
     is the sum of the Phi(xi_i e_i) and p_t the product of the p_i(x_i);
     Phi is then read on the d half axes, one row per axis (psi(0) = 0).
+
+    live: the largest live bound its caller will sum (values_at).  When
+    it is given on the product path and Phi is certified non-decreasing
+    along the axes (charexp._phi_monotone), each row is read only up to
+    the first node where Phi exceeds live by PREFIX_MARGIN, found on one
+    probe of geometrically spaced nodes; the nodes past it are +inf.
+    Every node beyond holds a Phi at least as large, past every live
+    prefix.  Otherwise, and on the 2-D path, the half spectrum is read
+    whole.  Every node read holds the same Phi either way.
     """
     _check_grid(model, grid)
     n, step = grid.N, math.pi / grid.L
     xi = np.arange(n // 2 + 1) * step
     product = all(np.count_nonzero(theta) == 1 for _, _, theta in model.pairs)
-    if product:
-        xi = np.eye(grid.d)[:, None, :] * xi[:, None]
-    else:
+    if not product:
         xi = np.stack(np.meshgrid(np.fft.fftfreq(n, 1.0 / n) * step, xi,
                                   indexing="ij", copy=False), axis=-1)
-    return product, phi_on_points(model, xi)
+        return product, phi_on_points(model, xi)
+    axes = np.eye(grid.d)[:, None, :]
+    if live is None or not _phi_monotone(model):
+        return product, phi_on_points(model, axes * xi[:, None])
+    last = n // 2
+    probe = np.unique(np.geomspace(1, last, 2 + math.ceil(
+        math.log(last) / math.log(PROBE_RATIO))).round().astype(int))
+    over = phi_on_points(model, axes * xi[probe, None]) > live * (
+        1.0 + PREFIX_MARGIN)
+    phi = np.full((grid.d, last + 1), math.inf)
+    for row, ax, hit in zip(phi, axes, over):
+        k = probe[np.argmax(hit)] + 1 if hit.any() else last + 1
+        row[:k] = phi_on_points(model, ax * xi[:k, None])
+    return product, phi
 
 
 def _sub_half(half: tuple, n: int) -> tuple:
@@ -291,10 +319,18 @@ def values_at(model: LevyModel, t_set, grid: GridSpec, points) -> np.ndarray:
     nodes, those before t Phi passes ln(N^d / eps) for good: every node
     left out holds less than eps / N^d of the node at xi = 0, where
     Phi = 0, so all of them together hold less than eps of p_t(0).  On
-    the axis path each 1-D sum is a cosine series, read once per distinct
+    the axis path Phi is read only up to the live prefix of the smallest
+    t when its certificate allows (_half_phi; an uncertified Phi is read
+    whole), and each 1-D sum is a cosine series, read once per distinct
     |x_i|: x and -x give bitwise the same value there.
     """
     return _values_at(model, t_set, grid, points)
+
+
+def _live(grid: GridSpec, t) -> np.ndarray:
+    """ln(N^d / eps) / t per t: the live bound of values_at."""
+    return math.log(grid.N ** grid.d / np.finfo(float).eps) / np.asarray(
+        t, dtype=float)
 
 
 def _values_at(model: LevyModel, t_set, grid: GridSpec, points,
@@ -310,8 +346,9 @@ def _values_at(model: LevyModel, t_set, grid: GridSpec, points,
     if (np.abs(x) > grid.L).any():
         raise DomainError("point outside the grid")
     theta = x * (math.pi / grid.L)  # <xi_m, x> = <m, theta>
-    live = math.log(grid.N ** grid.d / np.finfo(float).eps) / t
-    product, phi = half if half is not None else _half_phi(model, grid)
+    live = _live(grid, t)
+    product, phi = (half if half is not None
+                    else _half_phi(model, grid, float(live.max())))
     if product:
         # one 1-D sum per axis, their product the value
         out = functools.reduce(np.multiply, (
@@ -331,7 +368,10 @@ def _line_sums(phi: np.ndarray, t: np.ndarray, live: np.ndarray,
                theta: np.ndarray) -> np.ndarray:
     """sum_m w_m exp(-t phi_m) cos(m theta) for m = 0..M, w_m = 2 but 1
     at both ends: one row per t, summed up to the last m with
-    phi_m <= live, one column per theta.
+    phi_m <= live, one column per theta.  phi may be +inf past the nodes
+    read (a prefix read of _half_phi); the ends come from those read, by
+    one binary search per t where they are non-decreasing, else by their
+    suffix minimum.
 
     A cosine series is even in theta, so each distinct |theta| is summed
     once and its column copied to every theta of that size.  The
@@ -340,10 +380,16 @@ def _line_sums(phi: np.ndarray, t: np.ndarray, live: np.ndarray,
     e^(i j theta) sums each block, and the phase e^(i b BLOCK theta)
     puts it in place."""
     theta, back = np.unique(np.abs(theta), return_inverse=True)
-    # no node beyond the last with phi <= max(live) ends a prefix
-    top = phi.size - int(np.argmax(phi[::-1] <= live.max()))
-    tail_min = np.minimum.accumulate(phi[top - 1::-1])[::-1]
-    ends = np.searchsorted(tail_min, live, side="right")  # >= 1: phi_0 = 0
+    # the nodes read: phi is finite up to there and +inf past it
+    read = phi[:bisect.bisect_left(phi, math.inf)]
+    if (read[1:] >= read[:-1]).all():
+        ends = np.searchsorted(read, live, side="right")
+    else:
+        # no node beyond the last with phi <= max(live) ends a prefix
+        top = read.size - int(np.argmax(read[::-1] <= live.max()))
+        tail_min = np.minimum.accumulate(read[top - 1::-1])[::-1]
+        ends = np.searchsorted(tail_min, live, side="right")
+    # ends >= 1: phi_0 = 0
     blocks = -(-ends // BLOCK)
     terms = np.zeros(int(blocks.sum()) * BLOCK)
     w = np.full(int(ends.max()), 2.0)
@@ -429,7 +475,15 @@ def _cutoff(model: LevyModel, t: float, target: float) -> float:
 
 
 def density_at(model: LevyModel, t: float, x: float) -> float:
-    """Pointwise p_t(x) in d = 1 by cosine-weighted quadrature."""
+    """Pointwise p_t(x) in d = 1 by cosine-weighted quadrature on [0, U].
+
+    U starts at the power-law guess _cutoff(model, t, 40) and doubles
+    until t Phi(U) reaches 40 on the actual Phi (a guess that reaches it
+    up to rounding stays), since the guess falls short where Phi is still
+    quadratic.  Where Phi is certified non-decreasing
+    (charexp._phi_monotone), t Phi >= 40 then holds on all of [U, inf).
+    A U that would pass the psi tables' range raises NumericError.
+    """
     if model.d != 1:
         raise DomainError("pointwise evaluation is d=1 only")
     if t <= 0:
@@ -437,6 +491,11 @@ def density_at(model: LevyModel, t: float, x: float) -> float:
     x = abs(float(np.asarray(x, dtype=float).reshape(())))
     g = lambda xi: math.exp(-t * float(phi_on_points(model, xi)))
     U = _cutoff(model, t, 40.0)
+    while t * float(phi_on_points(model, U)) < 40.0 * (1.0 - 1e-12):
+        U *= 2.0
+        if U > U_HI:
+            raise NumericError("t Phi reaches 40 only above the psi tables' "
+                               f"range, U_HI = {U_HI:g}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         val, err = quad(g, 0.0, U, weight="cos", wvar=x, epsabs=1e-13,

@@ -12,7 +12,10 @@ between nodes and no inverse FFT per t.  The two resolutions share one
 read of Phi: it is read on the refined grid's half spectrum, and the
 refined grid always keeps the base grid's L (_scan_grid's, which holds
 2.2 times the doubled radii), so the base grid's N/2 + 1 nodes are a
-slice of it, bitwise the same Phi.  The tail estimate reads Phi at each
+slice of it, bitwise the same Phi.  On axis models it is read only up
+to the live prefix of the smallest t, which both resolutions' sums stop
+within, when Phi is certified non-decreasing (density._half_phi); an
+uncertified Phi is read whole.  The tail estimate reads Phi at each
 grid's cutoff once, for every t.  A scan raises GridError when the
 spectral tail past the grid's cutoff (the field's trunc_error) exceeds
 RINGING_TOL of the peak, or a value rings below -RINGING_TOL of it.
@@ -35,9 +38,9 @@ import numpy as np
 from . import __version__ as TOOLKIT_VERSION
 from . import envelope as env_mod
 from .decomp import compound_poisson, default_eps, local_density, recompose, split
-from .density import (MAX_N, RINGING_TOL, GridSpec, _half_phi, _sub_half,
-                      _too_coarse, _trunc_estimate, _values_at, auto_grid,
-                      invert)
+from .density import (MAX_N, RINGING_TOL, GridSpec, _half_phi, _live,
+                      _sub_half, _too_coarse, _trunc_estimate, _values_at,
+                      auto_grid, invert)
 from .envelope import EnvelopeSpec, evaluate, hypothesis_check, in_cone
 from .errors import DomainError, GridError
 from .model import LevyModel, model_from_dict
@@ -158,8 +161,9 @@ def _verify_envelope(model: LevyModel, spec: EnvelopeSpec, t_set, radii,
     radii2 = np.concatenate([radii, radii * 2.0]) if extend_range else radii
     grid2 = grid.refine(2)
     # Phi is read once, on the refined grid: on the same L its nodes hold
-    # the base grid's
-    half2 = _half_phi(model, grid2)
+    # the base grid's; only up to the live prefix of its smallest t, the
+    # largest that either resolution sums
+    half2 = _half_phi(model, grid2, float(_live(grid2, t_set).max()))
     half = _sub_half(half2, grid.N)
     rows, ratios = _ratio_scan(model, spec, t_set, radii, grid, half)
     stat = ext(ratios)

@@ -532,3 +532,36 @@ def test_small_xi_taylor_limit():
     u = 1e-3
     val = phi(m, np.array([u])).value
     assert val / u ** 2 == pytest.approx(0.5 * sig2, rel=1e-3)
+
+
+#: every built-in kind of profile and cuts of them, for the certificate
+CERTIFIED_PROFILES = [
+    Constant(1.0), PolyTempered(3.0), PolyTempered(0.5),
+    ExpTempered(0.0, 1.0), ExpTempered(0.5, 1.0), ExpTempered(2.0, 0.5),
+    Relativistic(1, 1.0), Relativistic(2, 1.0),
+    Truncated(0.5, PolyTempered(3.0)), Truncated(2.0),
+    Truncated(3.0, ExpTempered(1.0, 2.0))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(q=st.sampled_from(CERTIFIED_PROFILES), alpha=st.floats(0.05, 1.99))
+def test_a_certified_table_is_non_decreasing(q, alpha):
+    """Wherever PsiTable.monotone certifies a table, the psi it gives is
+    non-decreasing on a grid 16 times denser than its nodes, from three
+    decades below U_LO, on the leg below it, up to U_HI."""
+    table = charexp.PsiTable(q, alpha)
+    assume(table.monotone)
+    step = (table.log_u[1] - table.log_u[0]) / 16.0
+    lu = np.arange(table.log_u[0] - 3.0 * math.log(10.0), table.log_u[-1],
+                   step)
+    vals = table(np.minimum(np.exp(lu), charexp.U_HI))
+    assert np.all(np.diff(vals) >= 0.0)
+
+
+def test_an_oscillating_psi_is_not_certified():
+    # jumps in a bump near s = 3: psi(u) oscillates in u with period about
+    # 2 pi / 3, and falls between some of the table's nodes
+    bump = Custom(lambda s: np.exp(-((s - 3.0) / 0.3) ** 2), label="bump")
+    table = charexp.PsiTable(Truncated(4.0, bump), 1.0)
+    assert np.any(np.diff(table.log_psi) < 0.0)
+    assert not table.monotone

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
-from templevy import density
+from templevy import charexp, density
 from templevy.charexp import phi_on_points
 from templevy.decomp import split
 from templevy.density import (
@@ -24,7 +24,7 @@ from templevy.density import (
     save_field,
     values_at,
 )
-from templevy.errors import DomainError, GridError
+from templevy.errors import DomainError, GridError, NumericError
 from templevy.model import (
     LevyModel,
     SpectralMeasure,
@@ -34,7 +34,7 @@ from templevy.model import (
     relativistic_model,
     stable_model,
 )
-from templevy.profiles import ExpTempered, PolyTempered
+from templevy.profiles import Custom, ExpTempered, PolyTempered, Truncated
 
 
 def _cauchy_pdf(t, x):
@@ -88,6 +88,28 @@ def test_density_at_relativistic_origin():
         1.0, np.inf, epsabs=1e-13)[0]
     assert density_at(relativistic_model(1.0), 1.0, 0.0) == pytest.approx(
         oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize("model, t", [
+    (exp_model(0.5), 100.0), (exp_model(0.5), 32.0),
+    (poly_model(3.0, 1.0), 100.0), (exp_model(1.0), 100.0),
+    (exp_model(0.5), 1000.0),
+], ids=["exp0.5-t100", "exp0.5-t32", "poly3-t100", "exp1-t100",
+        "exp0.5-t1000"])
+def test_density_at_cuts_where_the_actual_phi_reaches_40(model, t):
+    # at large t Phi is still quadratic at the power-law cutoff, where
+    # t Phi fell as low as 0.027: the cutoff doubles on the actual Phi,
+    # and p_t(0) is invert's on a refined default grid
+    grid = auto_grid(model, t).refine(2)
+    want = invert(model, t, grid).values[grid.N // 2]
+    assert density_at(model, t, 0.0) == pytest.approx(want, rel=1e-9)
+
+
+def test_density_at_names_U_HI_when_its_cutoff_would_pass_it(monkeypatch):
+    # t Phi(1e9) is about 3e-3: doubling would take U past U_HI
+    monkeypatch.setattr(density, "_cutoff", lambda model, t, target: 1e9)
+    with pytest.raises(NumericError, match="U_HI = 1e\\+10"):
+        density_at(exp_model(1.0), 1e-12, 0.0)
 
 
 def test_grid_matches_pointwise():
@@ -398,6 +420,55 @@ def test_values_at_checks_its_points():
         values_at(model, [1.0], grid, [[0.5, 0.5]])
     with pytest.raises(DomainError, match="t must be positive"):
         values_at(model, [1.0, 0.0], grid, [[0.5]])
+
+
+def _bump_model():
+    """psi of a bump of jumps near s = 3 oscillates: its table is not
+    certified non-decreasing."""
+    bump = Custom(lambda s: np.exp(-((s - 3.0) / 0.3) ** 2), label="bump")
+    return LevyModel(d=1, alpha=1.0, spectral=SpectralMeasure(
+        d=1, directions=np.array([[1.0], [-1.0]]), weights=np.ones(2)),
+        profile=Truncated(4.0, bump))
+
+
+@pytest.mark.parametrize("case", ["bump", "forced"])
+def test_an_uncertified_phi_is_read_whole(case, phi_reads, monkeypatch):
+    # values_at reads every node of the half spectrum in one call, with no
+    # probe, when the certificate fails or is switched off
+    if case == "bump":
+        model = _bump_model()
+        assert not charexp._phi_monotone(model)
+    else:
+        model = exp_model(1.5)
+        monkeypatch.setattr(density, "_phi_monotone", lambda m: False)
+    phi_reads.clear()
+    grid = GridSpec(1, 32.0, 1024)
+    values_at(model, [0.5, 1.0], grid, [[0.0], [1.0]])
+    assert phi_reads == [grid.N // 2 + 1]
+
+
+@pytest.mark.parametrize("phi", [
+    [0.0, 1.0, 2.0, 3.0, 4.0, math.inf, math.inf],
+    [0.0, 4.0, 1.0, 5.0, 2.5, 9.0, math.inf],
+    [0.0, 0.5, 1.0],
+], ids=["rising-prefix", "oscillating-prefix", "whole"])
+def test_line_sums_end_at_the_last_live_node(phi):
+    # each t sums up to the last node read with phi <= live (nodes past
+    # the read are +inf): found by binary search where the nodes read are
+    # non-decreasing, by their suffix minimum where they are not; w_m is
+    # 2 but 1 at m = 0 and at m = M, the last node of the half spectrum
+    phi = np.array(phi)
+    t, live = np.array([1.0, 2.0]), np.array([3.0, 1.5])
+    theta = np.array([0.0, 0.3, -0.3])
+    m = np.arange(phi.size)
+    w = np.where((m == 0) | (m == phi.size - 1), 1.0, 2.0)
+    want = []
+    for tk, lk in zip(t, live):
+        end = 1 + int(np.flatnonzero(phi <= lk).max())
+        want.append([np.sum((w * np.exp(-tk * phi) * np.cos(m * th))[:end])
+                     for th in theta])
+    got = density._line_sums(phi, t, live, theta)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 #: the half spectrum's two paths: products of axis rows, and the half

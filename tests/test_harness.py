@@ -1,11 +1,12 @@
 """Verification harness: scans, reports, suite orchestration."""
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from templevy import density, harness
+from templevy import charexp, density, harness
 from templevy.density import MAX_N, GridSpec
 from templevy.envelope import EnvelopeSpec, relativistic_lower_profile, spec_to_dict
 from templevy.errors import DomainError, GridError
@@ -22,6 +23,9 @@ from templevy.model import (LevyModel, SpectralMeasure, exp_model,
                             model_to_dict, poly_model, relativistic_model,
                             stable_model)
 from templevy.profiles import Constant, ExpTempered, PolyTempered
+
+T_SMALL = tuple(2.0 ** -k for k in range(6, -1, -1))
+T_LARGE = (2.0, 8.0, 32.0, 100.0)
 
 
 def test_scan_points_shape():
@@ -238,12 +242,13 @@ def test_scans_evaluate_once_per_t_and_resolution(monkeypatch):
     poly_model(3.0, 1.0), poly_model(3.0, 1.5, d=2)], ids=["d1", "d2"])
 def test_scans_read_each_spectrum_once(model, monkeypatch):
     # the refined scan grid keeps L: Phi is read once, on its half
-    # spectrum, and Phi at the cutoff once per grid for all t
+    # spectrum up to the smallest t's live bound there, and Phi at the
+    # cutoff once per grid for all t
     log, half_phi, axis_phi = [], harness._half_phi, density._axis_phi
 
-    def half(m, g):
-        log.append(("half", g))
-        return half_phi(m, g)
+    def half(m, g, live):
+        log.append(("half", g, live))
+        return half_phi(m, g, live)
 
     def cut(m, c):
         log.append(("cut", c))
@@ -258,9 +263,68 @@ def test_scans_read_each_spectrum_once(model, monkeypatch):
                         profile=model.profile)
     verify_upper(model, spec, t_set, radii=radii)
     # auto_grid reads Phi at cutoffs before the scans begin
-    scans = log[[kind for kind, _ in log].index("half"):]
-    assert scans == [("half", grid.refine(2)), ("cut", grid.xi_cut),
-                     ("cut", grid.refine(2).xi_cut)]
+    scans = log[[entry[0] for entry in log].index("half"):]
+    grid2 = grid.refine(2)
+    live = math.log(grid2.N ** model.d / np.finfo(float).eps) / min(t_set)
+    assert scans == [("half", grid2, live), ("cut", grid.xi_cut),
+                     ("cut", grid2.xi_cut)]
+
+
+def _small_t(side, d, alpha, profile, **kw):
+    return EnvelopeSpec(side=side, regime="small_t", d=d, alpha=alpha,
+                        gamma=1.0, profile=profile, **kw)
+
+
+#: the four verifications of perfbench's envelope_warm workload (criteria
+#: 06 and 07, and exp(1.5) at small t) and a d = 2 axis scan
+PREFIX_SCANS = {
+    "poly3-upper": (poly_model(3.0, 1.0), lambda m: verify_upper(
+        m, _small_t("upper", 1, 1.0, PolyTempered(3.0)), T_SMALL)),
+    "relativistic-lower": (relativistic_model(1.0), lambda m: verify_lower(
+        m, _small_t("lower", 1, 1.0, ExpTempered(a=0.5, c1=2.0),
+                    directions=((1.0,), (-1.0,))), T_SMALL)),
+    "exp1-large-t": (exp_model(1.0), lambda m: verify_upper(
+        m, EnvelopeSpec(side="upper", regime="large_t", d=1, alpha=1.0,
+                        gamma=1.0, profile=PolyTempered(3.0), beta=2.0),
+        T_LARGE, extend_range=False)),
+    "exp1.5-upper": (exp_model(1.5), lambda m: verify_upper(
+        m, _small_t("upper", 1, 1.5, PolyTempered(3.0)), T_SMALL)),
+    "axes-d2": (poly_model(3.0, 1.5, d=2), lambda m: verify_upper(
+        m, _small_t("upper", 2, 1.5, PolyTempered(3.0)), [0.25, 0.5, 1.0],
+        radii=np.logspace(-1, 0.5, 6))),
+}
+
+
+def _hex(rep):
+    rows = [tuple(None if v is None else float(v).hex() for v in row)
+            for row in rep.rows]
+    return rows, rep.statistic.hex(), rep.refinement_delta.hex()
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_SCANS))
+def test_a_prefix_read_scans_as_the_whole_read(name, phi_reads, monkeypatch):
+    # Phi read only up to the live prefix gives bitwise the rows,
+    # statistic and refinement delta of the whole read, which switching
+    # the certificate off forces; and it reads fewer nodes
+    model, run = PREFIX_SCANS[name]
+    assert charexp._phi_monotone(model)
+    prefix = run(model)
+    read = sum(phi_reads)
+    phi_reads.clear()
+    monkeypatch.setattr(density, "_phi_monotone", lambda m: False)
+    whole = run(model)
+    assert _hex(prefix) == _hex(whole)
+    assert read < sum(phi_reads)
+
+
+def test_the_relativistic_scan_reads_its_live_prefix(phi_reads):
+    # its refined half spectrum has 262,145 nodes, and the scan's sums use
+    # the first 88,255: one probe, then no more than 1.1 times that
+    model, run = PREFIX_SCANS["relativistic-lower"]
+    run(model)
+    probe, prefix = [n for n in phi_reads if n > 1]
+    assert probe <= 2 + math.ceil(math.log(2 ** 18) / math.log(1.05))
+    assert 88_255 <= prefix <= 1.1 * 88_255
 
 
 def test_lower_verdict_needs_a_scan_point_in_the_cone():
